@@ -58,15 +58,11 @@ from .lattice import (
 )
 from .qkernel import (
     CRITICAL_TOL,
-    QPoint,
     RegionClass,
     classify,
-    dQ_dlambda,
+    dq_value,
     eval_P,
-    eval_Q,
-    eval_Q_factored,
     lambda_min,
-    q_sign_logmag,
     q_value,
 )
 from .recurrence import (

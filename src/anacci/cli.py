@@ -69,7 +69,7 @@ def _emit(args, payload: dict, table) -> None:
 
 
 def _cmd_solve(args) -> int:
-    result = solve_lambda(args.p, args.q, args.tol)
+    result = solve_lambda(args.p, args.q)
     payload = {
         "p": result.p,
         "q": result.q,
@@ -272,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="solve lam(p, q)")
     p_solve.add_argument("--p", type=float, required=True)
     p_solve.add_argument("--q", type=float, required=True)
-    p_solve.add_argument("--tol", type=float, default=1e-14)
     _add_output_flags(p_solve)
     p_solve.set_defaults(func=_cmd_solve)
 

@@ -6,16 +6,16 @@ class AnacciError(Exception):
 
 
 class NonPositiveInput(AnacciError):
-    """A quantity that must be strictly positive was zero or negative."""
+    """A quantity that must be finite and strictly positive was not."""
 
 
 class NoConvergence(AnacciError):
     """An iteration budget was exhausted before the convergence test passed.
 
-    For the root solver this signals a tolerance misconfiguration (or a root
-    below the representable floating-point range), not a mathematical failure;
-    for ratio estimation it signals a too-small term budget or an initial
-    condition with no component along the dominant direction.
+    For the root solver this signals a root below the representable
+    floating-point range, not a mathematical failure; for ratio estimation
+    it signals a too-small term budget or an initial condition with no
+    component along the dominant direction.
     """
 
 

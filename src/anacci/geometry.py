@@ -30,7 +30,7 @@ from .errors import (
     TargetUnreachable,
 )
 from .lattice import anacci
-from .qkernel import RegionClass, classify
+from .qkernel import RegionClass, _check_positive, classify
 from .solver import solve_lambda
 
 # absolute slack when matching a dilation factor against a case boundary
@@ -64,10 +64,7 @@ class ConvexBody:
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 1:
             raise ValueError(f"dimension n must be a positive integer, got {self.n!r}")
-        if not self.size > 0:
-            raise NonPositiveInput(f"size must be > 0, got {self.size!r}")
-        if not self.base > 0:
-            raise NonPositiveInput(f"base must be > 0, got {self.base!r}")
+        _check_positive(size=self.size, base=self.base)
 
 
 def ball(n: int, radius: float = 1.0, center: float = 0.0) -> ConvexBody:
@@ -118,7 +115,10 @@ def unit_ball_volume(n: int) -> float:
     """Volume pi^(n/2)/Gamma(n/2+1) of the unit n-ball (1 at n = 0)."""
     if n < 0:
         raise ValueError(f"dimension must be >= 0, got {n!r}")
-    return math.pi ** (n / 2) / math.gamma(n / 2 + 1)
+    try:
+        return math.pi ** (n / 2) / math.gamma(n / 2 + 1)
+    except OverflowError:  # Gamma overflows from n = 342 on; the ratio does not
+        return math.exp(n / 2 * math.log(math.pi) - math.lgamma(n / 2 + 1))
 
 
 def volume(body: ConvexBody) -> float:
@@ -135,8 +135,7 @@ def volume(body: ConvexBody) -> float:
 
 def dilate(body: ConvexBody, O: float, lam: float) -> ConvexBody:
     """Image of the body under x -> O + lam*(x - O) about a center O inside it."""
-    if not lam > 0:
-        raise NonPositiveInput(f"dilation factor must be > 0, got {lam!r}")
+    _check_positive(lam=lam)
     if not contains_axis_point(body, O):
         raise OOutsideBody(
             f"homothetic center {O!r} outside body extent {axis_interval(body)}"
@@ -162,8 +161,7 @@ class DilationScene:
     lam: float
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise NonPositiveInput(f"dilation factor must be > 0, got {self.lam!r}")
+        _check_positive(lam=self.lam)
         if not contains_axis_point(self.body, self.O):
             raise OOutsideBody(
                 f"homothetic center {self.O!r} outside body extent "
@@ -193,21 +191,22 @@ class CenterOrdering(Enum):
 def shell_centroid(scene: DilationScene) -> float:
     """Center of mass of the shell between the body and its dilation.
 
-    For lam > 1 the shell is image-minus-body and B = (lam^n*L(A) - A) /
-    (lam^n - 1); for lam < 1 it is body-minus-image and B = (A -
-    lam^n*L(A)) / (1 - lam^n).  Both are the lever solution with forces
-    proportional to the two volumes, so d(L(A), B)*lam^n = d(A, B) holds to
-    rounding.  Undefined at lam = 1 (see b_one).
+    The lever balance d(L(A), B)*lam^n = d(A, B), with forces proportional
+    to the two volumes, gives B = L(A) + (L(A) - A)/(lam^n - 1) for the
+    shell image-minus-body (lam > 1) and body-minus-image (lam < 1) alike.
+    The denominator comes from expm1(n*log(lam)), and is +inf once lam^n
+    overflows, where B = L(A).  Undefined at lam = 1 (see b_one).
     """
     lam = scene.lam
     if lam == 1.0:
         raise LambdaOne("shell is empty at lam = 1; use b_one for the limit")
     a = centroid(scene.body)
     image_a = scene.O + lam * (a - scene.O)
-    ratio = lam**scene.body.n
-    if lam > 1.0:
-        return (ratio * image_a - a) / (ratio - 1.0)
-    return (a - ratio * image_a) / (1.0 - ratio)
+    try:
+        denom = math.expm1(scene.body.n * math.log(lam))
+    except OverflowError:
+        denom = math.inf
+    return image_a + (image_a - a) / denom
 
 
 def b_one(body: ConvexBody, O: float) -> float:

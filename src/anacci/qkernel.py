@@ -18,7 +18,6 @@ out right even where lam^q overflows a double.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from numbers import Rational
@@ -35,24 +34,8 @@ _EXP_OVERFLOW = 700.0
 
 def _check_positive(**named):
     for name, value in named.items():
-        if not value > 0:
-            raise NonPositiveInput(f"{name} must be > 0, got {value!r}")
-
-
-@dataclass(frozen=True)
-class QPoint:
-    """An evaluation point (lam, p, q) in the open positive octant.
-
-    ``lam`` is the ratio variable, ``p`` the recurrence weight, ``q`` the
-    (possibly non-integer) recurrence order.
-    """
-
-    lam: float
-    p: float
-    q: float
-
-    def __post_init__(self):
-        _check_positive(lam=self.lam, p=self.p, q=self.q)
+        if not 0 < value < math.inf:
+            raise NonPositiveInput(f"{name} must be finite and > 0, got {value!r}")
 
 
 class RegionClass(Enum):
@@ -90,23 +73,6 @@ def q_value(lam: float, p: float, q: float) -> float:
     return (lam - 1.0) * math.exp(t) - p * math.expm1(t)
 
 
-def q_sign_logmag(lam: float, p: float, q: float) -> tuple[int, float]:
-    """Sign of Q and log|Q|, tracked logarithmically past double overflow.
-
-    Returns (sign, log_magnitude) with sign in {-1, 0, +1} and
-    log_magnitude = -inf when Q == 0.  Useful for diagnosing bisection far
-    outside the representable range of Q itself.
-    """
-    v = q_value(lam, p, q)
-    if math.isfinite(v):
-        if v == 0.0:
-            return 0, -math.inf
-        return (1 if v > 0 else -1), math.log(abs(v))
-    # overflowed: |Q| ~ lam^q * |lam - (p+1)|
-    s = lam - (p + 1.0)
-    return (1 if s > 0 else -1), q * _ln(lam) + math.log(abs(s))
-
-
 def dq_value(lam: float, p: float, q: float) -> float:
     """dQ/dlam = lam^(q-1) * (lam*(q+1) - (p+1)*q).
 
@@ -134,21 +100,6 @@ def eval_P(lam: float, p: float, n: int) -> float:
         raise ValueError(f"order n must be a positive integer, got {n!r}")
     geometric = math.fsum(lam**k for k in range(n))
     return lam**n - p * geometric
-
-
-def eval_Q(point: QPoint) -> float:
-    """Q at an evaluation point; see q_value for the numeric contract."""
-    return q_value(point.lam, point.p, point.q)
-
-
-def eval_Q_factored(lam: float, p: float, n: int) -> float:
-    """(lam - 1) * P(lam; p, n); agrees with eval_Q at integer q = n."""
-    return (lam - 1.0) * eval_P(lam, p, n)
-
-
-def dQ_dlambda(point: QPoint) -> float:
-    """Partial derivative of Q with respect to lam at the point."""
-    return dq_value(point.lam, point.p, point.q)
 
 
 def lambda_min(p, q):

@@ -3,8 +3,8 @@
 For every (p, q) with p*q != 1 the kernel function Q has exactly one
 positive zero besides 1; that zero is the ratio limit of the order-q,
 weight-p recurrence family (the dominant characteristic root at integer q).
-This module locates it with certified bracketing — bisection to a safe
-width, then a bracket-guarded Newton polish — and provides the inverse map
+This module locates it to machine resolution with one bracket-guarded
+Newton loop, started on the convex side of Q, and provides the inverse map
 p(lam, q), both implicit partial derivatives, and the closed-form bounds.
 """
 
@@ -27,11 +27,11 @@ from .qkernel import (
     q_value,
 )
 
-DEFAULT_TOL = 1e-14
 MAX_ITERATIONS = 200
-_BISECT_STEPS = 40
-# smallest bracket endpoint probed in the sub-critical regime; below this the
-# zero itself is not representable as a positive double
+# a Newton step this many ulp long or shorter ends the solve
+_ULP_STOP = 4.0
+# smallest accepted lower end (p/(p+1))^(1/q) of a sub-critical bracket; the
+# zero sits just above that end, so below it the zero is out of range
 _LAMBDA_FLOOR = 1e-300
 
 
@@ -79,140 +79,102 @@ def _midpoint(lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _bisect(lo, flo, hi, fhi, p, q, stop_width, max_steps):
-    """Shrink a sign-change bracket; returns (lo, flo, hi, fhi, steps)."""
-    steps = 0
-    neg_low = flo < 0.0
-    while steps < max_steps and (hi - lo) > stop_width * abs(hi):
-        mid = _midpoint(lo, hi)
-        if mid <= lo or mid >= hi:
-            break  # bracket at machine resolution
-        fm = q_value(mid, p, q)
-        steps += 1
-        if fm == 0.0:
-            return mid, 0.0, mid, 0.0, steps
-        if (fm < 0.0) == neg_low:
-            lo, flo = mid, fm
-        else:
-            hi, fhi = mid, fm
-    return lo, flo, hi, fhi, steps
-
-
-def solve_lambda(p, q, tol: float = DEFAULT_TOL) -> AnacciConstant:
+def solve_lambda(p, q) -> AnacciConstant:
     """Locate the unique positive zero of Q(., p, q) other than 1.
 
-    Bracketing is regime-specific: for p*q > 1 the zero lies in
-    [lambda_min, p+1] (Q negative then positive), for p*q < 1 it lies below
-    lambda_min with Q(0+) = p > 0, so the lower endpoint starts at
-    lambda_min/2 and halves until the sign flips.  Bisection runs until the
-    bracket is within 1e-3 of the value, then Newton finishes, rejecting any
-    step that would leave the bracket.  Convergence: |Q| <= tol*(1+p) or
-    bracket width <= tol*value.  On the hyperbola p*q = 1 the zero branches
-    merge and exactly 1.0 is returned with zero residual.
+    One safeguarded Newton loop in the style of ``rtsafe`` (Numerical
+    Recipes 9.4).  Each regime has a bracket whose end signs follow from
+    the shape of Q, and starts next to its zero on the side where Q is
+    convex:
 
-    Raises NonPositiveInput for a bad domain and NoConvergence if the
-    iteration cap (200) is hit — a tolerance misconfiguration or a zero
-    below the positive double range, not a math failure.
+    * p*q > 1: the zero lies in [lambda_min, p+1], with Q < 0 at the lower
+      end and Q(p+1) = p.  The start is the first Newton step from p+1,
+      p+1 - p*(p+1)^(-q), formed without the overflowing power; once
+      lambda_min rounds onto p+1 it is already the answer.
+    * p*q < 1: the zero lies in [(p/(p+1))^(1/q), lambda_min], with
+      Q = p*lam/(p+1) > 0 at the lower end and Q < 0 at the upper one; the
+      start is the lower end.
+
+    The steps are Newton steps on P = Q/(lam-1), the characteristic
+    polynomial at integer q, computed from Q and Q' as
+    Q*(lam-1) / (Q'*(lam-1) - Q).  With the zero at 1 divided out they stay
+    quadratic next to the hyperbola, where Newton on Q only halves its
+    distance to the merged pair of zeros.  Every evaluation narrows the
+    bracket; a step that leaves it, or fails to halve the step before the
+    previous one, is replaced by the bracket midpoint.  The loop runs to
+    machine resolution, with no tolerance.  It stops after a step of at
+    most a few ulp, and undoes that step if it did not lower |Q|, since it
+    was then rounding noise.  It also stops when a step rounds to nothing,
+    when the midpoint can no longer split the bracket, and when the start's
+    computed sign contradicts its end of the bracket (the start then lies
+    within rounding of the zero).  ``iterations`` counts the evaluations of
+    Q.  On the hyperbola p*q = 1 the zero branches merge and exactly 1.0 is
+    returned with zero residual.
+
+    Raises NonPositiveInput unless p and q are finite and > 0, and
+    NoConvergence when a sub-critical zero lies below the positive double
+    range (or, never seen, after 200 evaluations).
     """
-    if not p > 0 or not q > 0:
-        raise NonPositiveInput(f"p and q must be > 0, got p={p!r}, q={q!r}")
-    if not tol > 0:
-        raise ValueError(f"tol must be > 0, got {tol!r}")
+    _check_positive(p=p, q=q)
     regime = classify(p, q)
     pf, qf = float(p), float(q)
     if regime is RegionClass.CRITICAL:
         return AnacciConstant(pf, qf, 1.0, 1.0, 1.0, 0.0, 0)
 
     if regime is RegionClass.SUPER:
-        lo = float(lambda_min(pf, qf))
         hi = pf + 1.0
-        flo = q_value(lo, pf, qf)
-        fhi = pf  # Q(p+1, p, q) = p exactly
-        if not flo < 0.0:
-            raise NoConvergence(
-                f"no sign change on [{lo}, {hi}]: p*q too close to 1 "
-                f"(p={pf}, q={qf})"
-            )
+        lo = min(float(lambda_min(pf, qf)), hi)  # may round past p+1
+        x = hi - pf * math.exp(-qf * math.log1p(pf))
+        neg_low = True
     else:
-        hi = float(lambda_min(pf, qf))
-        fhi = q_value(hi, pf, qf)
-        if not fhi < 0.0:
+        lo, hi = math.exp(-math.log1p(1.0 / pf) / qf), float(lambda_min(pf, qf))
+        if lo < _LAMBDA_FLOOR:
             raise NoConvergence(
-                f"Q not negative at the minimum: p*q too close to 1 "
-                f"(p={pf}, q={qf})"
+                f"zero of Q below the representable range for p={pf}, q={qf}"
             )
-        lo = 0.5 * hi
-        flo = q_value(lo, pf, qf)
-        while flo <= 0.0:
-            lo *= 0.5
-            if lo < _LAMBDA_FLOOR:
-                raise NoConvergence(
-                    f"zero of Q below the representable range for "
-                    f"p={pf}, q={qf}"
-                )
-            flo = q_value(lo, pf, qf)
+        x = lo
+        neg_low = False
 
-    ftol = tol * (1.0 + pf)
-    lo, flo, hi, fhi, iterations = _bisect(
-        lo, flo, hi, fhi, pf, qf, 1e-3, _BISECT_STEPS
-    )
-
-    neg_low = flo < 0.0
-    x = _midpoint(lo, hi)
+    step = older = hi - lo
+    newton = False
     fx = q_value(x, pf, qf)
-    iterations += 1
-    while True:
+    for iterations in range(1, MAX_ITERATIONS + 1):
         if fx == 0.0:
-            lo = hi = x
             break
-        # fold the newest evaluation into the bracket before anything else
+        # fold x into the bracket; only a start point can sit on an end
         if (fx < 0.0) == neg_low:
-            lo, flo = x, fx
+            if x == hi:
+                break
+            lo = x
         else:
-            hi, fhi = x, fx
-        if abs(fx) <= ftol or (hi - lo) <= tol * abs(x):
+            if x == lo:
+                break
+            hi = x
+        if newton and abs(step) <= _ULP_STOP * math.ulp(x):
+            if abs(fx) >= abs(fprev):  # the step was rounding noise: undo it
+                x, fx = xprev, fprev
+                lo, hi = min(lo, x), max(hi, x)
             break
-        if iterations >= MAX_ITERATIONS:
-            raise NoConvergence(
-                f"no convergence after {iterations} iterations "
-                f"(p={pf}, q={qf}, tol={tol})"
-            )
         dfx = dq_value(x, pf, qf)
-        if math.isfinite(fx) and math.isfinite(dfx) and dfx != 0.0:
-            x_new = x - fx / dfx
-            if not (lo < x_new < hi) or x_new == x:
-                x_new = _midpoint(lo, hi)  # Newton stalled or left the bracket
-        else:
-            x_new = _midpoint(lo, hi)  # Q overflowed: signs still steer us
-        if x_new == lo or x_new == hi or x_new == x:
-            break  # bracket at machine resolution
-        x = x_new
+        # Newton on P = Q/(lam-1); an overflowed Q gives nan, which fails
+        # the bracket test below
+        denom = dfx * (x - 1.0) - fx
+        cand = x - fx * (x - 1.0) / denom if denom != 0.0 else math.nan
+        if cand == x:
+            break  # the Newton step rounds to nothing
+        newton = lo < cand < hi and 2.0 * abs(cand - x) <= abs(older)
+        if not newton:
+            cand = _midpoint(lo, hi)
+            if not lo < cand < hi:
+                break  # bracket at machine resolution
+        older, step = step, cand - x
+        xprev, fprev = x, fx
+        x = cand
         fx = q_value(x, pf, qf)
-        iterations += 1
-
-    # the stopping tests guarantee minimum quality; a couple of in-bracket
-    # Newton steps accepted only when they shrink |Q| usually reach 1 ulp
-    for _ in range(2):
-        if fx == 0.0:
-            break
-        dfx = dq_value(x, pf, qf)
-        if not (math.isfinite(fx) and math.isfinite(dfx)) or dfx == 0.0:
-            break
-        x_new = x - fx / dfx
-        if not (lo <= x_new <= hi) or x_new == x:
-            break
-        f_new = q_value(x_new, pf, qf)
-        iterations += 1
-        if abs(f_new) >= abs(fx):
-            break
-        x, fx = x_new, f_new
-        if fx == 0.0:
-            lo = hi = x
-        elif (fx < 0.0) == neg_low:
-            lo, flo = x, fx
-        else:
-            hi, fhi = x, fx
-
+    else:
+        raise NoConvergence(
+            f"no convergence after {MAX_ITERATIONS} iterations (p={pf}, q={qf})"
+        )
     return AnacciConstant(pf, qf, x, lo, hi, fx, iterations)
 
 

@@ -173,7 +173,7 @@ def suite_monotone(m_max: int = 50, n_max: int = 10) -> list[CheckResult]:
             if ceiling - a > 1e-12 * ceiling:
                 margins.append(b - a)
             else:  # solver noise band around the asymptote
-                margins.append(b - a + 2.5e-14 * ceiling)
+                margins.append(b - a + _resolution(ceiling))
     results.append(_margin_check("monotone.fixed_m", margins))
 
     margins = []

@@ -1,9 +1,13 @@
 """Independent oracles for the test suite.
 
 Deliberately naive implementations that share no code path with the
-package: plain power arithmetic and pure bisection.  Expected values
-frozen in the tests were produced by these.
+package: plain power arithmetic, pure bisection, and bisection in
+50-digit mpmath arithmetic.  Expected values frozen in the tests were
+produced by these.
 """
+
+import math
+
 
 def q_naive(lam, p, q):
     """Q via direct powers; overflows rather than tracking magnitude."""
@@ -33,6 +37,51 @@ def bisect_lambda(p, q, iters=200):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def mp_root(p, q, digits=50):
+    """The non-unit zero of Q to ``digits`` significant digits, as an mpf.
+
+    Plain bisection in mpmath on the scaled form Q/lam^q =
+    lam - (p+1) + p*lam^(-q), which has the zero's sign pattern and never
+    overflows.  p and q are taken as the exact values of the given doubles.
+    """
+    import mpmath
+
+    with mpmath.workdps(digits + 20):
+        p, q = mpmath.mpf(p), mpmath.mpf(q)
+        if p * q == 1:
+            return mpmath.mpf(1)
+
+        def scaled(lam):
+            return lam - (p + 1) + p * lam ** (-q)
+
+        lmin = (p + 1) * q / (q + 1)
+        if p * q > 1:
+            lo, hi = lmin, p + 1
+        else:
+            hi, lo = lmin, lmin / 2
+            while scaled(lo) <= 0:
+                lo /= 2
+        neg_low = scaled(lo) < 0
+        width = mpmath.mpf(10) ** (-(digits + 8))
+        while hi - lo > width * hi:
+            mid = mpmath.sqrt(lo * hi) if hi > 4 * lo else (lo + hi) / 2
+            if (scaled(mid) < 0) == neg_low:
+                lo = mid
+            else:
+                hi = mid
+        return (lo + hi) / 2
+
+
+def ulp_distance(value, exact):
+    """|value - exact| in units of the double spacing at the smaller of the
+    two magnitudes; ``exact`` is an mpf."""
+    import mpmath
+
+    with mpmath.workdps(80):
+        spacing = math.ulp(min(abs(value), abs(float(exact))))
+        return float(abs(mpmath.mpf(value) - exact) / spacing)
 
 
 def central_difference(f, x, h=1e-6):

@@ -66,10 +66,10 @@ def test_criterion_01_golden_roots():
     assert abs(bisect_lambda(1, 3) - 1.8392867552141612) < 1e-13
     worst_err = worst_time = 0.0
     for p, q, reference, tol in targets:
-        err = abs(solve_lambda(p, q, 1e-14).value - reference)
+        err = abs(solve_lambda(p, q).value - reference)
         assert err <= tol, (p, q, err)
         worst_err = max(worst_err, err)
-        worst_time = max(worst_time, _best_time(lambda: solve_lambda(p, q, 1e-14)))
+        worst_time = max(worst_time, _best_time(lambda: solve_lambda(p, q)))
     ok = worst_time < 1e-3
     _report(
         1,

@@ -33,6 +33,9 @@ class TestSolveCommand:
         code, _, err = run_cli(capsys, "solve", "--p", "0", "--q", "2")
         assert code == 2
         assert "error" in err
+        code, _, err = run_cli(capsys, "solve", "--p", "inf", "--q", "2")
+        assert code == 2
+        assert "finite" in err
 
     def test_usage_error_exits_two(self, capsys):
         assert run_cli(capsys, "solve", "--p", "1")[0] == 2
@@ -121,6 +124,21 @@ class TestSceneCommand:
         assert json.loads(out)["lam"] == pytest.approx(
             (1 + math.sqrt(5)) / 2, abs=1e-12
         )
+
+    def test_high_dimension_factor(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "scene", "--n", "400", "--lam", "10", "--offset", "1"
+        )
+        assert code == 0
+        b = json.loads(out)["points"]["B"]
+        assert math.isfinite(b) and b == 10.0
+
+    def test_non_finite_factor_exits_two(self, capsys):
+        code, _, err = run_cli(
+            capsys, "scene", "--n", "2", "--offset", "1", "--lam", "inf"
+        )
+        assert code == 2
+        assert "finite" in err
 
     def test_requires_factor_or_target(self, capsys):
         code, _, err = run_cli(capsys, "scene", "--body", "ball", "--n", "2")

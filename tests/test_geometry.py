@@ -122,6 +122,9 @@ class TestDilate:
     def test_nonpositive_factor_raises(self):
         with pytest.raises(NonPositiveInput):
             dilate(ball(2, 1.0), 0.0, 0.0)
+        for lam in (math.inf, math.nan):
+            with pytest.raises(NonPositiveInput, match="finite"):
+                dilate(ball(2, 1.0), 0.0, lam)
 
 
 class TestShellCentroid:
@@ -140,6 +143,14 @@ class TestShellCentroid:
     def test_unit_factor_rejected(self):
         with pytest.raises(LambdaOne):
             shell_centroid(DilationScene(ball(2, 1.0, center=1.0), 0.0, 1.0))
+
+    def test_high_dimension_does_not_overflow(self):
+        # lam^400 overflows a double for lam = 10: the shell centroid is
+        # then the dilated centroid; for lam = 0.1 it is the centroid itself
+        body = ball(400, 1.0, center=1.0)
+        assert shell_centroid(DilationScene(body, 0.0, 10.0)) == 10.0
+        assert shell_centroid(DilationScene(body, 0.0, 0.1)) == 1.0
+        assert 0.0 < unit_ball_volume(400) < 1e-270
 
     def test_continuity_into_b_one(self):
         body = cube(3, 1.0, near_face=0.0)
@@ -487,6 +498,11 @@ class TestSceneValidation:
         with pytest.raises(OOutsideBody):
             DilationScene(ball(2, 1.0, center=1.0), 3.0, 2.0)
 
+    def test_non_finite_factor(self):
+        for lam in (math.inf, math.nan):
+            with pytest.raises(NonPositiveInput, match="finite"):
+                DilationScene(ball(2, 1.0, center=1.0), 0.0, lam)
+
     def test_center_on_centroid(self):
         with pytest.raises(OEqualsA):
             DilationScene(cube(2, 1.0, near_face=0.0), 0.5, 2.0)
@@ -498,5 +514,9 @@ class TestSceneValidation:
     def test_body_field_validation(self):
         with pytest.raises(NonPositiveInput):
             ConvexBody(BodyKind.BALL, 2, 0.0)
+        with pytest.raises(NonPositiveInput, match="finite"):
+            ConvexBody(BodyKind.BALL, 2, math.inf)
+        with pytest.raises(NonPositiveInput, match="finite"):
+            ConvexBody(BodyKind.CONE, 2, 1.0, base=math.nan)
         with pytest.raises(ValueError):
             ConvexBody(BodyKind.BALL, 0, 1.0)

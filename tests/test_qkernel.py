@@ -7,16 +7,11 @@ from hypothesis import strategies as st
 
 from anacci.errors import NonPositiveInput
 from anacci.qkernel import (
-    QPoint,
     RegionClass,
     classify,
-    dQ_dlambda,
     dq_value,
     eval_P,
-    eval_Q,
-    eval_Q_factored,
     lambda_min,
-    q_sign_logmag,
     q_value,
 )
 from anacci.solver import solve_lambda
@@ -44,14 +39,14 @@ class TestEvalP:
 
 class TestEvalQ:
     def test_zero_on_unit_plane(self):
-        assert eval_Q(QPoint(1.0, 0.7, 3.2)) == 0.0
+        assert q_value(1.0, 0.7, 3.2) == 0.0
 
     def test_value_at_p_plus_one(self):
         # Q(p+1, p, q) = p for any q
-        assert eval_Q(QPoint(3.0, 2.0, 5.0)) == pytest.approx(2.0, rel=1e-14)
+        assert q_value(3.0, 2.0, 5.0) == pytest.approx(2.0, rel=1e-14)
 
     def test_direct_substitution(self):
-        assert eval_Q(QPoint(2.0, 1.0, 2.0)) == pytest.approx(1.0, rel=1e-15)
+        assert q_value(2.0, 1.0, 2.0) == pytest.approx(1.0, rel=1e-15)
 
     def test_matches_naive_away_from_overflow(self):
         for lam in (0.3, 0.9, 1.1, 2.7):
@@ -65,7 +60,12 @@ class TestEvalQ:
         with pytest.raises(NonPositiveInput):
             q_value(0.0, 1.0, 1.0)
         with pytest.raises(NonPositiveInput):
-            QPoint(1.0, -1.0, 1.0)
+            q_value(1.0, -1.0, 1.0)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(NonPositiveInput, match="finite"):
+                q_value(bad, 1.0, 1.0)
+            with pytest.raises(NonPositiveInput, match="finite"):
+                dq_value(2.0, 1.0, bad)
 
     @given(p=positive, q=positive)
     @settings(max_examples=200, deadline=None)
@@ -87,26 +87,17 @@ class TestOverflowGuard:
     def test_exact_cancellation_at_p_plus_one(self):
         assert q_value(2.0, 1.0, 5000.0) == 1.0
 
-    def test_sign_logmag_tracks_magnitude(self):
-        sign, logmag = q_sign_logmag(1.5, 1.0, 5000.0)
-        assert sign == -1
-        # |Q| ~ 1.5^5000 * 0.5
-        assert logmag == pytest.approx(5000 * math.log(1.5) + math.log(0.5), rel=1e-12)
-        sign, logmag = q_sign_logmag(1.0, 1.0, 3.0)
-        assert sign == 0 and logmag == -math.inf
-
-    def test_finite_values_report_their_log(self):
-        sign, logmag = q_sign_logmag(2.0, 1.0, 2.0)
-        assert sign == 1 and logmag == pytest.approx(0.0, abs=1e-15)
-
 
 class TestFactoredForm:
+    """Q(lam; p, n) = (lam - 1) * P(lam; p, n) at integer order n."""
+
     def test_unit_factor(self):
-        assert eval_Q_factored(1.0, 0.7, 4) == 0.0
+        assert (1.0 - 1.0) * eval_P(1.0, 0.7, 4) == 0.0
 
     def test_matches_eval_q_examples(self):
-        assert eval_Q_factored(2.0, 1.0, 2) == pytest.approx(1.0, abs=1e-15)
-        assert eval_Q_factored(3.0, 2.0, 1) == pytest.approx(2.0, abs=1e-15)
+        # the values of q_value(2, 1, 2) and q_value(3, 2, 1)
+        assert (2.0 - 1.0) * eval_P(2.0, 1.0, 2) == pytest.approx(1.0, abs=1e-15)
+        assert (3.0 - 1.0) * eval_P(3.0, 2.0, 1) == pytest.approx(2.0, abs=1e-15)
 
     def test_agreement_grid_at_integer_order(self):
         for p in (0.3, 1.0, 2.5):
@@ -114,13 +105,13 @@ class TestFactoredForm:
                 for i in range(1, 41):
                     lam = (p + 2.0) * i / 40.0
                     direct = q_value(lam, p, float(n))
-                    factored = eval_Q_factored(lam, p, n)
+                    factored = (lam - 1.0) * eval_P(lam, p, n)
                     assert abs(direct - factored) <= 1e-12 * (1.0 + abs(direct))
 
 
 class TestDerivative:
     def test_zero_at_minimum_locus(self):
-        assert dQ_dlambda(QPoint(4.0 / 3.0, 1.0, 2.0)) == pytest.approx(0.0, abs=1e-12)
+        assert dq_value(4.0 / 3.0, 1.0, 2.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_critical_point_value(self):
         assert dq_value(1.0, 1.0, 1.0) == 0.0

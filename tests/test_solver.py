@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from anacci.errors import CriticalRegime, NonPositiveInput
+from anacci.figures import DEFAULT_GRIDS
 from anacci.qkernel import RegionClass
 from anacci.solver import (
     bound_crossover,
@@ -17,7 +18,7 @@ from anacci.solver import (
     solve_lambda,
 )
 
-from oracles import bisect_lambda, central_difference
+from oracles import bisect_lambda, central_difference, mp_root, ulp_distance
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 # frozen from the pure-bisection oracle in oracles.py
@@ -26,24 +27,39 @@ LAM_1_4 = 1.927561975482925
 LAM_3_3 = 3.951373035591441
 
 
+def _mpmath_panel():
+    """Solver stress points: anchors, both sides of the hyperbola, fig3's
+    q = 0.1 column, a tiny sub-critical zero (about 1.65e-6) and saturated
+    points where lambda_min rounds onto p+1."""
+    points = [(1, 2), (5, 40), (0.3, 1.5), (1 + 1e-9, 1), (1, 1e6)]
+    for p in (0.2, 1.0, 5.0):
+        for d in (1e-11, 1e-6, 1e-3):
+            points += [(p, (1.0 + d) / p), (p, (1.0 - d) / p)]
+    fig3 = DEFAULT_GRIDS["fig3"]
+    q_column = fig3.q_values()[1]
+    points += [(p, q_column) for p in fig3.p_values() if p in (0.35, 1.85)]
+    points += [(0.3938, 0.09495), (1, 1e16), (10, 1e17)]
+    return points
+
+
 class TestSolveLambda:
     def test_golden_ratio(self):
-        assert solve_lambda(1, 2, 1e-14).value == pytest.approx(PHI, abs=1e-14)
+        assert solve_lambda(1, 2).value == pytest.approx(PHI, abs=1e-14)
 
     def test_one_plus_sqrt3(self):
-        assert solve_lambda(2, 2, 1e-14).value == pytest.approx(
+        assert solve_lambda(2, 2).value == pytest.approx(
             1.0 + math.sqrt(3.0), abs=1e-14
         )
 
     def test_tribonacci(self):
-        assert solve_lambda(1, 3, 1e-14).value == pytest.approx(TRIBONACCI, abs=1e-13)
+        assert solve_lambda(1, 3).value == pytest.approx(TRIBONACCI, abs=1e-13)
         assert bisect_lambda(1, 3) == pytest.approx(TRIBONACCI, abs=1e-14)
 
     def test_order_one_root_is_weight(self):
-        assert solve_lambda(3, 1, 1e-14).value == pytest.approx(3.0, abs=1e-13)
+        assert solve_lambda(3, 1).value == pytest.approx(3.0, abs=1e-13)
 
     def test_critical_is_exactly_one(self):
-        result = solve_lambda(1, 1, 1e-14)
+        result = solve_lambda(1, 1)
         assert result.value == 1.0
         assert result.residual == 0.0
         assert result.iterations == 0
@@ -69,7 +85,7 @@ class TestSolveLambda:
             assert r.bracket_lo <= r.value <= r.bracket_hi
 
     def test_residual_within_tolerance(self):
-        r = solve_lambda(1.7, 3.1, 1e-14)
+        r = solve_lambda(1.7, 3.1)
         assert abs(r.residual) <= 1e-14 * (1.0 + 1.7) or (
             r.bracket_hi - r.bracket_lo
         ) <= 1e-14 * r.value
@@ -87,10 +103,22 @@ class TestSolveLambda:
             solve_lambda(0, 2)
         with pytest.raises(NonPositiveInput):
             solve_lambda(1, -3)
+        for p, q in ((math.inf, 2), (2, math.inf), (math.nan, 2), (1, math.nan)):
+            with pytest.raises(NonPositiveInput, match="finite"):
+                solve_lambda(p, q)
 
-    def test_rejects_bad_tol(self):
-        with pytest.raises(ValueError):
-            solve_lambda(1, 2, 0.0)
+    @pytest.mark.parametrize("p,q", _mpmath_panel())
+    def test_matches_mpmath_panel(self, p, q):
+        root = mp_root(p, q)
+        r = solve_lambda(p, q)
+        assert ulp_distance(r.value, root) <= 16.0
+        if not r.bracket_lo <= root <= r.bracket_hi:
+            edge = r.bracket_lo if root < r.bracket_lo else r.bracket_hi
+            assert ulp_distance(edge, root) <= 16.0
+
+    def test_saturated_points_reach_weight_plus_one(self):
+        assert solve_lambda(1, 1e16).value == 2.0
+        assert ulp_distance(solve_lambda(1, 1e6).value, mp_root(1, 1e6)) <= 1.0
 
     def test_large_q_approaches_weight_plus_one(self):
         for p in (0.5, 1.0, 2.0, 3.0):
