@@ -15,6 +15,8 @@ anacci constants acquire a geometric meaning as dilation factors.
 from __future__ import annotations
 
 import math
+import sys
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -65,6 +67,8 @@ class ConvexBody:
         if not isinstance(self.n, int) or self.n < 1:
             raise ValueError(f"dimension n must be a positive integer, got {self.n!r}")
         _check_positive(size=self.size, base=self.base)
+        if not math.isfinite(self.axis_offset):
+            raise ValueError(f"axis_offset must be finite, got {self.axis_offset!r}")
 
 
 def ball(n: int, radius: float = 1.0, center: float = 0.0) -> ConvexBody:
@@ -85,16 +89,51 @@ def pyramid(n: int, height: float = 1.0, apex: float = 0.0,
     return ConvexBody(BodyKind.PYRAMID, n, height, base_side, apex)
 
 
+def _l2_squared(lateral: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", lateral, lateral)
+
+
+def _linf(lateral: np.ndarray) -> np.ndarray:
+    # the initial value keeps n = 1, with no lateral coordinates, defined
+    return np.abs(lateral).max(axis=1, initial=0.0)
+
+
+@dataclass(frozen=True)
+class _Shape:
+    """One body kind as an axis segment times a scaled cross-section.
+
+    With c the axis offset, s the size and u = (x1 - c)/s, the section at u
+    holds the lateral points whose ``norm`` is at most section_bound(w, u);
+    l2 norms and bounds are squared, so membership takes no square root.
+    """
+
+    axis_start: float  # the body spans [c + axis_start*s, c + s]
+    centroid_fraction: Callable[[int], float]  # of s, from c
+    # (k, L, d): the volume is V_k * L**(n-1) * s / d, with L the size or base
+    volume_terms: Callable[[ConvexBody], tuple[int, float, int]]
+    half_width: Callable[[ConvexBody], float]  # w, across the widest section
+    section_bound: Callable  # (w, u) -> bound on the norm of the section at u
+    norm: Callable[[np.ndarray], np.ndarray]  # of the lateral coordinates
+
+
+_SHAPES = {
+    BodyKind.BALL: _Shape(-1.0, lambda n: 0.0, lambda b: (b.n, b.size, 1), lambda b: b.size,
+                          lambda w, u: w * w * (1.0 - u * u), _l2_squared),
+    BodyKind.CUBE: _Shape(0.0, lambda n: 0.5, lambda b: (0, b.size, 1), lambda b: 0.5 * b.size,
+                          lambda w, u: w, _linf),
+    BodyKind.CONE: _Shape(0.0, lambda n: n / (n + 1), lambda b: (b.n - 1, b.base, b.n),
+                          lambda b: b.base, lambda w, u: (w * u) ** 2, _l2_squared),
+    BodyKind.PYRAMID: _Shape(0.0, lambda n: n / (n + 1), lambda b: (0, b.base, b.n),
+                             lambda b: 0.5 * b.base, lambda w, u: w * u, _linf),
+}
+
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
 def axis_interval(body: ConvexBody) -> tuple[float, float]:
     """The closed extent of the body along e1."""
-    if body.kind is BodyKind.BALL:
-        return body.axis_offset - body.size, body.axis_offset + body.size
-    return body.axis_offset, body.axis_offset + body.size
-
-
-def contains_axis_point(body: ConvexBody, x: float) -> bool:
-    lo, hi = axis_interval(body)
-    return lo <= x <= hi
+    lo = body.axis_offset + _SHAPES[body.kind].axis_start * body.size
+    return lo, body.axis_offset + body.size
 
 
 def centroid(body: ConvexBody) -> float:
@@ -104,11 +143,7 @@ def centroid(body: ConvexBody) -> float:
     cones and pyramids split apex-to-base as n:1, i.e. the centroid sits at
     n/(n+1) of the height from the apex.
     """
-    if body.kind is BodyKind.BALL:
-        return body.axis_offset
-    if body.kind is BodyKind.CUBE:
-        return body.axis_offset + 0.5 * body.size
-    return body.axis_offset + body.size * body.n / (body.n + 1)
+    return body.axis_offset + body.size * _SHAPES[body.kind].centroid_fraction(body.n)
 
 
 def unit_ball_volume(n: int) -> float:
@@ -118,28 +153,43 @@ def unit_ball_volume(n: int) -> float:
     try:
         return math.pi ** (n / 2) / math.gamma(n / 2 + 1)
     except OverflowError:  # Gamma overflows from n = 342 on; the ratio does not
-        return math.exp(n / 2 * math.log(math.pi) - math.lgamma(n / 2 + 1))
+        return math.exp(_log_unit_ball_volume(n))
+
+
+def _log_unit_ball_volume(n: int) -> float:
+    return n / 2 * math.log(math.pi) - math.lgamma(n / 2 + 1)
 
 
 def volume(body: ConvexBody) -> float:
-    """n-volume of the body."""
-    n = body.n
-    if body.kind is BodyKind.BALL:
-        return unit_ball_volume(n) * body.size**n
-    if body.kind is BodyKind.CUBE:
-        return body.size**n
-    if body.kind is BodyKind.CONE:
-        return unit_ball_volume(n - 1) * body.base ** (n - 1) * body.size / n
-    return body.base ** (n - 1) * body.size / n
+    """n-volume of the body; +inf once it exceeds the double range."""
+    k, length, d = _SHAPES[body.kind].volume_terms(body)
+    try:
+        return unit_ball_volume(k) * length ** (body.n - 1) * body.size / d
+    except OverflowError:  # the power overflowed; the volume may not
+        log_volume = _log_unit_ball_volume(k) - math.log(d)
+        log_volume += (body.n - 1) * math.log(length) + math.log(body.size)
+        return math.exp(log_volume) if log_volume <= _LOG_FLOAT_MAX else math.inf
+
+
+def _check_inside(body: ConvexBody, O: float) -> None:
+    lo, hi = axis_interval(body)
+    if not lo <= O <= hi:
+        raise OOutsideBody(f"homothetic center {O!r} outside body extent {(lo, hi)}")
+
+
+def _centroid_apart_from(body: ConvexBody, O: float) -> float:
+    """The centroid A, once O is known to lie inside the body and off A."""
+    _check_inside(body, O)
+    a = centroid(body)
+    if O == a:
+        raise OEqualsA("homothetic center coincides with the center of mass")
+    return a
 
 
 def dilate(body: ConvexBody, O: float, lam: float) -> ConvexBody:
     """Image of the body under x -> O + lam*(x - O) about a center O inside it."""
     _check_positive(lam=lam)
-    if not contains_axis_point(body, O):
-        raise OOutsideBody(
-            f"homothetic center {O!r} outside body extent {axis_interval(body)}"
-        )
+    _check_inside(body, O)
     return replace(
         body,
         size=lam * body.size,
@@ -162,13 +212,7 @@ class DilationScene:
 
     def __post_init__(self):
         _check_positive(lam=self.lam)
-        if not contains_axis_point(self.body, self.O):
-            raise OOutsideBody(
-                f"homothetic center {self.O!r} outside body extent "
-                f"{axis_interval(self.body)}"
-            )
-        if self.O == centroid(self.body):
-            raise OEqualsA("homothetic center coincides with the center of mass")
+        _centroid_apart_from(self.body, self.O)
 
 
 class CenterOrdering(Enum):
@@ -216,13 +260,7 @@ def b_one(body: ConvexBody, O: float) -> float:
     for a cone or pyramid dilated about its apex this is exactly the
     centroid of the base face.
     """
-    if not contains_axis_point(body, O):
-        raise OOutsideBody(
-            f"homothetic center {O!r} outside body extent {axis_interval(body)}"
-        )
-    a = centroid(body)
-    if O == a:
-        raise OEqualsA("limit point undefined when O is the center of mass")
+    a = _centroid_apart_from(body, O)
     return a + (a - O) / body.n
 
 
@@ -253,13 +291,7 @@ def solve_scene_for_target(body: ConvexBody, O: float, target_b: float) -> Dilat
     exactly the B(1) point yields the degenerate lam = 1 scene; anything
     closer to A is unreachable for every positive factor.
     """
-    if not contains_axis_point(body, O):
-        raise OOutsideBody(
-            f"homothetic center {O!r} outside body extent {axis_interval(body)}"
-        )
-    a = centroid(body)
-    if O == a:
-        raise OEqualsA("need O distinct from the center of mass")
+    a = _centroid_apart_from(body, O)
     d_oa = a - O
     d_ab = target_b - a
     if d_ab == 0.0 or (d_ab > 0) != (d_oa > 0):
@@ -339,19 +371,15 @@ def ball_representation(m: int, n: int) -> BallRepresentation:
     point shell.
     """
     body = ball(n, 1.0, center=1.0)
-    if m * n == 1:
-        lam = 1.0
-    else:
-        lam = anacci((m, n))
+    lam = anacci((m, n))
     scene = DilationScene(body, 0.0, lam)
-    shell_b = b_one(body, 0.0) if lam == 1.0 else shell_centroid(scene)
     image = dilate(body, 0.0, lam)
     return BallRepresentation(
         m=m,
         n=n,
         scene=scene,
         lam=lam,
-        shell_b=shell_b,
+        shell_b=scene_points(scene)["B"],
         dilated_center=image.axis_offset,
         dilated_radius=image.size,
         intersection=image.axis_offset + image.size,
@@ -386,22 +414,17 @@ def cone_representation(m: int, n: int) -> ConeRepresentation:
     """
     body = cone(n, 1.0, apex=0.0)
     O = (m * n - 1) / (m * (n + 1))
-    if m * n == 1:
-        lam = 1.0
-    else:
-        lam = anacci((m, n))
+    lam = anacci((m, n))
     scene = DilationScene(body, O, lam)
-    a = centroid(body)
-    shell_b = b_one(body, O) if lam == 1.0 else shell_centroid(scene)
-    apex_image = O + lam * (0.0 - O)
+    points = scene_points(scene)
     return ConeRepresentation(
         m=m,
         n=n,
         scene=scene,
         lam=lam,
-        shell_b=shell_b,
-        image_centroid=O + lam * (a - O),
-        height_interval=(apex_image, apex_image + lam),
+        shell_b=points["B"],
+        image_centroid=points["LA"],
+        height_interval=axis_interval(dilate(body, O, lam)),
     )
 
 
@@ -442,12 +465,12 @@ def centroid_ratio_theorem_check(kind: BodyKind, n: int) -> bool:
     the shell centroid at lam = 1 +- 1e-5 approaches the base-face centroid
     (within 1e-4) and that d(O, A)/d(A, B(1)) = n within 1e-6.
     """
-    if kind not in (BodyKind.CONE, BodyKind.PYRAMID):
+    # an apex body's section at the reference point is a single point
+    if kind not in _SHAPES or _SHAPES[kind].section_bound(1.0, 0.0) != 0.0:
         raise ValueError(f"check applies to cones and pyramids, got {kind!r}")
-    maker = cone if kind is BodyKind.CONE else pyramid
-    body = maker(n, 1.0, apex=0.0)
+    body = ConvexBody(kind, n, 1.0)
     a = centroid(body)
-    base_center = body.axis_offset + body.size
+    base_center = axis_interval(body)[1]
     limit_b = b_one(body, 0.0)
     if abs(limit_b - base_center) > 1e-12:
         return False
@@ -468,32 +491,15 @@ _MC_BLOCK = 1 << 16
 _MC_COUNTER_STRIDE = 1 << 128
 
 
-def _lateral_halfwidth(body: ConvexBody) -> float:
-    if body.kind is BodyKind.BALL:
-        return body.size
-    if body.kind is BodyKind.CUBE:
-        return 0.5 * body.size
-    if body.kind is BodyKind.CONE:
-        return body.base
-    return 0.5 * body.base
-
-
-def _contains_batch(body: ConvexBody, x1: np.ndarray, lateral: np.ndarray) -> np.ndarray:
-    """Vectorized membership of points (x1, lateral...) in the body."""
+def _contains_batch(body: ConvexBody, x1: np.ndarray, radial: np.ndarray) -> np.ndarray:
+    """Vectorized membership of points (x1, ``norm`` of lateral) in the body."""
     lo, hi = axis_interval(body)
     inside = (x1 >= lo) & (x1 <= hi)
     if body.n == 1:
         return inside
-    if body.kind is BodyKind.BALL:
-        radial2 = np.einsum("ij,ij->i", lateral, lateral)
-        return (x1 - body.axis_offset) ** 2 + radial2 <= body.size**2
-    if body.kind is BodyKind.CUBE:
-        return inside & (np.abs(lateral).max(axis=1) <= 0.5 * body.size)
-    scale = (x1 - body.axis_offset) / body.size  # 0 at apex, 1 at base
-    if body.kind is BodyKind.CONE:
-        radial2 = np.einsum("ij,ij->i", lateral, lateral)
-        return inside & (radial2 <= (body.base * scale) ** 2)
-    return inside & (np.abs(lateral).max(axis=1) <= 0.5 * body.base * scale)
+    shape = _SHAPES[body.kind]
+    u = (x1 - body.axis_offset) / body.size
+    return inside & (radial <= shape.section_bound(shape.half_width(body), u))
 
 
 def mc_centroid(scene: DilationScene, seed: int, samples: int) -> tuple[float, float]:
@@ -504,9 +510,10 @@ def mc_centroid(scene: DilationScene, seed: int, samples: int) -> tuple[float, f
     bit-reproducible for a fixed seed regardless of how the fixed-size
     blocks would be scheduled.  Points inside the larger body but outside
     the smaller one belong to the shell; the estimate is the mean of their
-    first coordinates.
+    first coordinates.  Block moments are taken relative to O and merged as
+    in Chan, Golub & LeVeque (1979), so offsets far from 0 keep the stderr.
 
-    Raises DegenerateShell when the acceptance rate drops below 1e-4.
+    Raises DegenerateShell below a 1e-4 acceptance rate or 2 accepted points.
     """
     if scene.lam == 1.0:
         raise LambdaOne("shell is empty at lam = 1")
@@ -517,12 +524,11 @@ def mc_centroid(scene: DilationScene, seed: int, samples: int) -> tuple[float, f
     big, small = (image, body) if scene.lam > 1.0 else (body, image)
 
     lo, hi = axis_interval(big)
-    half = _lateral_halfwidth(big)
-    dims = body.n
+    half = _SHAPES[big.kind].half_width(big)
 
     accepted = 0
-    sum_x = 0.0
-    sum_x2 = 0.0
+    mean = 0.0  # of x1 - O over the accepted points
+    m2 = 0.0  # their sum of squared deviations from the mean
     remaining = samples
     block_index = 0
     while remaining > 0:
@@ -530,22 +536,25 @@ def mc_centroid(scene: DilationScene, seed: int, samples: int) -> tuple[float, f
         rng = np.random.Generator(
             np.random.Philox(key=seed, counter=block_index * _MC_COUNTER_STRIDE)
         )
-        u = rng.random((count, dims))
+        u = rng.random((count, body.n))
         x1 = lo + (hi - lo) * u[:, 0]
-        lateral = (2.0 * half) * u[:, 1:] - half
-        hits = _contains_batch(big, x1, lateral) & ~_contains_batch(small, x1, lateral)
-        xs = x1[hits]
-        accepted += xs.size
-        sum_x += float(xs.sum())
-        sum_x2 += float((xs * xs).sum())
+        radial = _SHAPES[body.kind].norm((2.0 * half) * u[:, 1:] - half)
+        hits = _contains_batch(big, x1, radial) & ~_contains_batch(small, x1, radial)
+        xs = x1[hits] - scene.O
+        if xs.size:
+            block_mean = float(xs.mean())
+            deviations = xs - block_mean
+            total = accepted + xs.size
+            delta = block_mean - mean
+            mean += delta * xs.size / total
+            m2 += float(deviations @ deviations) + delta * delta * accepted * xs.size / total
+            accepted = total
         remaining -= count
         block_index += 1
 
-    if accepted < 1e-4 * samples:
+    if accepted < max(2, 1e-4 * samples):
         raise DegenerateShell(
-            f"acceptance rate {accepted / samples:.2e} below 1e-4; "
+            f"{accepted} of {samples} points accepted; "
             "shell too thin for hit-or-miss sampling"
         )
-    mean = sum_x / accepted
-    variance = max(0.0, (sum_x2 - sum_x * sum_x / accepted) / (accepted - 1))
-    return mean, math.sqrt(variance / accepted)
+    return scene.O + mean, math.sqrt(m2 / (accepted - 1) / accepted)

@@ -71,6 +71,7 @@ def suite_bounds(
     n_max: int = 10,
     random_points: int = 10_000,
     seed: int = 20240801,
+    **_,
 ) -> list[CheckResult]:
     results = []
 
@@ -162,7 +163,7 @@ def suite_bounds(
 # monotone structure
 
 
-def suite_monotone(m_max: int = 50, n_max: int = 10) -> list[CheckResult]:
+def suite_monotone(m_max: int = 50, n_max: int = 10, **_) -> list[CheckResult]:
     results = []
 
     margins = []
@@ -264,7 +265,7 @@ def suite_monotone(m_max: int = 50, n_max: int = 10) -> list[CheckResult]:
 # appendices
 
 
-def suite_appendices(m_max: int = 50, n_max: int = 10) -> list[CheckResult]:
+def suite_appendices(m_max: int = 50, n_max: int = 10, **_) -> list[CheckResult]:
     results = []
 
     chain_a = []
@@ -338,8 +339,9 @@ def lever_residual(scene: DilationScene) -> float:
 
 
 def suite_geometry(
-    n_max: int = 8, seed: int = 42, samples: int = 200_000
+    n_max: int = 8, seed: int = 42, samples: int = 200_000, **_
 ) -> list[CheckResult]:
+    n_max = min(n_max, 8)
     results = []
 
     margins = []
@@ -498,6 +500,7 @@ def suite_geometry(
     return results
 
 
+# Each suite takes the keywords of run_suite and ignores those it does not use.
 SUITES = {
     "bounds": suite_bounds,
     "monotone": suite_monotone,
@@ -514,24 +517,11 @@ def run_suite(
     samples: int = 200_000,
 ) -> list[CheckResult]:
     """Run one suite (or "all") with shared size parameters."""
-    if suite == "all":
-        names = list(SUITES)
-    elif suite in SUITES:
-        names = [suite]
-    else:
+    if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(SUITES)} or 'all'")
     results = []
-    for name in names:
-        if name == "bounds":
-            results.extend(suite_bounds(m_max=m_max, n_max=n_max, seed=seed))
-        elif name == "monotone":
-            results.extend(suite_monotone(m_max=m_max, n_max=n_max))
-        elif name == "appendices":
-            results.extend(suite_appendices(m_max=m_max, n_max=n_max))
-        else:
-            results.extend(
-                suite_geometry(n_max=min(n_max, 8), seed=seed, samples=samples)
-            )
+    for name in list(SUITES) if suite == "all" else [suite]:
+        results.extend(SUITES[name](m_max=m_max, n_max=n_max, seed=seed, samples=samples))
     return results
 
 

@@ -133,6 +133,26 @@ class TestSceneCommand:
         b = json.loads(out)["points"]["B"]
         assert math.isfinite(b) and b == 10.0
 
+    def test_high_dimension_volume(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "scene", "--n", "400", "--size", "10", "--offset", "10", "--lam", "2"
+        )
+        assert code == 0
+        assert math.isfinite(json.loads(out)["volume"])
+        code, out, _ = run_cli(
+            capsys, "scene", "--body", "cube", "--n", "400", "--size", "10",
+            "--center", "1", "--lam", "2",
+        )
+        assert code == 0
+        assert json.loads(out)["volume"] == math.inf
+
+    def test_non_finite_offset_exits_two(self, capsys):
+        code, _, err = run_cli(
+            capsys, "scene", "--n", "2", "--offset", "inf", "--center", "inf", "--lam", "2"
+        )
+        assert code == 2
+        assert "axis_offset" in err
+
     def test_non_finite_factor_exits_two(self, capsys):
         code, _, err = run_cli(
             capsys, "scene", "--n", "2", "--offset", "1", "--lam", "inf"
@@ -216,3 +236,11 @@ class TestVerifyCommand:
         )
         assert code == 0
         assert "bounds.crossover_equivalence" in out
+
+    def test_geometry_suite_caps_dimension_at_eight(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify", "--suite", "geometry", "--n-max", "10", "--samples", "10000"
+        )
+        assert code == 0
+        (line,) = [row for row in out.splitlines() if "apex_centroid_ratio" in row]
+        assert "checks=16" in line

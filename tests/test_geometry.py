@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -89,6 +90,21 @@ class TestVolume:
         assert unit_ball_volume(0) == 1.0
         assert unit_ball_volume(1) == pytest.approx(2.0, rel=1e-15)
         assert unit_ball_volume(3) == pytest.approx(4.0 * math.pi / 3.0, rel=1e-15)
+
+    def test_high_dimension_volume(self):
+        # 10**400 is past the double range; the unit-ball factors of the
+        # ball and the cone bring theirs back inside it
+        assert volume(cube(400, 10.0)) == math.inf
+
+        def exact(k, d, length, n, size):
+            v = mpmath.pi ** mpmath.mpf(k / 2) / mpmath.gamma(mpmath.mpf(k / 2) + 1)
+            return float(v * mpmath.mpf(length) ** (n - 1) * size / d)
+
+        assert volume(ball(400, 10.0)) == pytest.approx(exact(400, 1, 10, 400, 10), rel=1e-11)
+        assert volume(ball(480, 10.0)) == pytest.approx(exact(480, 1, 10, 480, 10), rel=1e-11)
+        assert volume(cone(400, 1.0, base_radius=10.0)) == pytest.approx(
+            exact(399, 400, 10, 400, 1), rel=1e-11
+        )
 
     def test_dilation_scales_volume_by_lam_to_n(self):
         for maker in KIND_MAKERS:
@@ -432,8 +448,9 @@ class TestCentroidRatioTheorem:
         assert centroid_ratio_theorem_check(kind, n)
 
     def test_rejects_symmetric_bodies(self):
-        with pytest.raises(ValueError):
-            centroid_ratio_theorem_check(BodyKind.BALL, 2)
+        for kind in (BodyKind.BALL, BodyKind.CUBE, "cone"):
+            with pytest.raises(ValueError):
+                centroid_ratio_theorem_check(kind, 2)
 
 
 class TestMonteCarlo:
@@ -477,10 +494,21 @@ class TestMonteCarlo:
                     lam,
                 )
 
+    def test_far_offset_keeps_its_standard_error(self):
+        near = DilationScene(ball(2, 1.0, center=1.0), 0.0, 2.0)
+        far = DilationScene(ball(2, 1.0, center=1e9), 1e9 - 1.0, 2.0)
+        _, near_stderr = mc_centroid(near, 42, 2 * 10**5)
+        estimate, stderr = mc_centroid(far, 42, 2 * 10**5)
+        assert stderr == pytest.approx(near_stderr, rel=1e-3)
+        assert abs(estimate - shell_centroid(far)) <= 4.0 * stderr
+
     def test_thin_shell_raises(self):
-        scene = DilationScene(ball(2, 1.0, center=1.0), 0.0, 1.00001)
-        with pytest.raises(DegenerateShell):
-            mc_centroid(scene, 42, 10**4)
+        # at 1.000056 exactly one of the 10**4 points lands in the shell,
+        # which meets the 1e-4 rate but leaves no spread to estimate
+        for lam in (1.00001, 1.000056):
+            scene = DilationScene(ball(2, 1.0, center=1.0), 0.0, lam)
+            with pytest.raises(DegenerateShell):
+                mc_centroid(scene, 42, 10**4)
 
     def test_sample_floor(self):
         scene = DilationScene(ball(2, 1.0, center=1.0), 0.0, 2.0)
@@ -495,8 +523,14 @@ class TestMonteCarlo:
 
 class TestSceneValidation:
     def test_center_outside(self):
-        with pytest.raises(OOutsideBody):
-            DilationScene(ball(2, 1.0, center=1.0), 3.0, 2.0)
+        for O in (3.0, math.inf, math.nan):
+            with pytest.raises(OOutsideBody):
+                DilationScene(ball(2, 1.0, center=1.0), O, 2.0)
+
+    def test_non_finite_offset(self):
+        for offset in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="axis_offset"):
+                ball(2, 1.0, center=offset)
 
     def test_non_finite_factor(self):
         for lam in (math.inf, math.nan):
