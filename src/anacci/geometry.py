@@ -19,8 +19,7 @@ import sys
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from enum import Enum
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import (
     DegenerateShell,
@@ -34,6 +33,9 @@ from .errors import (
 from .lattice import anacci
 from .qkernel import RegionClass, _check_positive, classify
 from .solver import solve_lambda
+
+if TYPE_CHECKING:  # numpy is imported where Monte Carlo runs, not at start-up
+    import numpy as np
 
 # absolute slack when matching a dilation factor against a case boundary
 _BOUNDARY_TOL = 1e-12
@@ -64,6 +66,8 @@ class ConvexBody:
     axis_offset: float = 0.0
 
     def __post_init__(self):
+        if not isinstance(self.kind, BodyKind):
+            raise ValueError(f"kind must be a BodyKind, got {self.kind!r}")
         if not isinstance(self.n, int) or self.n < 1:
             raise ValueError(f"dimension n must be a positive integer, got {self.n!r}")
         _check_positive(size=self.size, base=self.base)
@@ -89,13 +93,63 @@ def pyramid(n: int, height: float = 1.0, apex: float = 0.0,
     return ConvexBody(BodyKind.PYRAMID, n, height, base_side, apex)
 
 
-def _l2_squared(lateral: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,ij->i", lateral, lateral)
+# The draws fill a block of points by kind.  They work in place, because a
+# full-block array that is freed and allocated again costs fresh page faults,
+# up to half the time of a block.
 
 
-def _linf(lateral: np.ndarray) -> np.ndarray:
-    # the initial value keeps n = 1, with no lateral coordinates, defined
-    return np.abs(lateral).max(axis=1, initial=0.0)
+def _section_fraction(rng: np.random.Generator, n: int, count: int, power: int) -> np.ndarray:
+    """V^(power/(n-1)): the lateral norm, to ``power``, of uniform points in an
+    (n-1)-ball or (n-1)-cube section, over the section's bound.
+
+    The law is the same for l2 and l-inf; at n = 1 there is no section, and
+    the value goes unread.
+    """
+    fraction = rng.random(count)
+    fraction **= power / max(n - 1, 1)
+    return fraction
+
+
+def _ball_draw(rng: np.random.Generator, n: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """u and squared lateral norm of uniform points in the unit n-ball.
+
+    The first two coordinates lie at squared radius 1 - q, with q = U^(2/n),
+    in a uniform direction (Ulrich 1984), and the other n - 2 fill an
+    (n-2)-ball of squared radius q; at n = 1, u is uniform on [-1, 1].  The
+    direction's cosine has the law of sin(2*theta) for theta uniform on
+    [-pi/4, pi/4], which is 2t/(1 + t^2) with t = tan(theta): a tangent of a
+    small argument costs a third of a cosine over the whole circle.  So a
+    point takes two uniforms at n = 2, as many as a bounding-box draw.
+    """
+    import numpy as np
+
+    lateral = rng.random(count)
+    lateral **= 2.0 / n
+    np.subtract(1.0, lateral, out=lateral)  # 1 - q
+    u = rng.random(count)
+    u -= 0.5
+    u *= 0.5 * math.pi
+    np.tan(u, out=u)
+    u /= 0.5 + 0.5 * u * u  # 2t/(1 + t^2)
+    u *= np.sqrt(lateral)
+    if n > 2:
+        lateral += (1.0 - lateral) * _section_fraction(rng, n - 1, count, 2)  # q*W^(2/(n-2))
+    lateral -= u * u
+    return u, lateral
+
+
+def _apex_draw(power: int) -> Callable:
+    """The draw of a cone (power 2) or pyramid (power 1): the axial density
+    n*u^(n-1) is drawn as U^(1/n), and the section at u has bound u^power."""
+
+    def draw(rng, n, count):
+        u = rng.random(count)
+        u **= 1.0 / n
+        lateral = _section_fraction(rng, n, count, power)
+        lateral *= u**power
+        return u, lateral
+
+    return draw
 
 
 @dataclass(frozen=True)
@@ -103,8 +157,11 @@ class _Shape:
     """One body kind as an axis segment times a scaled cross-section.
 
     With c the axis offset, s the size and u = (x1 - c)/s, the section at u
-    holds the lateral points whose ``norm`` is at most section_bound(w, u);
-    l2 norms and bounds are squared, so membership takes no square root.
+    holds the lateral points whose norm, raised to ``bound_power``, is at
+    most section_bound(w, u): 2 for the l2 norm, so membership takes no
+    square root, and 1 for the l-inf norm.  ``draw(rng, n, count)`` returns
+    u and that power of the lateral norm for ``count`` uniform points of the
+    body with c = 0, s = 1 and w = 1.
     """
 
     axis_start: float  # the body spans [c + axis_start*s, c + s]
@@ -112,19 +169,22 @@ class _Shape:
     # (k, L, d): the volume is V_k * L**(n-1) * s / d, with L the size or base
     volume_terms: Callable[[ConvexBody], tuple[int, float, int]]
     half_width: Callable[[ConvexBody], float]  # w, across the widest section
-    section_bound: Callable  # (w, u) -> bound on the norm of the section at u
-    norm: Callable[[np.ndarray], np.ndarray]  # of the lateral coordinates
+    section_bound: Callable  # (w, u) -> bound on the lateral norm of the section at u
+    bound_power: int
+    draw: Callable  # (rng, n, count) -> (u, lateral norm to bound_power) at w = 1
 
 
 _SHAPES = {
     BodyKind.BALL: _Shape(-1.0, lambda n: 0.0, lambda b: (b.n, b.size, 1), lambda b: b.size,
-                          lambda w, u: w * w * (1.0 - u * u), _l2_squared),
+                          lambda w, u: w * w * (1.0 - u * u), 2, _ball_draw),
     BodyKind.CUBE: _Shape(0.0, lambda n: 0.5, lambda b: (0, b.size, 1), lambda b: 0.5 * b.size,
-                          lambda w, u: w, _linf),
+                          lambda w, u: w, 1,
+                          lambda rng, n, count: (rng.random(count),
+                                                 _section_fraction(rng, n, count, 1))),
     BodyKind.CONE: _Shape(0.0, lambda n: n / (n + 1), lambda b: (b.n - 1, b.base, b.n),
-                          lambda b: b.base, lambda w, u: (w * u) ** 2, _l2_squared),
+                          lambda b: b.base, lambda w, u: (w * u) ** 2, 2, _apex_draw(2)),
     BodyKind.PYRAMID: _Shape(0.0, lambda n: n / (n + 1), lambda b: (0, b.base, b.n),
-                             lambda b: 0.5 * b.base, lambda w, u: w * u, _linf),
+                             lambda b: 0.5 * b.base, lambda w, u: w * u, 1, _apex_draw(1)),
 }
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
@@ -492,7 +552,7 @@ _MC_COUNTER_STRIDE = 1 << 128
 
 
 def _contains_batch(body: ConvexBody, x1: np.ndarray, radial: np.ndarray) -> np.ndarray:
-    """Vectorized membership of points (x1, ``norm`` of lateral) in the body."""
+    """Vectorized membership of points (x1, lateral norm to ``bound_power``)."""
     lo, hi = axis_interval(body)
     inside = (x1 >= lo) & (x1 <= hi)
     if body.n == 1:
@@ -503,18 +563,26 @@ def _contains_batch(body: ConvexBody, x1: np.ndarray, radial: np.ndarray) -> np.
 
 
 def mc_centroid(scene: DilationScene, seed: int, samples: int) -> tuple[float, float]:
-    """Hit-or-miss estimate (mean, standard error) of the shell centroid.
+    """Monte Carlo estimate (mean, standard error) of the shell centroid.
 
-    Uniform points are drawn in the bounding box of the larger body with a
-    counter-based Philox stream keyed by (seed, block index); results are
-    bit-reproducible for a fixed seed regardless of how the fixed-size
-    blocks would be scheduled.  Points inside the larger body but outside
-    the smaller one belong to the shell; the estimate is the mean of their
-    first coordinates.  Block moments are taken relative to O and merged as
-    in Chan, Golub & LeVeque (1979), so offsets far from 0 keep the stderr.
+    Uniform points are drawn inside the larger body with a counter-based
+    Philox stream keyed by (seed, block index); results are bit-reproducible
+    for a fixed seed regardless of how the fixed-size blocks would be
+    scheduled.  Membership reads only a point's first coordinate x1 and the
+    norm of its lateral part, so only those two are drawn: x1 from the
+    body's axial law (U for a cube, U^(1/n) for a cone or pyramid, the
+    first coordinate of a uniform point of the n-ball for a ball), and the
+    norm as bound(x1) * V^(1/(n-1)), the law of a uniform point in an
+    (n-1)-ball or (n-1)-cube section.  The cost per point does not grow
+    with n.  Points outside the smaller body belong to the shell; the
+    estimate is the mean of their first coordinates.  Block moments are
+    taken relative to O and merged as in Chan, Golub & LeVeque (1979), so
+    offsets far from 0 keep the stderr.
 
     Raises DegenerateShell below a 1e-4 acceptance rate or 2 accepted points.
     """
+    import numpy as np
+
     if scene.lam == 1.0:
         raise LambdaOne("shell is empty at lam = 1")
     if samples < 10**4:
@@ -523,8 +591,8 @@ def mc_centroid(scene: DilationScene, seed: int, samples: int) -> tuple[float, f
     image = dilate(body, scene.O, scene.lam)
     big, small = (image, body) if scene.lam > 1.0 else (body, image)
 
-    lo, hi = axis_interval(big)
-    half = _SHAPES[big.kind].half_width(big)
+    shape = _SHAPES[big.kind]
+    scale = shape.half_width(big) ** shape.bound_power
 
     accepted = 0
     mean = 0.0  # of x1 - O over the accepted points
@@ -536,18 +604,18 @@ def mc_centroid(scene: DilationScene, seed: int, samples: int) -> tuple[float, f
         rng = np.random.Generator(
             np.random.Philox(key=seed, counter=block_index * _MC_COUNTER_STRIDE)
         )
-        u = rng.random((count, body.n))
-        x1 = lo + (hi - lo) * u[:, 0]
-        radial = _SHAPES[body.kind].norm((2.0 * half) * u[:, 1:] - half)
-        hits = _contains_batch(big, x1, radial) & ~_contains_batch(small, x1, radial)
-        xs = x1[hits] - scene.O
+        x1, lateral = shape.draw(rng, body.n, count)  # x1 holds u until scaled
+        x1 *= big.size
+        x1 += big.axis_offset
+        lateral *= scale
+        xs = np.compress(~_contains_batch(small, x1, lateral), x1) - scene.O
         if xs.size:
             block_mean = float(xs.mean())
-            deviations = xs - block_mean
+            xs -= block_mean
             total = accepted + xs.size
             delta = block_mean - mean
             mean += delta * xs.size / total
-            m2 += float(deviations @ deviations) + delta * delta * accepted * xs.size / total
+            m2 += float(xs @ xs) + delta * delta * accepted * xs.size / total
             accepted = total
         remaining -= count
         block_index += 1
@@ -555,6 +623,6 @@ def mc_centroid(scene: DilationScene, seed: int, samples: int) -> tuple[float, f
     if accepted < max(2, 1e-4 * samples):
         raise DegenerateShell(
             f"{accepted} of {samples} points accepted; "
-            "shell too thin for hit-or-miss sampling"
+            "shell too thin to estimate its centroid"
         )
     return scene.O + mean, math.sqrt(m2 / (accepted - 1) / accepted)

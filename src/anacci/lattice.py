@@ -9,11 +9,10 @@ geometry and figure layers revisit the same lattice points heavily.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .errors import OrderOne
 from .solver import BoundPair, BoundSource, solve_lambda
-
-_CACHE: dict[tuple[int, int], float] = {}
 
 
 @dataclass(frozen=True)
@@ -34,20 +33,20 @@ def _as_index(idx) -> AnacciIndex:
     return idx if isinstance(idx, AnacciIndex) else AnacciIndex(*idx)
 
 
+@cache
+def _phi(m: int, n: int) -> float:
+    return solve_lambda(m, n).value
+
+
 def anacci(idx) -> float:
     """phi(m, n), memoized; accepts an AnacciIndex or an (m, n) pair."""
     idx = _as_index(idx)
-    key = (idx.m, idx.n)
-    value = _CACHE.get(key)
-    if value is None:
-        value = solve_lambda(idx.m, idx.n).value
-        _CACHE[key] = value
-    return value
+    return _phi(idx.m, idx.n)
 
 
 def clear_cache() -> None:
     """Drop all memoized values (mainly for tests of cache transparency)."""
-    _CACHE.clear()
+    _phi.cache_clear()
 
 
 def bounds_eq37(idx) -> BoundPair:

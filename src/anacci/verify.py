@@ -483,7 +483,7 @@ def suite_geometry(
     )
 
     margins = []
-    note = "shell centroid within 4*stderr of the hit-or-miss estimate"
+    note = "shell centroid within 4*stderr of the Monte Carlo estimate"
     mc_cases = [
         DilationScene(ball(2, 1.0, center=1.0), 0.0, 2.0),
         DilationScene(cube(3, 1.0, near_face=0.0), 0.0, 1.5),

@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import anacci
 from anacci.cli import main
 
 
@@ -244,3 +249,25 @@ class TestVerifyCommand:
         assert code == 0
         (line,) = [row for row in out.splitlines() if "apex_centroid_ratio" in row]
         assert "checks=16" in line
+
+
+class TestColdStart:
+    def test_numpy_is_imported_only_for_monte_carlo(self):
+        script = (
+            "import sys\n"
+            "import anacci.cli\n"
+            "assert 'numpy' not in sys.modules, 'after import'\n"
+            "code = anacci.cli.main(['solve', '--p', '1', '--q', '2'])\n"
+            "assert code == 0, code\n"
+            "assert 'numpy' not in sys.modules, 'after solve'\n"
+        )
+        source = str(Path(anacci.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (source, os.environ.get("PYTHONPATH"))))
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr

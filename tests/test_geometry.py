@@ -503,12 +503,20 @@ class TestMonteCarlo:
         assert abs(estimate - shell_centroid(far)) <= 4.0 * stderr
 
     def test_thin_shell_raises(self):
-        # at 1.000056 exactly one of the 10**4 points lands in the shell,
-        # which meets the 1e-4 rate but leaves no spread to estimate
+        # at either factor exactly one of the 10**4 points lands in the
+        # shell, which meets the 1e-4 rate but leaves no spread to estimate
         for lam in (1.00001, 1.000056):
             scene = DilationScene(ball(2, 1.0, center=1.0), 0.0, lam)
-            with pytest.raises(DegenerateShell):
+            with pytest.raises(DegenerateShell, match=r"^1 of 10000 points accepted"):
                 mc_centroid(scene, 42, 10**4)
+
+    @pytest.mark.parametrize("n", (16, 32, 64))
+    @pytest.mark.parametrize("maker", KIND_MAKERS, ids=lambda maker: maker.__name__)
+    def test_high_dimension_agreement(self, maker, n):
+        for lam in (0.5, 1.2):
+            scene = make_scene(maker, n, lam)
+            estimate, stderr = mc_centroid(scene, 42, 2 * 10**5)
+            assert abs(estimate - shell_centroid(scene)) <= 4.0 * stderr, lam
 
     def test_sample_floor(self):
         scene = DilationScene(ball(2, 1.0, center=1.0), 0.0, 2.0)
@@ -544,6 +552,11 @@ class TestSceneValidation:
     def test_axis_interval(self):
         assert axis_interval(ball(2, 1.0, center=1.0)) == (0.0, 2.0)
         assert axis_interval(cone(3, 2.0, apex=-1.0)) == (-1.0, 1.0)
+
+    def test_kind_must_be_a_body_kind(self):
+        for kind in ("ball", None):
+            with pytest.raises(ValueError, match="kind"):
+                ConvexBody(kind, 2, 1.0)
 
     def test_body_field_validation(self):
         with pytest.raises(NonPositiveInput):
