@@ -8,6 +8,7 @@ Single values print as JSON, grids as CSV.  Exit codes: 0 ok,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -224,17 +225,12 @@ def _cmd_scene(args) -> int:
 
 def _cmd_fig(args) -> int:
     grid = None
-    overrides = (args.p_min, args.p_max, args.p_steps, args.q_min, args.q_max, args.q_steps)
-    if any(v is not None for v in overrides):
-        default = figures.DEFAULT_GRIDS[args.which]
-        grid = figures.GridSpec(
-            p_min=default.p_min if args.p_min is None else args.p_min,
-            p_max=default.p_max if args.p_max is None else args.p_max,
-            p_steps=default.p_steps if args.p_steps is None else args.p_steps,
-            q_min=default.q_min if args.q_min is None else args.q_min,
-            q_max=default.q_max if args.q_max is None else args.q_max,
-            q_steps=default.q_steps if args.q_steps is None else args.q_steps,
-        )
+    fields = (f.name for f in dataclasses.fields(figures.GridSpec))
+    overrides = {f: getattr(args, f) for f in fields if getattr(args, f) is not None}
+    if overrides:
+        if args.which not in figures.DEFAULT_GRIDS:
+            raise AnacciError(f"{args.which} has no sampling window to override")
+        grid = dataclasses.replace(figures.DEFAULT_GRIDS[args.which], **overrides)
     _write_text(args, figures.emit(args.which, grid))
     return 0
 
@@ -335,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the property suites")
     p_verify.add_argument(
         "--suite",
-        choices=("bounds", "monotone", "geometry", "appendices", "all"),
+        choices=(*verify.SUITES, "all"),
         default="all",
     )
     p_verify.add_argument("--m-max", type=int, dest="m_max", default=50)

@@ -79,10 +79,7 @@ DEFAULT_GRIDS = {
     "fig1": GridSpec(0.0, 2.0, 60, 0.0, 4.0, 60),
     "fig2": GridSpec(0.0, 3.0, 60, 1.0, 4.0, 61),
     "fig3": GridSpec(0.0, 3.0, 61, 0.0, 4.1, 42),
-    "fig5": GridSpec(0.0, 1.0, 2, 0.0, 1.0, 2),  # window unused
-    "fig6": GridSpec(0.0, 1.0, 2, 0.0, 1.0, 2),
-    "fig7": GridSpec(0.0, 1.0, 2, 0.0, 1.0, 2),
-}
+}  # fig5-fig7 have no sampling window
 
 
 def fig1(grid: GridSpec | None = None):

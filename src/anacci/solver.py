@@ -210,6 +210,9 @@ def inverse_p_integer(m_lambda, n: int):
         lam = Fraction(m_lambda)
         return lam**n / sum(lam**k for k in range(n))
     lam = float(m_lambda)
+    if lam > 1.0:
+        # divide through by lam^n, which can overflow where p cannot
+        return 1.0 / math.fsum(lam**-k for k in range(1, n + 1))
     return lam**n / math.fsum(lam**k for k in range(n))
 
 

@@ -3,22 +3,27 @@
 Each check walks one inequality family and reports its worst margin — the
 smallest slack by which the family held (negative means a violation).
 Checks with exact boolean content report a count instead of a margin.
+
+``FAMILIES`` lists every family once, by suite, in report order.  A suite
+body yields ``(family, margin)`` pairs, and ``_report`` folds them into one
+``CheckResult`` per family of the table.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DegenerateShell
 from .geometry import (
     BodyKind,
     DilationScene,
     ball,
     ball_representation,
     b_one,
+    center_ordering,
     centroid_ratio_theorem_check,
     cone,
     cone_representation,
@@ -36,6 +41,42 @@ from .solver import lower_bound_basic, lower_bound_refined, solve_lambda
 
 _INV_PHI = 2.0 / (1.0 + math.sqrt(5.0))  # 1/phi = phi - 1
 
+# suite -> {family: note}, in report order; a note may name the suite's sizes
+FAMILIES = {
+    "bounds": {
+        "sandwich_lattice": "m+1-1/(m+1) < phi < m+1",
+        "basic_lattice": "1 < (p+1)q/(q+1) < phi < p+1",
+        "random_regimes": "regime-ordered chains on random (p, q)",
+        "refined": "p+1-1/(p+1) < lam for q >= 2, p > 1/phi",
+        "crossover_equivalence": "basic <= refined iff q <= (p+1)^2-1, exact rationals",
+    },
+    "monotone": {
+        "fixed_m": "",
+        "fixed_n": "",
+        "diagonals": "",
+        "scaled_A_increasing": "",
+        "scaled_B_decreasing": "",
+        "scaled_B_limit": "final value in (1, 1+1/{m_max}]",
+        "line_restrictions": "strictly increasing along lines with angle in [0, pi/2]",
+        "midpoint_concavity": "lam(midpoint) >= mean of endpoint values where p*q >= 1",
+    },
+    "appendices": {
+        "A_chain": "(m+1)/m phi(m) < (m+1)^2/m <= ... < (m+2)/(m+1) phi(m+1)",
+        "B_chain": "phi(m+1)/(m+1) < phi(m)/m < 1 + 1/m with the stated lower tail",
+        "C_nesting": "cone height intervals: left ends decrease, right ends increase",
+    },
+    "geometry": {
+        "lever_identity": "d(L(A),B)*lam^n = d(A,B) to 1e-12*(1+d)",
+        "distance_ratio_roundtrip": "p -> lam -> scene recovers p in both orientations",
+        "b_one_limit": "shell centroid at lam = 1 +- 1e-5",
+        "center_orderings": "the five orderings of O, A, B(1), L(A), B by dilation factor",
+        "ball_representation": "2*phi(m, n) in [2m, 2m+2), increasing in n",
+        "cone_representation": "image centroid in [1/2, 1)",
+        "apex_centroid_ratio": "apex dilation limit hits the base-face centroid, split n:1",
+        "mc_cross_check": "shell centroid within 4*stderr of the Monte Carlo estimate",
+    },
+}
+
 
 def _resolution(x: float) -> float:
     """Slack of a few ulp for strict bounds whose true gap can shrink below
@@ -52,57 +93,58 @@ class CheckResult:
     note: str = ""
 
 
-def _margin_check(name: str, margins, note: str = "") -> CheckResult:
-    margins = list(margins)
-    worst = min(margins) if margins else math.inf
-    return CheckResult(name, worst > 0.0, worst, len(margins), note)
+def _report(suite: str, pairs, **sizes) -> list[CheckResult]:
+    """One CheckResult per family of ``suite``, in table order.
+
+    A float margin holds when it is positive, and the family reports its
+    smallest; a bool margin is an exact check, reported without a margin.
+    A family that made no check fails, since it has shown nothing.
+    """
+    margins = {family: [] for family in FAMILIES[suite]}
+    for family, margin in pairs:
+        margins[family].append(margin)
+    results = []
+    for family, note in FAMILIES[suite].items():
+        values = margins[family]
+        if values and isinstance(values[0], bool):
+            passed, worst = all(values), math.nan
+        else:
+            worst = min(values, default=math.inf)
+            passed = bool(values) and worst > 0.0
+        name = f"{suite}.{family}"
+        results.append(CheckResult(name, passed, worst, len(values), note.format(**sizes)))
+    return results
 
 
-def _strict_increase(name: str, seq, note: str = "") -> CheckResult:
-    return _margin_check(name, (b - a for a, b in zip(seq, seq[1:])), note)
+def _rises(family: str, seq):
+    """(family, b - a) for each consecutive pair: positive while seq increases."""
+    return ((family, b - a) for a, b in zip(seq, seq[1:]))
 
 
 # ---------------------------------------------------------------------------
 # bounds
 
 
-def suite_bounds(
-    m_max: int = 50,
-    n_max: int = 10,
-    random_points: int = 10_000,
-    seed: int = 20240801,
-    **_,
-) -> list[CheckResult]:
-    results = []
-
-    sandwich = []
+def _bounds(m_max: int, n_max: int, seed: int):
     for m in range(1, m_max + 1):
         for n in range(2, n_max + 1):
             value = anacci((m, n))
-            sandwich.append(value - (m + 1 - 1 / (m + 1)))
-            sandwich.append((m + 1) - value + _resolution(m + 1))
-    results.append(
-        _margin_check("bounds.sandwich_lattice", sandwich, "m+1-1/(m+1) < phi < m+1")
-    )
+            yield "sandwich_lattice", value - (m + 1 - 1 / (m + 1))
+            yield "sandwich_lattice", (m + 1) - value + _resolution(m + 1)
 
-    lattice = []
     for m in range(1, m_max + 1):
         for n in range(1, n_max + 1):
             if m * n == 1:
                 continue
             value = anacci((m, n))
             lmin = lower_bound_basic(m, n)
-            lattice.append(lmin - 1.0)
-            lattice.append(value - lmin)
-            lattice.append((m + 1) - value + _resolution(m + 1))
-    results.append(
-        _margin_check("bounds.basic_lattice", lattice, "1 < (p+1)q/(q+1) < phi < p+1")
-    )
+            yield "basic_lattice", lmin - 1.0
+            yield "basic_lattice", value - lmin
+            yield "basic_lattice", (m + 1) - value + _resolution(m + 1)
 
+    # one pass over the random solves feeds both random families
     rng = random.Random(seed)
-    rand_margins = []
-    refined_margins = []
-    for _ in range(random_points):
+    for _ in range(10_000):
         p = rng.uniform(0.05, 5.0)
         q = rng.uniform(0.05, 40.0)
         regime = classify(p, q)
@@ -110,33 +152,17 @@ def suite_bounds(
             continue
         value = solve_lambda(p, q).value
         lmin = lower_bound_basic(p, q)
-        rand_margins.append((p + 1) - value + _resolution(p + 1))
+        yield "random_regimes", (p + 1) - value + _resolution(p + 1)
         if regime is RegionClass.SUPER:
-            rand_margins.append(lmin - 1.0)
-            rand_margins.append(value - lmin)
+            yield "random_regimes", lmin - 1.0
+            yield "random_regimes", value - lmin
         else:
-            rand_margins.append(value)
-            rand_margins.append(lmin - value)
-            rand_margins.append(1.0 - lmin)
+            yield "random_regimes", value
+            yield "random_regimes", lmin - value
+            yield "random_regimes", 1.0 - lmin
         if q >= 2.0 and p > _INV_PHI:
-            refined_margins.append(value - lower_bound_refined(p))
-    results.append(
-        _margin_check(
-            "bounds.random_regimes",
-            rand_margins,
-            "regime-ordered chains on random (p, q)",
-        )
-    )
-    results.append(
-        _margin_check(
-            "bounds.refined",
-            refined_margins,
-            "p+1-1/(p+1) < lam for q >= 2, p > 1/phi",
-        )
-    )
+            yield "refined", value - lower_bound_refined(p)
 
-    mismatches = 0
-    checked = 0
     for i in range(1, 4 * 5 + 1):
         for j in range(1, 4 * 16 + 1):
             p = Fraction(i, 4)
@@ -144,79 +170,52 @@ def suite_bounds(
             basic = lambda_min(p, q)
             refined = p + 1 - Fraction(1, p + 1)
             crossover = (p + 1) ** 2 - 1
-            checked += 1
-            if (basic <= refined) != (q <= crossover):
-                mismatches += 1
-    results.append(
-        CheckResult(
-            "bounds.crossover_equivalence",
-            mismatches == 0,
-            math.nan,
-            checked,
-            "basic <= refined iff q <= (p+1)^2-1, exact rationals",
-        )
-    )
-    return results
+            yield "crossover_equivalence", (basic <= refined) == (q <= crossover)
+
+
+def suite_bounds(
+    m_max: int = 50, n_max: int = 10, seed: int = 20240801, **_
+) -> list[CheckResult]:
+    return _report("bounds", _bounds(m_max, n_max, seed))
 
 
 # ---------------------------------------------------------------------------
 # monotone structure
 
 
-def suite_monotone(m_max: int = 50, n_max: int = 10, **_) -> list[CheckResult]:
-    results = []
-
-    margins = []
+def _monotone(m_max: int, n_max: int):
     for m in range(1, m_max + 1):
         seq = seq_fixed_m(m, n_max)
         ceiling = m + 1.0
         for a, b in zip(seq, seq[1:]):
             if ceiling - a > 1e-12 * ceiling:
-                margins.append(b - a)
+                yield "fixed_m", b - a
             else:  # solver noise band around the asymptote
-                margins.append(b - a + _resolution(ceiling))
-    results.append(_margin_check("monotone.fixed_m", margins))
+                yield "fixed_m", b - a + _resolution(ceiling)
 
-    margins = []
     for n in range(1, n_max + 1):
-        seq = seq_fixed_n(n, m_max)
-        margins.extend(b - a for a, b in zip(seq, seq[1:]))
-    results.append(_margin_check("monotone.fixed_n", margins))
+        yield from _rises("fixed_n", seq_fixed_n(n, m_max))
 
-    margins = []
     for k in (1, 2, 3):
         count = max(2, min(10, m_max // k))
         for which in ("kn", "km"):
-            seq = seq_diagonal(k, count, which)
-            margins.extend(b - a for a, b in zip(seq, seq[1:]))
-    results.append(_margin_check("monotone.diagonals", margins))
+            yield from _rises("diagonals", seq_diagonal(k, count, which))
 
-    margins = []
     for n in range(1, n_max + 1):
-        seq = scaled_seq_A(n, m_max)
-        margins.extend(b - a for a, b in zip(seq, seq[1:]))
-    results.append(_margin_check("monotone.scaled_A_increasing", margins))
+        yield from _rises("scaled_A_increasing", scaled_seq_A(n, m_max))
 
-    margins = []
     for n in range(2, n_max + 1):
         seq = scaled_seq_B(n, m_max)
-        margins.extend(a - b for a, b in zip(seq, seq[1:]))
-    results.append(_margin_check("monotone.scaled_B_decreasing", margins))
+        for a, b in zip(seq, seq[1:]):
+            yield "scaled_B_decreasing", a - b
 
-    margins = []
     for n in (2, 3, 5):
         if n > n_max:
             continue
         last = scaled_seq_B(n, m_max)[-1]
-        margins.append(last - 1.0)
-        margins.append(1.0 + 1.0 / m_max + 1e-9 - last)
-    results.append(
-        _margin_check(
-            "monotone.scaled_B_limit", margins, f"final value in (1, 1+1/{m_max}]"
-        )
-    )
+        yield "scaled_B_limit", last - 1.0
+        yield "scaled_B_limit", 1.0 + 1.0 / m_max + 1e-9 - last
 
-    margins = []
     bases = ((0.3, 0.6), (1.2, 0.8), (0.6, 2.5), (2.0, 1.5))
     for alpha in (0.0, math.pi / 6, math.pi / 4, math.pi / 3, math.pi / 2):
         dp, dq = math.cos(alpha), math.sin(alpha)
@@ -228,16 +227,8 @@ def suite_monotone(m_max: int = 50, n_max: int = 10, **_) -> list[CheckResult]:
                 if classify(p, q) is RegionClass.CRITICAL:
                     continue
                 values.append(solve_lambda(p, q).value)
-            margins.extend(b - a for a, b in zip(values, values[1:]))
-    results.append(
-        _margin_check(
-            "monotone.line_restrictions",
-            margins,
-            "strictly increasing along lines with angle in [0, pi/2]",
-        )
-    )
+            yield from _rises("line_restrictions", values)
 
-    margins = []
     segments = (
         ((1.0, 1.5), (3.0, 2.0)),
         ((0.8, 2.0), (2.5, 4.0)),
@@ -250,71 +241,44 @@ def suite_monotone(m_max: int = 50, n_max: int = 10, **_) -> list[CheckResult]:
         assert p1 * q1 >= 1 and p2 * q2 >= 1 and pm * qm >= 1
         mid = solve_lambda(pm, qm).value
         avg = 0.5 * (solve_lambda(p1, q1).value + solve_lambda(p2, q2).value)
-        margins.append(mid - avg + 1e-12)
-    results.append(
-        _margin_check(
-            "monotone.midpoint_concavity",
-            margins,
-            "lam(midpoint) >= mean of endpoint values where p*q >= 1",
-        )
-    )
-    return results
+        yield "midpoint_concavity", mid - avg + 1e-12
+
+
+def suite_monotone(m_max: int = 50, n_max: int = 10, **_) -> list[CheckResult]:
+    return _report("monotone", _monotone(m_max, n_max), m_max=m_max)
 
 
 # ---------------------------------------------------------------------------
 # appendices
 
 
-def suite_appendices(m_max: int = 50, n_max: int = 10, **_) -> list[CheckResult]:
-    results = []
-
-    chain_a = []
+def _appendices(m_max: int, n_max: int):
     for n in range(2, n_max + 1):
         for m in range(1, m_max):
             lhs = (m + 1) / m * anacci((m, n))
             mid1 = (m + 1) ** 2 / m
             mid2 = (m + 2) / (m + 1) * (m + 2 - 1 / (m + 2))
             rhs = (m + 2) / (m + 1) * anacci((m + 1, n))
-            chain_a.append(mid1 - lhs + _resolution(mid1))
-            chain_a.append(mid2 - mid1 + _resolution(mid2))  # non-strict link
-            chain_a.append(rhs - mid2)
-    results.append(
-        _margin_check(
-            "appendices.A_chain",
-            chain_a,
-            "(m+1)/m phi(m) < (m+1)^2/m <= ... < (m+2)/(m+1) phi(m+1)",
-        )
-    )
+            yield "A_chain", mid1 - lhs + _resolution(mid1)
+            yield "A_chain", mid2 - mid1 + _resolution(mid2)  # non-strict link
+            yield "A_chain", rhs - mid2
 
-    chain_b = []
     for n in range(2, n_max + 1):
         for m in range(1, m_max):
             here = anacci((m, n)) / m
             nxt = anacci((m + 1, n)) / (m + 1)
-            chain_b.append(here - nxt)
-            chain_b.append(1.0 + 1.0 / m - here + _resolution(1.0 + 1.0 / m))
-            chain_b.append(nxt - ((m + 2) / (m + 1) - 1.0 / ((m + 2) * (m + 1))))
-    results.append(
-        _margin_check(
-            "appendices.B_chain",
-            chain_b,
-            "phi(m+1)/(m+1) < phi(m)/m < 1 + 1/m with the stated lower tail",
-        )
-    )
+            yield "B_chain", here - nxt
+            yield "B_chain", 1.0 + 1.0 / m - here + _resolution(1.0 + 1.0 / m)
+            yield "B_chain", nxt - ((m + 2) / (m + 1) - 1.0 / ((m + 2) * (m + 1)))
 
-    nesting = []
     for n in range(1, min(n_max, 10) + 1):
         report = height_interval_nesting(n, m_max)
-        nesting.extend(report.left_margins)
-        nesting.extend(report.right_margins)
-    results.append(
-        _margin_check(
-            "appendices.C_nesting",
-            nesting,
-            "cone height intervals: left ends decrease, right ends increase",
-        )
-    )
-    return results
+        for margin in report.left_margins + report.right_margins:
+            yield "C_nesting", margin
+
+
+def suite_appendices(m_max: int = 50, n_max: int = 10, **_) -> list[CheckResult]:
+    return _report("appendices", _appendices(m_max, n_max))
 
 
 # ---------------------------------------------------------------------------
@@ -330,36 +294,19 @@ def _canonical_scenes(n: int, lam: float) -> list[DilationScene]:
     ]
 
 
-def lever_residual(scene: DilationScene) -> float:
-    """|d(L(A), B)*lam^n - d(A, B)| for the scene."""
-    pts = scene_points(scene)
-    return abs(
-        abs(pts["B"] - pts["LA"]) * scene.lam**scene.body.n - abs(pts["B"] - pts["A"])
-    )
+# center_ordering's chain labels -> scene_points keys
+_POINT_KEYS = {"O": "O", "A": "A", "L(A)": "LA", "B(1)": "B1", "B": "B"}
 
 
-def suite_geometry(
-    n_max: int = 8, seed: int = 42, samples: int = 200_000, **_
-) -> list[CheckResult]:
-    n_max = min(n_max, 8)
-    results = []
-
-    margins = []
+def _geometry(n_max: int, seed: int, samples: int):
     for n in range(1, n_max + 1):
         for lam in (0.3, 0.8, 1.2, 2.0, 3.0):
             for scene in _canonical_scenes(n, lam):
                 pts = scene_points(scene)
                 d_ab = abs(pts["B"] - pts["A"])
-                margins.append(1e-12 * (1.0 + d_ab) - lever_residual(scene))
-    results.append(
-        _margin_check(
-            "geometry.lever_identity",
-            margins,
-            "d(L(A),B)*lam^n = d(A,B) to 1e-12*(1+d)",
-        )
-    )
+                residual = abs(abs(pts["B"] - pts["LA"]) * lam**n - d_ab)
+                yield "lever_identity", 1e-12 * (1.0 + d_ab) - residual
 
-    margins = []
     for n in range(1, n_max + 1):
         for p in (0.6, 1.0, 2.0, 3.5):
             if not p * n > 1:
@@ -368,20 +315,12 @@ def suite_geometry(
             scene = DilationScene(ball(n, 1.0, center=1.0), 0.0, lam)
             pts = scene_points(scene)
             ratio = abs(pts["B"] - pts["A"]) / abs(pts["A"] - pts["O"])
-            margins.append(1e-10 - abs(ratio - p))
+            yield "distance_ratio_roundtrip", 1e-10 - abs(ratio - p)
             mirror = DilationScene(ball(n, 1.0, center=1.0), 0.0, 1.0 / lam)
             mpts = scene_points(mirror)
             ratio2 = abs(mpts["B"] - mpts["LA"]) / abs(mpts["LA"] - mpts["O"])
-            margins.append(1e-10 - abs(ratio2 - p))
-    results.append(
-        _margin_check(
-            "geometry.distance_ratio_roundtrip",
-            margins,
-            "p -> lam -> scene recovers p in both orientations",
-        )
-    )
+            yield "distance_ratio_roundtrip", 1e-10 - abs(ratio2 - p)
 
-    margins = []
     for n in range(1, n_max + 1):
         for body, O in (
             (ball(n, 1.0, center=1.0), 0.3),
@@ -390,114 +329,59 @@ def suite_geometry(
             limit = b_one(body, O)
             for lam in (1.0 + 1e-5, 1.0 - 1e-5):
                 b = shell_centroid(DilationScene(body, O, lam))
-                margins.append(1e-4 - abs(b - limit))
-    results.append(
-        _margin_check(
-            "geometry.b_one_limit", margins, "shell centroid at lam = 1 +- 1e-5"
-        )
-    )
+                yield "b_one_limit", 1e-4 - abs(b - limit)
 
-    margins = []
+    # each link of the chain center_ordering names: "<" needs a positive
+    # gap in distance from O, "=" a gap within 1e-12
     for n in (1, 2, 5):
         if n > n_max:
             continue
         body = ball(n, 1.0, center=1.0)
         threshold = 1.0 + 1.0 / n
         for lam in (threshold + 0.4, threshold, 0.5 * (1.0 + threshold), 1.0, 0.7):
-            pts = scene_points(DilationScene(body, 0.0, lam))
-            d = {k: abs(v) for k, v in pts.items()}  # distances from O = 0
-            margins.append(d["A"])  # O < A in every case
-            if abs(lam - 1.0) <= 1e-12:  # A = L(A) < B(1) <= B
-                margins.append(1e-12 - abs(d["LA"] - d["A"]))
-                margins.append(d["B1"] - d["A"])
-                margins.append(1e-12 - abs(d["B"] - d["B1"]))
-            elif lam < 1.0:  # L(A) < A < B < B(1)
-                margins.append(d["A"] - d["LA"])
-                margins.append(d["B"] - d["A"])
-                margins.append(d["B1"] - d["B"])
-            elif abs(lam - threshold) <= 1e-12:  # A < B(1) = L(A) < B
-                margins.append(d["B1"] - d["A"])
-                margins.append(1e-12 - abs(d["LA"] - d["B1"]))
-                margins.append(d["B"] - d["LA"])
-            elif lam > threshold:  # A < B(1) < L(A) < B
-                margins.append(d["B1"] - d["A"])
-                margins.append(d["LA"] - d["B1"])
-                margins.append(d["B"] - d["LA"])
-            else:  # A < L(A) < B(1) < B
-                margins.append(d["LA"] - d["A"])
-                margins.append(d["B1"] - d["LA"])
-                margins.append(d["B"] - d["B1"])
-    results.append(
-        _margin_check(
-            "geometry.center_orderings",
-            margins,
-            "the five orderings of O, A, B(1), L(A), B by dilation factor",
-        )
-    )
+            scene = DilationScene(body, 0.0, lam)
+            pts = scene_points(scene)
+            chain = re.split("([<=])", center_ordering(scene).value)
+            d = [abs(pts[_POINT_KEYS[label]] - scene.O) for label in chain[::2]]
+            for near, link, far in zip(d, chain[1::2], d[1:]):
+                gap = far - near
+                yield "center_orderings", gap if link == "<" else 1e-12 - abs(gap)
 
-    margins = []
     for m in range(1, 4):
         per_m = []
         for n in range(1, 6):
             rep = ball_representation(m, n)
             # left edge of [2m, 2m+2) is attained at n = 1
-            margins.append(rep.intersection - 2 * m + _resolution(2 * m))
-            margins.append(2 * (m + 1) - rep.intersection)
+            yield "ball_representation", rep.intersection - 2 * m + _resolution(2 * m)
+            yield "ball_representation", 2 * (m + 1) - rep.intersection
             per_m.append(rep.intersection)
-        margins.extend(b - a for a, b in zip(per_m, per_m[1:]))
-    results.append(
-        _margin_check(
-            "geometry.ball_representation",
-            margins,
-            "2*phi(m, n) in [2m, 2m+2), increasing in n",
-        )
-    )
+        yield from _rises("ball_representation", per_m)
 
-    margins = []
     for m in range(1, 13):
         for n in range(1, 13):
             rep = cone_representation(m, n)
             # left edge of [1/2, 1) is attained at m = n = 1; the right
             # edge is strict but the centroid rounding scales with m+1
-            margins.append(rep.image_centroid - 0.5 + _resolution(0.5))
-            margins.append(1.0 - rep.image_centroid + _resolution(m + 1))
-    results.append(
-        _margin_check(
-            "geometry.cone_representation", margins, "image centroid in [1/2, 1)"
-        )
-    )
+            yield "cone_representation", rep.image_centroid - 0.5 + _resolution(0.5)
+            yield "cone_representation", 1.0 - rep.image_centroid + _resolution(m + 1)
 
-    ok = all(
-        centroid_ratio_theorem_check(kind, n)
-        for kind in (BodyKind.CONE, BodyKind.PYRAMID)
-        for n in range(1, n_max + 1)
-    )
-    results.append(
-        CheckResult(
-            "geometry.apex_centroid_ratio",
-            ok,
-            math.nan,
-            2 * n_max,
-            "apex dilation limit hits the base-face centroid, split n:1",
-        )
-    )
+    for kind in (BodyKind.CONE, BodyKind.PYRAMID):
+        for n in range(1, n_max + 1):
+            yield "apex_centroid_ratio", centroid_ratio_theorem_check(kind, n)
 
-    margins = []
-    note = "shell centroid within 4*stderr of the Monte Carlo estimate"
-    mc_cases = [
+    for scene in (
         DilationScene(ball(2, 1.0, center=1.0), 0.0, 2.0),
         DilationScene(cube(3, 1.0, near_face=0.0), 0.0, 1.5),
         DilationScene(ball(2, 1.0, center=1.0), 0.0, 0.5),
-    ]
-    try:
-        for scene in mc_cases:
-            estimate, stderr = mc_centroid(scene, seed, samples)
-            margins.append(4.0 * stderr - abs(estimate - shell_centroid(scene)))
-    except DegenerateShell as exc:  # pragma: no cover - diagnostic path
-        results.append(CheckResult("geometry.mc_cross_check", False, -math.inf, 0, str(exc)))
-    else:
-        results.append(_margin_check("geometry.mc_cross_check", margins, note))
-    return results
+    ):
+        estimate, stderr = mc_centroid(scene, seed, samples)
+        yield "mc_cross_check", 4.0 * stderr - abs(estimate - shell_centroid(scene))
+
+
+def suite_geometry(
+    n_max: int = 8, seed: int = 42, samples: int = 200_000, **_
+) -> list[CheckResult]:
+    return _report("geometry", _geometry(min(n_max, 8), seed, samples))
 
 
 # Each suite takes the keywords of run_suite and ignores those it does not use.
@@ -516,9 +400,15 @@ def run_suite(
     seed: int = 42,
     samples: int = 200_000,
 ) -> list[CheckResult]:
-    """Run one suite (or "all") with shared size parameters."""
+    """Run one suite (or "all") with shared size parameters.
+
+    Both sizes must be at least 2, where every family has a check to make.
+    """
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(SUITES)} or 'all'")
+    for label, size in (("m_max", m_max), ("n_max", n_max)):
+        if size < 2:
+            raise ValueError(f"{label} must be >= 2, got {size}")
     results = []
     for name in list(SUITES) if suite == "all" else [suite]:
         results.extend(SUITES[name](m_max=m_max, n_max=n_max, seed=seed, samples=samples))

@@ -61,6 +61,11 @@ class TestInverseCommand:
     def test_missing_order_errors(self, capsys):
         assert run_cli(capsys, "inverse", "--lam", "2")[0] == 2
 
+    def test_high_order_does_not_overflow(self, capsys):
+        code, out, _ = run_cli(capsys, "inverse", "--lam", "2", "--n", "2000")
+        assert code == 0
+        assert json.loads(out)["p"] == 1.0
+
 
 class TestRecurrenceCommand:
     def test_exact_terms(self, capsys):
@@ -218,6 +223,12 @@ class TestFigCommand:
         )
         assert code == 2
 
+    def test_window_flags_rejected_for_windowless_figure(self, capsys):
+        code, _, err = run_cli(capsys, "fig", "--which", "fig6", "--p-min", "5")
+        assert code == 2
+        assert "fig6" in err
+        assert run_cli(capsys, "fig", "--which", "fig6", "--p-min", "0.5")[0] == 2
+
     def test_unwritable_path_exits_three(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys,
@@ -249,6 +260,15 @@ class TestVerifyCommand:
         assert code == 0
         (line,) = [row for row in out.splitlines() if "apex_centroid_ratio" in row]
         assert "checks=16" in line
+
+
+    def test_sizes_below_two_exit_two(self, capsys):
+        code, _, err = run_cli(capsys, "verify", "--suite", "monotone", "--m-max", "0")
+        assert code == 2
+        assert "m_max" in err
+        code, _, err = run_cli(capsys, "verify", "--suite", "bounds", "--m-max", "3", "--n-max", "1")
+        assert code == 2
+        assert "n_max" in err
 
 
 class TestColdStart:

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from anacci.figures import (
-    DEFAULT_GRIDS,
+    FIGURES,
     GridSpec,
     emit,
     fig1,
@@ -47,7 +47,7 @@ class TestEmitters:
         with pytest.raises(ValueError):
             emit("fig4")
 
-    @pytest.mark.parametrize("which", sorted(DEFAULT_GRIDS))
+    @pytest.mark.parametrize("which", sorted(FIGURES))
     def test_byte_stable(self, which):
         assert emit(which) == emit(which)
 

@@ -229,6 +229,18 @@ class TestInversePInteger:
         approx = inverse_p_integer(1.5, 4)
         assert approx == pytest.approx(float(exact), rel=1e-15)
 
+    @pytest.mark.parametrize(
+        "lam, n",
+        [(2.0, 2000), (10.0, 400), (1.0000001, 5000), (0.5, 60), (0.999, 300)],
+    )
+    def test_float_mode_high_order(self, lam, n):
+        # lam^n overflows for the first two; the answer stays within 2 ulp
+        # of the exact value N^n / (D * (N^n - D^n)/(N - D)), lam = N/D
+        num, den = lam.as_integer_ratio()
+        exact = num**n / (den * ((num**n - den**n) // (num - den)))
+        approx = inverse_p_integer(lam, n)
+        assert abs(approx - exact) <= 2 * math.ulp(exact)
+
     def test_agrees_with_general_inverse(self):
         assert float(inverse_p_integer(2, 2)) == pytest.approx(
             inverse_p(2.0, 2.0), rel=1e-15

@@ -1,0 +1,93 @@
+import math
+
+import pytest
+
+from anacci import verify
+from anacci.geometry import CenterOrdering
+from anacci.verify import FAMILIES, SUITES, run_suite, suite_bounds, suite_geometry
+
+ROSTER = [
+    "bounds.sandwich_lattice",
+    "bounds.basic_lattice",
+    "bounds.random_regimes",
+    "bounds.refined",
+    "bounds.crossover_equivalence",
+    "monotone.fixed_m",
+    "monotone.fixed_n",
+    "monotone.diagonals",
+    "monotone.scaled_A_increasing",
+    "monotone.scaled_B_decreasing",
+    "monotone.scaled_B_limit",
+    "monotone.line_restrictions",
+    "monotone.midpoint_concavity",
+    "appendices.A_chain",
+    "appendices.B_chain",
+    "appendices.C_nesting",
+    "geometry.lever_identity",
+    "geometry.distance_ratio_roundtrip",
+    "geometry.b_one_limit",
+    "geometry.center_orderings",
+    "geometry.ball_representation",
+    "geometry.cone_representation",
+    "geometry.apex_centroid_ratio",
+    "geometry.mc_cross_check",
+]
+EXACT = {"bounds.crossover_equivalence", "geometry.apex_centroid_ratio"}
+
+
+@pytest.fixture(scope="module")
+def smallest_run():
+    return run_suite("all", m_max=2, n_max=2, samples=10_000)
+
+
+class TestFamilyTable:
+    def test_roster_in_report_order(self):
+        table = [f"{suite}.{family}" for suite, families in FAMILIES.items() for family in families]
+        assert table == ROSTER
+        assert list(FAMILIES) == list(SUITES)
+
+    def test_smallest_sizes_check_every_family(self, smallest_run):
+        assert [r.name for r in smallest_run] == ROSTER
+        for r in smallest_run:
+            assert r.passed, r
+            assert r.count >= 1, r
+            assert math.isnan(r.worst_margin) == (r.name in EXACT), r
+
+    def test_note_names_the_size(self, smallest_run):
+        (limit,) = [r for r in smallest_run if r.name == "monotone.scaled_B_limit"]
+        assert limit.note == "final value in (1, 1+1/2]"
+
+
+class TestSizes:
+    @pytest.mark.parametrize("m_max, n_max", [(1, 10), (50, 0), (0, 0)])
+    def test_rejects_sizes_below_two(self, m_max, n_max):
+        label = "m_max" if m_max < 2 else "n_max"
+        with pytest.raises(ValueError, match=label):
+            run_suite("bounds", m_max=m_max, n_max=n_max)
+
+    def test_family_without_checks_fails(self):
+        # called directly, a suite does not reject small sizes, but an
+        # empty family must not pass
+        results = {r.name: r for r in suite_bounds(m_max=0, n_max=0)}
+        sandwich = results["bounds.sandwich_lattice"]
+        assert sandwich.count == 0
+        assert not sandwich.passed
+
+    def test_rejects_unknown_suite(self):
+        with pytest.raises(ValueError, match="unknown suite"):
+            run_suite("nope")
+
+
+class TestCenterOrderings:
+    def test_wrong_chain_fails(self, monkeypatch):
+        monkeypatch.setattr(verify, "center_ordering", lambda scene: CenterOrdering.CONTRACTION)
+        results = {r.name: r for r in suite_geometry(n_max=2, samples=10_000)}
+        failing = results.pop("geometry.center_orderings")
+        assert not failing.passed
+        assert failing.worst_margin < 0.0
+        assert all(r.passed for r in results.values())
+
+    def test_every_link_is_checked(self, smallest_run):
+        (orderings,) = [r for r in smallest_run if r.name == "geometry.center_orderings"]
+        # five factors for each of n = 1 and n = 2, four links per chain
+        assert orderings.count == 2 * 5 * 4
