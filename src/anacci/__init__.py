@@ -15,6 +15,7 @@ from .errors import (
     OrderOne,
     PTooSmall,
     TargetUnreachable,
+    WeightUnderflow,
 )
 from .geometry import (
     BallRepresentation,

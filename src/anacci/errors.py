@@ -19,6 +19,10 @@ class NoConvergence(AnacciError):
     """
 
 
+class WeightUnderflow(AnacciError):
+    """The weight p for a ratio limit lies below the smallest positive double."""
+
+
 class CriticalRegime(AnacciError):
     """Operation undefined on the hyperbola p*q = 1 (merged double root)."""
 

@@ -53,6 +53,37 @@ def _ln(lam: float) -> float:
     return math.log(lam)
 
 
+def _q_dq(lam: float, p: float, q: float) -> tuple[float, float]:
+    """(Q, dQ/dlam) at lam, unchecked: one _ln, one exp and one expm1.
+
+    Q' = lam^(q-1) * slope shares its power with Q and is formed as
+    lam^q / lam * slope.  Where lam^q overflows, Q reports as +-inf by the
+    scaled identity ``Q/lam^q = lam - (p+1) + p*lam^(-q)``; where lam^q
+    leaves the normal range or lam^(q-1) overflows, Q' takes lam^(q-1) from
+    its own exponent t - ln(lam), and reports as +-inf by the sign of the
+    slope once that overflows too.
+    """
+    slope = lam * (q + 1.0) - (p + 1.0) * q
+    if lam == 1.0:
+        return 0.0, slope
+    ln = _ln(lam)
+    t = q * ln
+    if t > _EXP_OVERFLOW:
+        if lam == p + 1.0:
+            value = p  # exact cancellation of the overflowing terms
+        else:
+            value = math.copysign(math.inf, lam - (p + 1.0))
+    else:
+        e = math.exp(t)
+        value = (lam - 1.0) * e - p * math.expm1(t)
+        if t >= -_EXP_OVERFLOW and t - ln <= _EXP_OVERFLOW:
+            return value, e / lam * slope
+    t_minus = t - ln  # the exponent of lam^(q-1)
+    if t_minus > _EXP_OVERFLOW:
+        return value, math.copysign(math.inf, slope) if slope else 0.0
+    return value, math.exp(t_minus) * slope
+
+
 def q_value(lam: float, p: float, q: float) -> float:
     """Q(lam; p, q) = lam^(q+1) - (p+1)*lam^q + p.
 
@@ -63,14 +94,7 @@ def q_value(lam: float, p: float, q: float) -> float:
     ``Q/lam^q = lam - (p+1) + p*lam^(-q)`` and +-inf is returned.
     """
     _check_positive(lam=lam, p=p, q=q)
-    if lam == 1.0:
-        return 0.0
-    t = q * _ln(lam)
-    if t > _EXP_OVERFLOW:
-        if lam == p + 1.0:
-            return p  # exact cancellation of the overflowing terms
-        return math.copysign(math.inf, lam - (p + 1.0))
-    return (lam - 1.0) * math.exp(t) - p * math.expm1(t)
+    return _q_dq(lam, p, q)[0]
 
 
 def dq_value(lam: float, p: float, q: float) -> float:
@@ -79,15 +103,7 @@ def dq_value(lam: float, p: float, q: float) -> float:
     Negative below the minimum locus, zero on it, positive above.
     """
     _check_positive(lam=lam, p=p, q=q)
-    slope = lam * (q + 1.0) - (p + 1.0) * q
-    if lam == 1.0:
-        return slope
-    t = (q - 1.0) * _ln(lam)
-    if t > _EXP_OVERFLOW:
-        if slope == 0.0:
-            return 0.0
-        return math.copysign(math.inf, slope)
-    return math.exp(t) * slope
+    return _q_dq(lam, p, q)[1]
 
 
 def eval_P(lam: float, p: float, n: int) -> float:
@@ -121,6 +137,11 @@ def classify(p, q, tol: float = CRITICAL_TOL) -> RegionClass:
     _check_positive(p=p, q=q)
     if tol < 0:
         raise ValueError(f"tol must be >= 0, got {tol!r}")
+    return _classify(p, q, tol)
+
+
+def _classify(p, q, tol: float = CRITICAL_TOL) -> RegionClass:
+    """classify without its input checks."""
     if isinstance(p, Rational) and isinstance(q, Rational):
         product = Fraction(p) * Fraction(q)
         if product > 1:

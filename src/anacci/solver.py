@@ -16,16 +16,16 @@ from enum import Enum
 from fractions import Fraction
 from numbers import Rational
 
-from .errors import CriticalRegime, NoConvergence, NonPositiveInput
+from .errors import CriticalRegime, NoConvergence, NonPositiveInput, WeightUnderflow
 from .qkernel import (
     RegionClass,
     _check_positive,
+    _classify,
     _ln,
-    classify,
-    dq_value,
+    _q_dq,
     lambda_min,
-    q_value,
 )
+from .qkernel import q_value  # noqa: F401  # perfbench's tracer self-test reads solver.q_value
 
 MAX_ITERATIONS = 200
 # a Newton step this many ulp long or shorter ends the solve
@@ -41,7 +41,9 @@ class AnacciConstant:
 
     ``bracket_lo <= value <= bracket_hi`` always holds; ``residual`` is the
     signed Q(value, p, q).  In the critical regime (p*q = 1) the value is
-    exactly 1 with zero residual and a collapsed bracket.
+    exactly 1 with zero residual and a collapsed bracket.  ``regime`` is
+    the one the solve ran in, decided on the inputs as given (exactly for
+    int/Fraction inputs).
     """
 
     p: float
@@ -51,10 +53,7 @@ class AnacciConstant:
     bracket_hi: float
     residual: float
     iterations: int
-
-    @property
-    def regime(self) -> RegionClass:
-        return classify(self.p, self.q)
+    regime: RegionClass
 
 
 class BoundSource(Enum):
@@ -116,18 +115,19 @@ def solve_lambda(p, q) -> AnacciConstant:
     range (or, never seen, after 200 evaluations).
     """
     _check_positive(p=p, q=q)
-    regime = classify(p, q)
+    regime = _classify(p, q)
     pf, qf = float(p), float(q)
     if regime is RegionClass.CRITICAL:
-        return AnacciConstant(pf, qf, 1.0, 1.0, 1.0, 0.0, 0)
+        return AnacciConstant(pf, qf, 1.0, 1.0, 1.0, 0.0, 0, regime)
 
+    lmin = (pf + 1.0) * qf / (qf + 1.0)  # lambda_min
     if regime is RegionClass.SUPER:
         hi = pf + 1.0
-        lo = min(float(lambda_min(pf, qf)), hi)  # may round past p+1
+        lo = min(lmin, hi)  # may round past p+1
         x = hi - pf * math.exp(-qf * math.log1p(pf))
         neg_low = True
     else:
-        lo, hi = math.exp(-math.log1p(1.0 / pf) / qf), float(lambda_min(pf, qf))
+        lo, hi = math.exp(-math.log1p(1.0 / pf) / qf), lmin
         if lo < _LAMBDA_FLOOR:
             raise NoConvergence(
                 f"zero of Q below the representable range for p={pf}, q={qf}"
@@ -137,7 +137,7 @@ def solve_lambda(p, q) -> AnacciConstant:
 
     step = older = hi - lo
     newton = False
-    fx = q_value(x, pf, qf)
+    fx, dfx = _q_dq(x, pf, qf)
     for iterations in range(1, MAX_ITERATIONS + 1):
         if fx == 0.0:
             break
@@ -155,7 +155,6 @@ def solve_lambda(p, q) -> AnacciConstant:
                 x, fx = xprev, fprev
                 lo, hi = min(lo, x), max(hi, x)
             break
-        dfx = dq_value(x, pf, qf)
         # Newton on P = Q/(lam-1); an overflowed Q gives nan, which fails
         # the bracket test below
         denom = dfx * (x - 1.0) - fx
@@ -170,12 +169,12 @@ def solve_lambda(p, q) -> AnacciConstant:
         older, step = step, cand - x
         xprev, fprev = x, fx
         x = cand
-        fx = q_value(x, pf, qf)
+        fx, dfx = _q_dq(x, pf, qf)
     else:
         raise NoConvergence(
             f"no convergence after {MAX_ITERATIONS} iterations (p={pf}, q={qf})"
         )
-    return AnacciConstant(pf, qf, x, lo, hi, fx, iterations)
+    return AnacciConstant(pf, qf, x, lo, hi, fx, iterations, regime)
 
 
 def inverse_p(lam: float, q: float) -> float:
@@ -185,6 +184,9 @@ def inverse_p(lam: float, q: float) -> float:
     (lam-1) / (1 - lam^(-q)) via expm1/log1p so it is stable both near
     lam = 1 (where the limit is 1/q, returned exactly at lam = 1) and for
     exponents where lam^q itself would overflow or underflow.
+
+    Raises WeightUnderflow when the weight lies below the smallest positive
+    double.
     """
     _check_positive(lam=lam, q=q)
     if lam == 1.0:
@@ -192,7 +194,7 @@ def inverse_p(lam: float, q: float) -> float:
     t = q * _ln(lam)
     if -t > 700.0:
         # lam^q underflows: p ~ lam^q * (1 - lam)
-        return math.exp(t) * (1.0 - lam)
+        return _nonzero_weight(math.exp(t) * (1.0 - lam), lam, f"q={q!r}")
     return (lam - 1.0) / (-math.expm1(-t))
 
 
@@ -201,7 +203,8 @@ def inverse_p_integer(m_lambda, n: int):
 
     With a rational lam (int/Fraction) the arithmetic is exact and a
     Fraction is returned; integral targets lam = m then land strictly
-    between m-1 and m whenever n > 1.
+    between m-1 and m whenever n > 1.  Raises WeightUnderflow when a float
+    weight lies below the smallest positive double.
     """
     _check_positive(m_lambda=m_lambda)
     if not isinstance(n, int) or n < 1:
@@ -213,7 +216,16 @@ def inverse_p_integer(m_lambda, n: int):
     if lam > 1.0:
         # divide through by lam^n, which can overflow where p cannot
         return 1.0 / math.fsum(lam**-k for k in range(1, n + 1))
-    return lam**n / math.fsum(lam**k for k in range(n))
+    p = lam**n / math.fsum(lam**k for k in range(n))
+    return _nonzero_weight(p, lam, f"n={n}")
+
+
+def _nonzero_weight(p: float, lam: float, order: str) -> float:
+    if p == 0.0:
+        raise WeightUnderflow(
+            f"weight for lam={lam!r}, {order} is below the smallest positive double"
+        )
+    return p
 
 
 def _derivative_parts(p: float, q: float) -> tuple[float, float]:
@@ -222,11 +234,12 @@ def _derivative_parts(p: float, q: float) -> tuple[float, float]:
     Raises CriticalRegime on the hyperbola, where dQ/dlam vanishes at the
     merged root and the implicit-function derivatives degenerate.
     """
-    if classify(p, q) is RegionClass.CRITICAL:
+    result = solve_lambda(p, q)
+    if result.regime is RegionClass.CRITICAL:
         raise CriticalRegime(
             f"derivatives undefined on p*q = 1 (p={p!r}, q={q!r})"
         )
-    lam = solve_lambda(p, q).value
+    lam = result.value
     return lam, lam * (q + 1.0) - (p + 1.0) * q
 
 

@@ -36,7 +36,7 @@ from .geometry import (
     shell_centroid,
 )
 from .lattice import anacci, scaled_seq_A, scaled_seq_B, seq_diagonal, seq_fixed_m, seq_fixed_n
-from .qkernel import RegionClass, classify, lambda_min
+from .qkernel import RegionClass, lambda_min
 from .solver import lower_bound_basic, lower_bound_refined, solve_lambda
 
 _INV_PHI = 2.0 / (1.0 + math.sqrt(5.0))  # 1/phi = phi - 1
@@ -147,10 +147,10 @@ def _bounds(m_max: int, n_max: int, seed: int):
     for _ in range(10_000):
         p = rng.uniform(0.05, 5.0)
         q = rng.uniform(0.05, 40.0)
-        regime = classify(p, q)
+        result = solve_lambda(p, q)
+        regime, value = result.regime, result.value
         if regime is RegionClass.CRITICAL:
             continue
-        value = solve_lambda(p, q).value
         lmin = lower_bound_basic(p, q)
         yield "random_regimes", (p + 1) - value + _resolution(p + 1)
         if regime is RegionClass.SUPER:
@@ -224,9 +224,9 @@ def _monotone(m_max: int, n_max: int):
             for step in range(9):
                 t = 0.3 * step
                 p, q = p0 + dp * t, q0 + dq * t
-                if classify(p, q) is RegionClass.CRITICAL:
-                    continue
-                values.append(solve_lambda(p, q).value)
+                result = solve_lambda(p, q)
+                if result.regime is not RegionClass.CRITICAL:
+                    values.append(result.value)
             yield from _rises("line_restrictions", values)
 
     segments = (

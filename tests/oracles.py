@@ -74,6 +74,20 @@ def mp_root(p, q, digits=50):
         return (lo + hi) / 2
 
 
+def mp_q_dq(lam, p, q, digits=40):
+    """(Q, dQ/dlam) from the plain power forms in ``digits``-digit mpmath,
+    with lam, p and q taken as the exact values of the given doubles."""
+    import mpmath
+
+    with mpmath.workdps(digits):
+        lam, p, q = mpmath.mpf(lam), mpmath.mpf(p), mpmath.mpf(q)
+        power = lam**q
+        return (
+            lam * power - (p + 1) * power + p,
+            power / lam * (lam * (q + 1) - (p + 1) * q),
+        )
+
+
 def ulp_distance(value, exact):
     """|value - exact| in units of the double spacing at the smaller of the
     two magnitudes; ``exact`` is an mpf."""

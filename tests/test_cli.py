@@ -66,6 +66,13 @@ class TestInverseCommand:
         assert code == 0
         assert json.loads(out)["p"] == 1.0
 
+    @pytest.mark.parametrize("order", [["--q", "2"], ["--n", "2"]])
+    def test_underflowed_weight_exits_two(self, capsys, order):
+        code, out, err = run_cli(capsys, "inverse", "--lam", "1e-200", *order)
+        assert code == 2
+        assert out == ""
+        assert "below the smallest positive double" in err
+
 
 class TestRecurrenceCommand:
     def test_exact_terms(self, capsys):

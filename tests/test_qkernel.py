@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from anacci.errors import NonPositiveInput
 from anacci.qkernel import (
     RegionClass,
+    _q_dq,
     classify,
     dq_value,
     eval_P,
@@ -16,7 +17,7 @@ from anacci.qkernel import (
 )
 from anacci.solver import solve_lambda
 
-from oracles import q_naive
+from oracles import mp_q_dq, q_naive
 
 positive = st.floats(min_value=0.01, max_value=50.0, allow_nan=False)
 
@@ -86,6 +87,74 @@ class TestOverflowGuard:
 
     def test_exact_cancellation_at_p_plus_one(self):
         assert q_value(2.0, 1.0, 5000.0) == 1.0
+
+
+class TestFusedKernel:
+    """_q_dq: Q and Q' from one shared power, with no input checks."""
+
+    U = 2.0**-53
+
+    @pytest.mark.parametrize("p", [0.05, 0.7, 1.0, 3.0, 40.0])
+    @pytest.mark.parametrize("q", [0.1, 0.9, 1.0, 2.5, 17.0, 150.0])
+    def test_matches_mpmath_on_grid(self, p, q):
+        # running error bounds: t = q*ln(lam) carries an absolute error of
+        # about 2|t| ulp into the shared power, and the slope one ulp of its
+        # larger term
+        lams = [0.01, 0.3, 0.9, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.2, 2.0, 7.5]
+        lams += [lambda_min(p, q), p + 1.0]
+        for lam in lams:
+            value, deriv = _q_dq(lam, p, q)
+            assert (value, deriv) == (q_value(lam, p, q), dq_value(lam, p, q))
+            ref_q, ref_dq = mp_q_dq(lam, p, q)
+            t = q * math.log(lam)
+            power = lam**q
+            grow = 4.0 * (abs(t) + 2.0) * self.U
+            bound_q = grow * (abs(lam - 1.0) * power + p * abs(math.expm1(t)))
+            bound_dq = grow * power / lam * (lam * (q + 1.0) + (p + 1.0) * q)
+            # within the bound, so the signs agree wherever |reference| exceeds it
+            assert abs(value - ref_q) <= bound_q, (lam, value, ref_q)
+            assert abs(deriv - ref_dq) <= bound_dq, (lam, deriv, ref_dq)
+
+    def test_unit_lam(self):
+        assert _q_dq(1.0, 0.7, 3.2) == (0.0, 4.2 - 1.7 * 3.2)
+        assert _q_dq(1.0, 1.0, 1.0) == (0.0, 0.0)
+
+    def test_overflow_branch(self):
+        # t = q*ln(lam) > 700: signs by lam - (p+1) and by the slope
+        assert _q_dq(1.5, 1.0, 5000.0) == (-math.inf, -math.inf)
+        assert _q_dq(2.5, 1.0, 5000.0) == (math.inf, math.inf)
+        assert _q_dq(1.5, 0.3, 5000.0) == (math.inf, math.inf)
+
+    def test_exact_cancellation_at_p_plus_one(self):
+        assert _q_dq(2.0, 1.0, 5000.0) == (1.0, math.inf)
+        assert _q_dq(3.0, 2.0, 1000.0)[0] == 2.0
+
+    def test_vanishing_slope_past_overflow(self):
+        # q + 1 a power of two makes lam(q+1) - (p+1)q exactly 0 at
+        # lam = 3 while 3^(q-1) overflows: Q' is 0, not nan
+        q = 1023.0
+        p = 3.0 * (q + 1.0) / q - 1.0
+        assert _q_dq(3.0, p, q) == (-math.inf, 0.0)
+
+    def test_derivative_where_only_lam_to_q_overflows(self):
+        # t = 702 overflows lam^q, but lam^(q-1) = e^679 does not
+        lam, p, q = 1e10, 1.0, 30.5
+        value, deriv = _q_dq(lam, p, q)
+        assert value == math.inf
+        expected = math.exp((q - 1.0) * math.log(lam)) * (lam * (q + 1.0) - 2.0 * q)
+        assert deriv == pytest.approx(expected, rel=1e-12)
+
+    def test_derivative_where_lam_to_q_underflows(self):
+        # 1e-300^1.5 underflows to 0, yet Q' = lam^0.5 * slope ~ -3e-150
+        slope = 1e-300 * 2.5 - 3.0
+        assert dq_value(1e-300, 1.0, 1.5) == pytest.approx(1e-150 * slope, rel=1e-12)
+        assert _q_dq(1e-300, 1.0, 1.5) == (1.0, dq_value(1e-300, 1.0, 1.5))
+
+    def test_no_nan_where_lam_to_q_minus_one_overflows(self):
+        # subnormal lam at the minimum locus of a subnormal order: the slope
+        # is exactly 0 while 1/lam overflows
+        lam = lambda_min(1.0, 1e-310)
+        assert _q_dq(lam, 1.0, 1e-310) == (-1.0, 0.0)
 
 
 class TestFactoredForm:

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from anacci.errors import CriticalRegime, NonPositiveInput
+from anacci import qkernel, solver
+from anacci.errors import CriticalRegime, NonPositiveInput, WeightUnderflow
 from anacci.figures import DEFAULT_GRIDS
 from anacci.qkernel import RegionClass
 from anacci.solver import (
@@ -176,6 +177,88 @@ class TestSolveLambda:
                     assert value == pytest.approx(m, abs=1e-12 * m)
 
 
+def _work_mix(seed=6, count=2000):
+    """Seeded (p, q) draws: anywhere, near the hyperbola, saturated and on
+    the integer lattice, in turn."""
+    rng = random.Random(seed)
+
+    def log_uniform(lo, hi):
+        return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+    draws = []
+    for i in range(count):
+        kind = i % 4
+        if kind == 0:
+            draws.append((log_uniform(1e-2, 1e2), log_uniform(0.1, 316.0)))
+        elif kind == 1:
+            p = log_uniform(0.2, 5.0)
+            offset = rng.choice((-1, 1)) * log_uniform(1e-11, 1e-3)
+            draws.append((p, (1.0 + offset) / p))
+        elif kind == 2:
+            draws.append((log_uniform(0.1, 10.0), log_uniform(1e2, 1e17)))
+        else:
+            draws.append((rng.randint(1, 50), rng.randint(1, 200)))
+    return draws
+
+
+class TestSolverWork:
+    """Deterministic counts of the work one solve does."""
+
+    def test_inputs_checked_once_and_no_public_kernel_calls(self, monkeypatch):
+        calls = {"check": 0, "public": 0}
+        check = qkernel._check_positive
+
+        def counted_check(**named):
+            calls["check"] += 1
+            return check(**named)
+
+        def public(func):
+            def counted(*args):
+                calls["public"] += 1
+                return func(*args)
+
+            return counted
+
+        monkeypatch.setattr(solver, "_check_positive", counted_check)
+        monkeypatch.setattr(qkernel, "_check_positive", counted_check)
+        for module in (qkernel, solver):
+            for name in ("q_value", "dq_value"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, public(getattr(module, name)))
+        points = [(1, 2), (0.25, 2.0), (1, 1), (5, 40), (1.7, 3.1), (1, 1e6)]
+        points.append((Fraction(10**15 + 1, 10**15), 1))
+        for p, q in points:
+            calls.update(check=0, public=0)
+            solve_lambda(p, q)
+            assert calls == {"check": 1, "public": 0}, (p, q)
+
+    def test_iteration_total_is_pinned(self):
+        # every draw solves; a change to the solver loop or to the kernel's
+        # rounding that alters the work done shows here as a changed total
+        assert sum(solve_lambda(p, q).iterations for p, q in _work_mix()) == 8815
+
+
+class TestRegime:
+    def test_regime_is_the_one_solved(self):
+        # p*q - 1 = 1e-15 exactly: super-critical, although the float
+        # product sits inside the critical tolerance band
+        result = solve_lambda(Fraction(10**15 + 1, 10**15), 1)
+        assert result.regime is RegionClass.SUPER
+        assert result.value > 1.0
+        assert result.iterations > 0
+
+    def test_regime_per_region(self):
+        assert solve_lambda(1, 2).regime is RegionClass.SUPER
+        assert solve_lambda(0.25, 2).regime is RegionClass.SUB
+        assert solve_lambda(Fraction(1, 3), 3).regime is RegionClass.CRITICAL
+        assert solve_lambda(1.0, 1.0 + 1e-13).regime is RegionClass.CRITICAL
+
+    def test_derivatives_follow_the_stored_regime(self):
+        with pytest.raises(CriticalRegime):
+            dlambda_dp(1.0, 1.0 + 1e-13)
+        assert dlambda_dp(Fraction(10**15 + 1, 10**15), 1) > 0
+
+
 class TestInverseP:
     def test_unit_value_is_reciprocal_order(self):
         assert inverse_p(1.0, 4.0) == 0.25
@@ -204,6 +287,16 @@ class TestInverseP:
     def test_rejects_nonpositive(self):
         with pytest.raises(NonPositiveInput):
             inverse_p(-1.0, 2.0)
+
+    def test_underflowed_weight_raises(self):
+        # the true weight, about 1e-400, is below the double range
+        with pytest.raises(WeightUnderflow, match="below the smallest positive double"):
+            inverse_p(1e-200, 2.0)
+
+    def test_subnormal_weight_is_returned(self):
+        p = inverse_p(1e-160, 2.0)
+        assert 0.0 < p < 2.3e-308
+        assert p == pytest.approx(1e-320, rel=1e-3)
 
 
 class TestInversePInteger:
@@ -240,6 +333,12 @@ class TestInversePInteger:
         exact = num**n / (den * ((num**n - den**n) // (num - den)))
         approx = inverse_p_integer(lam, n)
         assert abs(approx - exact) <= 2 * math.ulp(exact)
+
+    def test_underflowed_weight_raises(self):
+        with pytest.raises(WeightUnderflow, match="n=2"):
+            inverse_p_integer(1e-200, 2)
+        # exact mode has no underflow
+        assert inverse_p_integer(Fraction(1, 10**200), 2) > 0
 
     def test_agrees_with_general_inverse(self):
         assert float(inverse_p_integer(2, 2)) == pytest.approx(
