@@ -7,6 +7,7 @@ from .errors import (
     AnacciError,
     CriticalRegime,
     DegenerateShell,
+    InputOutOfRange,
     LambdaOne,
     NoConvergence,
     NonPositiveInput,
@@ -15,6 +16,7 @@ from .errors import (
     OrderOne,
     PTooSmall,
     TargetUnreachable,
+    WeightOverflow,
     WeightUnderflow,
 )
 from .geometry import (

@@ -19,8 +19,16 @@ class NoConvergence(AnacciError):
     """
 
 
+class InputOutOfRange(AnacciError):
+    """An exact (int/Fraction) input is positive but has no positive finite double."""
+
+
 class WeightUnderflow(AnacciError):
     """The weight p for a ratio limit lies below the smallest positive double."""
+
+
+class WeightOverflow(AnacciError):
+    """The weight p for a ratio limit lies above the largest finite double."""
 
 
 class CriticalRegime(AnacciError):

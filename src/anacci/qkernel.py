@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
-from numbers import Rational
 
 from .errors import NonPositiveInput
 
@@ -30,6 +29,10 @@ CRITICAL_TOL = 1e-12
 
 # exp() overflows a double just above 709.78
 _EXP_OVERFLOW = 700.0
+
+# input types whose regime is decided exactly; other Rational types, such as
+# numpy integers whose products wrap, take the double path
+_EXACT = (int, Fraction)
 
 
 def _check_positive(**named):
@@ -141,12 +144,20 @@ def classify(p, q, tol: float = CRITICAL_TOL) -> RegionClass:
 
 
 def _classify(p, q, tol: float = CRITICAL_TOL) -> RegionClass:
-    """classify without its input checks."""
-    if isinstance(p, Rational) and isinstance(q, Rational):
-        product = Fraction(p) * Fraction(q)
-        if product > 1:
+    """classify without its input checks.
+
+    A float in the pair decides the tolerance path before the slow ABC
+    check of Fraction runs; an int/Fraction pair compares num(p)*num(q)
+    with den(p)*den(q) in integers, with no Fraction built.
+    """
+    if not (isinstance(p, float) or isinstance(q, float)) and (
+        isinstance(p, _EXACT) and isinstance(q, _EXACT)
+    ):
+        num = p.numerator * q.numerator
+        den = p.denominator * q.denominator
+        if num > den:
             return RegionClass.SUPER
-        if product < 1:
+        if num < den:
             return RegionClass.SUB
         return RegionClass.CRITICAL
     excess = float(p) * float(q) - 1.0

@@ -15,8 +15,16 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from numbers import Rational
+from typing import NamedTuple
 
-from .errors import CriticalRegime, NoConvergence, NonPositiveInput, WeightUnderflow
+from .errors import (
+    CriticalRegime,
+    InputOutOfRange,
+    NoConvergence,
+    NonPositiveInput,
+    WeightOverflow,
+    WeightUnderflow,
+)
 from .qkernel import (
     RegionClass,
     _check_positive,
@@ -35,15 +43,15 @@ _ULP_STOP = 4.0
 _LAMBDA_FLOOR = 1e-300
 
 
-@dataclass(frozen=True)
-class AnacciConstant:
+class AnacciConstant(NamedTuple):
     """A solved zero lam(p, q) with its certifying bracket.
 
     ``bracket_lo <= value <= bracket_hi`` always holds; ``residual`` is the
     signed Q(value, p, q).  In the critical regime (p*q = 1) the value is
     exactly 1 with zero residual and a collapsed bracket.  ``regime`` is
     the one the solve ran in, decided on the inputs as given (exactly for
-    int/Fraction inputs).
+    int/Fraction inputs).  An immutable named tuple: building one is a
+    single tuple allocation, a fixed cost every solve pays.
     """
 
     p: float
@@ -78,6 +86,18 @@ def _midpoint(lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def _double(name: str, value) -> float:
+    """float(value) for a positive input that is not a float; an exact
+    value beyond the double range raises InputOutOfRange."""
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf
+    if not 0.0 < x < math.inf:
+        raise InputOutOfRange(f"{name} lies outside the positive double range")
+    return x
+
+
 def solve_lambda(p, q) -> AnacciConstant:
     """Locate the unique positive zero of Q(., p, q) other than 1.
 
@@ -110,13 +130,17 @@ def solve_lambda(p, q) -> AnacciConstant:
     Q.  On the hyperbola p*q = 1 the zero branches merge and exactly 1.0 is
     returned with zero residual.
 
-    Raises NonPositiveInput unless p and q are finite and > 0, and
-    NoConvergence when a sub-critical zero lies below the positive double
-    range (or, never seen, after 200 evaluations).
+    Raises NonPositiveInput unless p and q are finite and > 0,
+    InputOutOfRange for an exact p or q that rounds to 0 or past the
+    largest double, and NoConvergence when a sub-critical zero lies below
+    the positive double range (or, never seen, after 200 evaluations).
     """
     _check_positive(p=p, q=q)
+    if type(p) is float and type(q) is float:
+        pf, qf = p, q
+    else:
+        pf, qf = _double("p", p), _double("q", q)
     regime = _classify(p, q)
-    pf, qf = float(p), float(q)
     if regime is RegionClass.CRITICAL:
         return AnacciConstant(pf, qf, 1.0, 1.0, 1.0, 0.0, 0, regime)
 
@@ -186,16 +210,17 @@ def inverse_p(lam: float, q: float) -> float:
     exponents where lam^q itself would overflow or underflow.
 
     Raises WeightUnderflow when the weight lies below the smallest positive
-    double.
+    double and WeightOverflow when it lies above the largest finite one.
     """
     _check_positive(lam=lam, q=q)
     if lam == 1.0:
-        return 1.0 / q
+        return _weight(1.0 / q, lam, "q", q)
     t = q * _ln(lam)
     if -t > 700.0:
         # lam^q underflows: p ~ lam^q * (1 - lam)
-        return _nonzero_weight(math.exp(t) * (1.0 - lam), lam, f"q={q!r}")
-    return (lam - 1.0) / (-math.expm1(-t))
+        return _weight(math.exp(t) * (1.0 - lam), lam, "q", q)
+    # 1 - lam^(-q) < 1 for lam > 1, so the quotient can pass the largest double
+    return _weight((lam - 1.0) / (-math.expm1(-t)), lam, "q", q)
 
 
 def inverse_p_integer(m_lambda, n: int):
@@ -213,17 +238,26 @@ def inverse_p_integer(m_lambda, n: int):
         lam = Fraction(m_lambda)
         return lam**n / sum(lam**k for k in range(n))
     lam = float(m_lambda)
+    if n == 1:
+        return lam  # the sums below would round it
     if lam > 1.0:
         # divide through by lam^n, which can overflow where p cannot
         return 1.0 / math.fsum(lam**-k for k in range(1, n + 1))
     p = lam**n / math.fsum(lam**k for k in range(n))
-    return _nonzero_weight(p, lam, f"n={n}")
+    return _weight(p, lam, "n", n)
 
 
-def _nonzero_weight(p: float, lam: float, order: str) -> float:
+def _weight(p: float, lam: float, order: str, value) -> float:
+    """p itself, once it is a positive finite double."""
     if p == 0.0:
         raise WeightUnderflow(
-            f"weight for lam={lam!r}, {order} is below the smallest positive double"
+            f"weight for lam={lam!r}, {order}={value!r} is below the smallest "
+            "positive double"
+        )
+    if p == math.inf:
+        raise WeightOverflow(
+            f"weight for lam={lam!r}, {order}={value!r} is above the largest "
+            "finite double"
         )
     return p
 

@@ -73,6 +73,17 @@ class TestInverseCommand:
         assert out == ""
         assert "below the smallest positive double" in err
 
+    def test_overflowed_weight_exits_two(self, capsys):
+        code, out, err = run_cli(capsys, "inverse", "--lam", "1.7e308", "--q", "0.001")
+        assert code == 2
+        assert out == ""
+        assert "above the largest finite double" in err
+
+    def test_order_one_returns_the_target(self, capsys):
+        code, out, _ = run_cli(capsys, "inverse", "--lam", "1.7e308", "--n", "1")
+        assert code == 0
+        assert json.loads(out)["p"] == 1.7e308
+
 
 class TestRecurrenceCommand:
     def test_exact_terms(self, capsys):

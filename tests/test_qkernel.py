@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from anacci.errors import NonPositiveInput
 from anacci.qkernel import (
     RegionClass,
+    _classify,
     _q_dq,
     classify,
     dq_value,
@@ -237,6 +239,37 @@ class TestClassify:
     def test_float_tolerance_band(self):
         assert classify(1.0, 1.0 + 1e-13) is RegionClass.CRITICAL
         assert classify(1.0, 1.0 + 1e-9) is RegionClass.SUPER
+
+    def test_exact_within_one_part_in_ten_to_the_thirty(self):
+        eps = Fraction(1, 10**30)
+        assert _classify(1 + eps, 1) is RegionClass.SUPER
+        assert _classify(1 - eps, 1) is RegionClass.SUB
+        assert _classify(Fraction(7, 3) * (1 + eps), Fraction(3, 7)) is RegionClass.SUPER
+        assert _classify(Fraction(3, 7), Fraction(7, 3) * (1 - eps)) is RegionClass.SUB
+        assert _classify(Fraction(10**30, 3), Fraction(3, 10**30)) is RegionClass.CRITICAL
+        assert _classify(True, 1) is RegionClass.CRITICAL
+
+    def test_exact_beyond_the_double_range(self):
+        huge, tiny = 10**400, Fraction(1, 10**400)
+        assert _classify(huge, tiny) is RegionClass.CRITICAL
+        assert _classify(huge + 1, tiny) is RegionClass.SUPER
+        assert _classify(tiny, huge - 1) is RegionClass.SUB
+        assert _classify(huge, 1) is RegionClass.SUPER
+        assert _classify(tiny, 3) is RegionClass.SUB
+
+    def test_numpy_integers_do_not_wrap(self):
+        # 2**32 * 2**32 wraps to 0 in int64 arithmetic
+        big = np.int64(2**32)
+        assert _classify(big, big) is RegionClass.SUPER
+        assert solve_lambda(big, big) == solve_lambda(2**32, 2**32)
+
+    def test_a_float_in_the_pair_takes_the_tolerance_path(self):
+        # p*q - 1 = 1e-15: super-critical exactly, critical within CRITICAL_TOL
+        p = Fraction(10**15 + 1, 10**15)
+        assert _classify(p, 1) is RegionClass.SUPER
+        assert _classify(p, 1.0) is RegionClass.CRITICAL
+        assert _classify(1.0, p) is RegionClass.CRITICAL
+        assert _classify(p, 1.0, 0.0) is RegionClass.SUPER
 
     @given(p=positive, q=positive)
     @settings(max_examples=300, deadline=None)

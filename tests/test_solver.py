@@ -5,10 +5,17 @@ from fractions import Fraction
 import pytest
 
 from anacci import qkernel, solver
-from anacci.errors import CriticalRegime, NonPositiveInput, WeightUnderflow
+from anacci.errors import (
+    CriticalRegime,
+    InputOutOfRange,
+    NonPositiveInput,
+    WeightOverflow,
+    WeightUnderflow,
+)
 from anacci.figures import DEFAULT_GRIDS
 from anacci.qkernel import RegionClass
 from anacci.solver import (
+    AnacciConstant,
     bound_crossover,
     dlambda_dp,
     dlambda_dq,
@@ -106,6 +113,21 @@ class TestSolveLambda:
             solve_lambda(1, -3)
         for p, q in ((math.inf, 2), (2, math.inf), (math.nan, 2), (1, math.nan)):
             with pytest.raises(NonPositiveInput, match="finite"):
+                solve_lambda(p, q)
+
+    def test_exact_inputs_beyond_the_double_range(self):
+        # positive and finite as given, but 0 or inf as doubles
+        huge, tiny = 10**400, Fraction(1, 10**400)
+        for p, q, name in (
+            (huge, 1, "p"),
+            (tiny, 1, "p"),
+            (1, huge, "q"),
+            (2, tiny, "q"),
+            (huge, 1.0, "p"),
+            (tiny, 2.0, "p"),
+            (huge, tiny, "p"),
+        ):
+            with pytest.raises(InputOutOfRange, match=f"^{name} lies outside"):
                 solve_lambda(p, q)
 
     @pytest.mark.parametrize("p,q", _mpmath_panel())
@@ -232,6 +254,32 @@ class TestSolverWork:
             solve_lambda(p, q)
             assert calls == {"check": 1, "public": 0}, (p, q)
 
+    def test_out_of_range_input_checked_once(self, monkeypatch):
+        calls = []
+        check = qkernel._check_positive
+        monkeypatch.setattr(
+            solver, "_check_positive", lambda **named: calls.append(1) or check(**named)
+        )
+        for p, q in ((10**400, 1), (Fraction(1, 10**400), 1)):
+            calls.clear()
+            with pytest.raises(InputOutOfRange):
+                solve_lambda(p, q)
+            assert calls == [1], (p, q)
+
+    def test_no_fraction_built_for_an_integer_pair(self, monkeypatch):
+        built = []
+        new = Fraction.__new__
+
+        def counted(cls, *args, **kwargs):
+            built.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+        assert Fraction(1, 2) == 0.5 and built  # the hook sees construction
+        built.clear()
+        assert solve_lambda(5, 40).regime is RegionClass.SUPER
+        assert built == []
+
     def test_iteration_total_is_pinned(self):
         # every draw solves; a change to the solver loop or to the kernel's
         # rounding that alters the work done shows here as a changed total
@@ -257,6 +305,32 @@ class TestRegime:
         with pytest.raises(CriticalRegime):
             dlambda_dp(1.0, 1.0 + 1e-13)
         assert dlambda_dp(Fraction(10**15 + 1, 10**15), 1) > 0
+
+
+class TestResultRecord:
+    FIELDS = (
+        "p", "q", "value", "bracket_lo", "bracket_hi", "residual", "iterations", "regime"
+    )
+
+    def test_fields_in_order(self):
+        assert AnacciConstant._fields == self.FIELDS
+        r = solve_lambda(1, 2)
+        assert tuple(r) == tuple(getattr(r, name) for name in self.FIELDS)
+        assert r.value == PHI and r.regime is RegionClass.SUPER
+
+    def test_immutable(self):
+        r = solve_lambda(1, 2)
+        for name in self.FIELDS:
+            with pytest.raises(AttributeError):
+                setattr(r, name, 0.0)
+        with pytest.raises(TypeError):
+            r[2] = 0.0
+        assert r.value == PHI
+
+    def test_hashable(self):
+        a, b = solve_lambda(1, 2), solve_lambda(1.0, 2.0)
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, solve_lambda(0.25, 2)}) == 2
 
 
 class TestInverseP:
@@ -293,6 +367,15 @@ class TestInverseP:
         with pytest.raises(WeightUnderflow, match="below the smallest positive double"):
             inverse_p(1e-200, 2.0)
 
+    def test_overflowed_weight_raises(self):
+        # (lam - 1) / (1 - lam^(-q)) passes the largest double
+        with pytest.raises(WeightOverflow, match="above the largest finite double"):
+            inverse_p(1.7e308, 0.001)
+        # 1/q at lam = 1
+        with pytest.raises(WeightOverflow, match="q=5e-324"):
+            inverse_p(1.0, 5e-324)
+        assert inverse_p(1.7e308, 1.0) == pytest.approx(1.7e308, rel=1e-15)
+
     def test_subnormal_weight_is_returned(self):
         p = inverse_p(1e-160, 2.0)
         assert 0.0 < p < 2.3e-308
@@ -307,6 +390,10 @@ class TestInversePInteger:
     def test_order_one_is_identity(self):
         for m in (1, 2, 7):
             assert inverse_p_integer(m, 1) == m
+        # floats come back exactly, not through 1/fsum(lam**-1)
+        rng = random.Random(3)
+        for lam in [1.7e308, 0.3, 5e-324] + [rng.uniform(1.0, 100.0) for _ in range(2000)]:
+            assert inverse_p_integer(lam, 1) == lam
 
     def test_integral_targets_land_between_integers(self):
         # a ratio limit equal to integer m needs a weight strictly inside
