@@ -34,7 +34,7 @@ from .lattice import (
     seq_fixed_n,
 )
 from .recurrence import RecurrenceSpec, canonical_init, generate, ratio_limit
-from .solver import inverse_p, inverse_p_integer, solve_lambda
+from .solver import _weight, inverse_p, inverse_p_integer, solve_lambda
 
 
 def _jsonable(value):
@@ -91,7 +91,8 @@ def _cmd_inverse(args) -> int:
             raise AnacciError("--exact needs an integer order --n")
         lam = Fraction(args.lam)
         p = inverse_p_integer(lam, args.n)
-        payload = {"lam": str(lam), "n": args.n, "p": str(p), "p_float": float(p)}
+        p_float = _weight(p, args.lam, "n", args.n)
+        payload = {"lam": str(lam), "n": args.n, "p": str(p), "p_float": p_float}
     elif args.n is not None:
         p = inverse_p_integer(float(args.lam), args.n)
         payload = {"lam": float(args.lam), "n": args.n, "p": p}

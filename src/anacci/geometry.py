@@ -19,6 +19,7 @@ import sys
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from enum import Enum
+from operator import imul, ipow
 from typing import TYPE_CHECKING
 
 from .errors import (
@@ -93,24 +94,25 @@ def pyramid(n: int, height: float = 1.0, apex: float = 0.0,
     return ConvexBody(BodyKind.PYRAMID, n, height, base_side, apex)
 
 
-# The draws fill a block of points by kind.  They work in place, because a
-# full-block array that is freed and allocated again costs fresh page faults,
-# up to half the time of a block.
+# The draws fill caller-given views of one workspace, a chunk of a block at a
+# time: ``streams[k]`` continues the block's k-th uniform stream (see
+# _BlockStreams), and every step is elementwise and in place, so a point
+# does not depend on the chunk size and no array is allocated.  ``scratch``
+# holds two more views the draw may overwrite.
 
 
-def _section_fraction(rng: np.random.Generator, n: int, count: int, power: int) -> np.ndarray:
-    """V^(power/(n-1)): the lateral norm, to ``power``, of uniform points in an
-    (n-1)-ball or (n-1)-cube section, over the section's bound.
+def _section_fraction(stream: np.random.Generator, n: int, out: np.ndarray, power: int) -> None:
+    """V^(power/(n-1)) into ``out``: the lateral norm, to ``power``, of uniform
+    points in an (n-1)-ball or (n-1)-cube section, over the section's bound.
 
     The law is the same for l2 and l-inf; at n = 1 there is no section, and
     the value goes unread.
     """
-    fraction = rng.random(count)
-    fraction **= power / max(n - 1, 1)
-    return fraction
+    stream.random(out=out)
+    out **= power / max(n - 1, 1)
 
 
-def _ball_draw(rng: np.random.Generator, n: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+def _ball_draw(streams, n: int, u: np.ndarray, lateral: np.ndarray, scratch) -> None:
     """u and squared lateral norm of uniform points in the unit n-ball.
 
     The first two coordinates lie at squared radius 1 - q, with q = U^(2/n),
@@ -123,33 +125,58 @@ def _ball_draw(rng: np.random.Generator, n: int, count: int) -> tuple[np.ndarray
     """
     import numpy as np
 
-    lateral = rng.random(count)
+    tmp, rest = scratch
+    streams[0].random(out=lateral)
     lateral **= 2.0 / n
     np.subtract(1.0, lateral, out=lateral)  # 1 - q
-    u = rng.random(count)
+    streams[1].random(out=u)
     u -= 0.5
     u *= 0.5 * math.pi
     np.tan(u, out=u)
-    u /= 0.5 + 0.5 * u * u  # 2t/(1 + t^2)
-    u *= np.sqrt(lateral)
+    np.multiply(u, 0.5, out=tmp)
+    tmp *= u
+    tmp += 0.5
+    u /= tmp  # 2t/(1 + t^2)
+    np.sqrt(lateral, out=tmp)
+    u *= tmp
     if n > 2:
-        lateral += (1.0 - lateral) * _section_fraction(rng, n - 1, count, 2)  # q*W^(2/(n-2))
-    lateral -= u * u
-    return u, lateral
+        _section_fraction(streams[2], n - 1, tmp, 2)  # W^(2/(n-2))
+        np.subtract(1.0, lateral, out=rest)
+        rest *= tmp
+        lateral += rest  # q*W^(2/(n-2)) on top of 1 - q
+    np.multiply(u, u, out=tmp)
+    lateral -= tmp
+
+
+def _cube_draw(streams, n: int, u: np.ndarray, lateral: np.ndarray, scratch) -> None:
+    streams[0].random(out=u)
+    _section_fraction(streams[1], n, lateral, 1)
 
 
 def _apex_draw(power: int) -> Callable:
     """The draw of a cone (power 2) or pyramid (power 1): the axial density
     n*u^(n-1) is drawn as U^(1/n), and the section at u has bound u^power."""
 
-    def draw(rng, n, count):
-        u = rng.random(count)
+    def draw(streams, n, u, lateral, scratch):
+        import numpy as np
+
+        streams[0].random(out=u)
         u **= 1.0 / n
-        lateral = _section_fraction(rng, n, count, power)
-        lateral *= u**power
-        return u, lateral
+        _section_fraction(streams[1], n, lateral, power)
+        bound = scratch[0]
+        np.copyto(bound, u)
+        bound **= power
+        lateral *= bound
 
     return draw
+
+
+def _ball_bound(w, u):
+    """w^2 (1 - u^2), as -w^2 (u^2 - 1): the same rounding, in place."""
+    u *= u
+    u -= 1.0
+    u *= -w * w
+    return u
 
 
 @dataclass(frozen=True)
@@ -159,9 +186,10 @@ class _Shape:
     With c the axis offset, s the size and u = (x1 - c)/s, the section at u
     holds the lateral points whose norm, raised to ``bound_power``, is at
     most section_bound(w, u): 2 for the l2 norm, so membership takes no
-    square root, and 1 for the l-inf norm.  ``draw(rng, n, count)`` returns
-    u and that power of the lateral norm for ``count`` uniform points of the
-    body with c = 0, s = 1 and w = 1.
+    square root, and 1 for the l-inf norm.  section_bound overwrites an
+    array u with the bound, and returns a new value for a float u.
+    ``draw(streams, n, u, lateral, scratch)`` fills u and that power of the
+    lateral norm for uniform points of the body with c = 0, s = 1 and w = 1.
     """
 
     axis_start: float  # the body spans [c + axis_start*s, c + s]
@@ -171,20 +199,18 @@ class _Shape:
     half_width: Callable[[ConvexBody], float]  # w, across the widest section
     section_bound: Callable  # (w, u) -> bound on the lateral norm of the section at u
     bound_power: int
-    draw: Callable  # (rng, n, count) -> (u, lateral norm to bound_power) at w = 1
+    draw: Callable  # (streams, n, u, lateral, scratch): u and lateral norm at w = 1
 
 
 _SHAPES = {
     BodyKind.BALL: _Shape(-1.0, lambda n: 0.0, lambda b: (b.n, b.size, 1), lambda b: b.size,
-                          lambda w, u: w * w * (1.0 - u * u), 2, _ball_draw),
+                          _ball_bound, 2, _ball_draw),
     BodyKind.CUBE: _Shape(0.0, lambda n: 0.5, lambda b: (0, b.size, 1), lambda b: 0.5 * b.size,
-                          lambda w, u: w, 1,
-                          lambda rng, n, count: (rng.random(count),
-                                                 _section_fraction(rng, n, count, 1))),
+                          lambda w, u: w, 1, _cube_draw),
     BodyKind.CONE: _Shape(0.0, lambda n: n / (n + 1), lambda b: (b.n - 1, b.base, b.n),
-                          lambda b: b.base, lambda w, u: (w * u) ** 2, 2, _apex_draw(2)),
+                          lambda b: b.base, lambda w, u: ipow(imul(u, w), 2), 2, _apex_draw(2)),
     BodyKind.PYRAMID: _Shape(0.0, lambda n: n / (n + 1), lambda b: (0, b.base, b.n),
-                             lambda b: 0.5 * b.base, lambda w, u: w * u, 1, _apex_draw(1)),
+                             lambda b: 0.5 * b.base, lambda w, u: imul(u, w), 1, _apex_draw(1)),
 }
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
@@ -549,17 +575,60 @@ _MC_BLOCK = 1 << 16
 # counter stride per block in the Philox state space; blocks can never
 # overlap no matter how many draws one block consumes
 _MC_COUNTER_STRIDE = 1 << 128
+# points per pass over the workspace: its four float rows stay in cache
+_MC_CHUNK = 1 << 14
 
 
-def _contains_batch(body: ConvexBody, x1: np.ndarray, radial: np.ndarray) -> np.ndarray:
-    """Vectorized membership of points (x1, lateral norm to ``bound_power``)."""
+class _BlockStreams(dict):
+    """The draw streams of one block of ``count`` points.
+
+    Stream k holds the draws of the block's k-th ``random(count)`` call,
+    [k*count, (k+1)*count) of the Philox stream with key ``seed`` and
+    counter block*2^128.  Each stream is a generator opened at its first
+    draw, on first use, so the block can be drawn one chunk at a time.
+    """
+
+    def __init__(self, seed: int, block: int, count: int):
+        super().__init__()
+        self.seed = seed
+        self.counter = block * _MC_COUNTER_STRIDE
+        self.count = count
+
+    def __missing__(self, k: int) -> np.random.Generator:
+        import numpy as np
+
+        start = k * self.count
+        # one counter step yields four draws
+        bits = np.random.Philox(key=self.seed, counter=self.counter + start // 4)
+        if start % 4:
+            bits.random_raw(start % 4)
+        self[k] = stream = np.random.Generator(bits)
+        return stream
+
+
+def _membership(body: ConvexBody) -> Callable:
+    """The vectorized membership test of ``body``, its constants taken once.
+
+    ``contains(x1, radial, inside, flag, scratch)`` writes to ``inside``
+    whether each point (x1, lateral norm to ``bound_power``) lies in the
+    body; ``flag`` and ``scratch`` are overwritten.
+    """
+    import numpy as np
+
     lo, hi = axis_interval(body)
-    inside = (x1 >= lo) & (x1 <= hi)
-    if body.n == 1:
-        return inside
     shape = _SHAPES[body.kind]
-    u = (x1 - body.axis_offset) / body.size
-    return inside & (radial <= shape.section_bound(shape.half_width(body), u))
+    w = shape.half_width(body)
+
+    def contains(x1, radial, inside, flag, scratch):
+        np.greater_equal(x1, lo, out=inside)
+        inside &= np.less_equal(x1, hi, out=flag)
+        if body.n > 1:
+            np.subtract(x1, body.axis_offset, out=scratch)
+            scratch /= body.size
+            inside &= np.less_equal(radial, shape.section_bound(w, scratch), out=flag)
+        return inside
+
+    return contains
 
 
 def mc_centroid(scene: DilationScene, seed: int, samples: int) -> tuple[float, float]:
@@ -575,50 +644,61 @@ def mc_centroid(scene: DilationScene, seed: int, samples: int) -> tuple[float, f
     norm as bound(x1) * V^(1/(n-1)), the law of a uniform point in an
     (n-1)-ball or (n-1)-cube section.  The cost per point does not grow
     with n.  Points outside the smaller body belong to the shell; the
-    estimate is the mean of their first coordinates.  Block moments are
-    taken relative to O and merged as in Chan, Golub & LeVeque (1979), so
-    offsets far from 0 keep the stderr.
+    estimate is the mean of their first coordinates.  Each block is drawn
+    and tested in chunks that reuse one small workspace, so no block-sized
+    array is allocated.  Chunk moments are taken relative to O and merged
+    as in Chan, Golub & LeVeque (1979), so offsets far from 0 keep the
+    stderr.
 
-    Raises DegenerateShell below a 1e-4 acceptance rate or 2 accepted points.
+    ``seed`` must be an int in [0, 2**128) and ``samples`` an int of at
+    least 10**4; ValueError otherwise.  Raises DegenerateShell below a 1e-4
+    acceptance rate or 2 accepted points.
     """
     import numpy as np
 
+    if not isinstance(seed, int) or not 0 <= seed < 2**128:
+        raise ValueError(f"seed must be an int in [0, 2**128), got {seed!r}")
+    if not isinstance(samples, int) or samples < 10**4:
+        raise ValueError(f"samples must be an int >= 10**4, got {samples!r}")
     if scene.lam == 1.0:
         raise LambdaOne("shell is empty at lam = 1")
-    if samples < 10**4:
-        raise ValueError(f"samples must be >= 1e4, got {samples}")
     body = scene.body
     image = dilate(body, scene.O, scene.lam)
     big, small = (image, body) if scene.lam > 1.0 else (body, image)
 
     shape = _SHAPES[big.kind]
     scale = shape.half_width(big) ** shape.bound_power
+    in_small = _membership(small)
+    work = np.empty((4, _MC_CHUNK))  # x1, lateral norm and two scratch rows
+    flags = np.empty((2, _MC_CHUNK), dtype=bool)
 
     accepted = 0
     mean = 0.0  # of x1 - O over the accepted points
     m2 = 0.0  # their sum of squared deviations from the mean
-    remaining = samples
-    block_index = 0
-    while remaining > 0:
-        count = min(_MC_BLOCK, remaining)
-        rng = np.random.Generator(
-            np.random.Philox(key=seed, counter=block_index * _MC_COUNTER_STRIDE)
-        )
-        x1, lateral = shape.draw(rng, body.n, count)  # x1 holds u until scaled
-        x1 *= big.size
-        x1 += big.axis_offset
-        lateral *= scale
-        xs = np.compress(~_contains_batch(small, x1, lateral), x1) - scene.O
-        if xs.size:
-            block_mean = float(xs.mean())
-            xs -= block_mean
-            total = accepted + xs.size
-            delta = block_mean - mean
-            mean += delta * xs.size / total
-            m2 += float(xs @ xs) + delta * delta * accepted * xs.size / total
+    for first in range(0, samples, _MC_BLOCK):
+        count = min(_MC_BLOCK, samples - first)
+        streams = _BlockStreams(seed, first // _MC_BLOCK, count)
+        for done in range(0, count, _MC_CHUNK):
+            size = min(_MC_CHUNK, count - done)
+            x1, lateral, scratch, rest = work[:, :size]
+            inside, flag = flags[:, :size]
+            shape.draw(streams, body.n, x1, lateral, (scratch, rest))  # x1 holds u
+            x1 *= big.size
+            x1 += big.axis_offset
+            lateral *= scale
+            shell = np.logical_not(in_small(x1, lateral, inside, flag, scratch), out=inside)
+            k = int(np.count_nonzero(shell))
+            if not k:
+                continue
+            xs = np.compress(shell, x1, out=scratch[:k])
+            xs -= scene.O
+            chunk_mean = float(xs.mean())
+            xs -= chunk_mean
+            total = accepted + k
+            delta = chunk_mean - mean
+            mean += delta * k / total
+            m2 += float(xs @ xs) + delta * delta * accepted * k / total
             accepted = total
-        remaining -= count
-        block_index += 1
 
     if accepted < max(2, 1e-4 * samples):
         raise DegenerateShell(

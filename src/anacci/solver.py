@@ -247,16 +247,24 @@ def inverse_p_integer(m_lambda, n: int):
     return _weight(p, lam, "n", n)
 
 
-def _weight(p: float, lam: float, order: str, value) -> float:
-    """p itself, once it is a positive finite double."""
+def _weight(p, lam, order: str, value) -> float:
+    """p as a double, once it is positive and finite there.
+
+    An exact weight is rounded first; ``lam`` is printed with str, so a
+    target may be given as the text it was parsed from.
+    """
+    try:
+        p = float(p)
+    except OverflowError:  # a Fraction beyond the double range
+        p = math.inf
     if p == 0.0:
         raise WeightUnderflow(
-            f"weight for lam={lam!r}, {order}={value!r} is below the smallest "
+            f"weight for lam={lam}, {order}={value!r} is below the smallest "
             "positive double"
         )
     if p == math.inf:
         raise WeightOverflow(
-            f"weight for lam={lam!r}, {order}={value!r} is above the largest "
+            f"weight for lam={lam}, {order}={value!r} is above the largest "
             "finite double"
         )
     return p

@@ -37,7 +37,7 @@ from .geometry import (
 )
 from .lattice import anacci, scaled_seq_A, scaled_seq_B, seq_diagonal, seq_fixed_m, seq_fixed_n
 from .qkernel import RegionClass, lambda_min
-from .solver import lower_bound_basic, lower_bound_refined, solve_lambda
+from .solver import lower_bound_basic, solve_lambda
 
 _INV_PHI = 2.0 / (1.0 + math.sqrt(5.0))  # 1/phi = phi - 1
 
@@ -151,7 +151,9 @@ def _bounds(m_max: int, n_max: int, seed: int):
         regime, value = result.regime, result.value
         if regime is RegionClass.CRITICAL:
             continue
-        lmin = lower_bound_basic(p, q)
+        # the bounds of lower_bound_basic and lower_bound_refined, on the
+        # point solve_lambda has already checked
+        lmin = (p + 1) * q / (q + 1)
         yield "random_regimes", (p + 1) - value + _resolution(p + 1)
         if regime is RegionClass.SUPER:
             yield "random_regimes", lmin - 1.0
@@ -161,7 +163,7 @@ def _bounds(m_max: int, n_max: int, seed: int):
             yield "random_regimes", lmin - value
             yield "random_regimes", 1.0 - lmin
         if q >= 2.0 and p > _INV_PHI:
-            yield "refined", value - lower_bound_refined(p)
+            yield "refined", value - (p + 1.0 - 1.0 / (p + 1.0))
 
     for i in range(1, 4 * 5 + 1):
         for j in range(1, 4 * 16 + 1):

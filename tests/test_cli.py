@@ -79,6 +79,23 @@ class TestInverseCommand:
         assert out == ""
         assert "above the largest finite double" in err
 
+    @pytest.mark.parametrize("lam, n, message", [
+        ("1e400", "1", "weight for lam=1e400, n=1 is above the largest finite double"),
+        ("1e-200", "2", "weight for lam=1e-200, n=2 is below the smallest positive double"),
+    ])
+    def test_exact_weight_outside_the_doubles_exits_two(self, capsys, lam, n, message):
+        code, out, err = run_cli(capsys, "inverse", "--exact", "--lam", lam, "--n", n)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    def test_exact_readme_example(self, capsys):
+        code, out, _ = run_cli(capsys, "inverse", "--lam", "2", "--n", "2", "--exact")
+        assert code == 0
+        assert out == (
+            '{\n  "lam": "2",\n  "n": 2,\n  "p": "4/3",\n  "p_float": 1.3333333333333333\n}\n'
+        )
+
     def test_order_one_returns_the_target(self, capsys):
         code, out, _ = run_cli(capsys, "inverse", "--lam", "1.7e308", "--n", "1")
         assert code == 0
@@ -204,6 +221,16 @@ class TestSceneCommand:
         assert abs(payload["mc_estimate"] - payload["points"]["B"]) <= (
             4.0 * payload["mc_stderr"]
         )
+
+    def test_monte_carlo_seed_out_of_range_exits_two(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "scene", "--body", "ball", "--n", "2", "--offset", "1", "--lam", "2",
+            "--mc", "--seed", "-1",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: seed must be an int in [0, 2**128), got -1\n"
 
 
 class TestFigCommand:

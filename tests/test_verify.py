@@ -1,8 +1,9 @@
 import math
+from fractions import Fraction
 
 import pytest
 
-from anacci import verify
+from anacci import qkernel, solver, verify
 from anacci.geometry import CenterOrdering
 from anacci.verify import FAMILIES, SUITES, run_suite, suite_bounds, suite_geometry
 
@@ -76,6 +77,24 @@ class TestSizes:
     def test_rejects_unknown_suite(self):
         with pytest.raises(ValueError, match="unknown suite"):
             run_suite("nope")
+
+
+class TestBoundsWork:
+    def test_each_random_point_checked_once(self, monkeypatch):
+        calls = {"float": 0, "exact": 0}
+        check = qkernel._check_positive
+
+        def counted_check(**named):
+            calls["exact" if isinstance(named.get("p"), Fraction) else "float"] += 1
+            return check(**named)
+
+        monkeypatch.setattr(solver, "_check_positive", counted_check)
+        monkeypatch.setattr(qkernel, "_check_positive", counted_check)
+        # sizes 0 leave only the random points and the exact crossover grid
+        results = {r.name: r for r in suite_bounds(m_max=0, n_max=0)}
+        assert results["bounds.random_regimes"].passed
+        assert results["bounds.refined"].passed
+        assert calls == {"float": 10_000, "exact": 20 * 64}
 
 
 class TestCenterOrderings:
