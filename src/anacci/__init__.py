@@ -16,6 +16,7 @@ from .errors import (
     OrderOne,
     PTooSmall,
     TargetUnreachable,
+    TermOverflow,
     WeightOverflow,
     WeightUnderflow,
 )

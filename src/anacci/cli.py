@@ -25,14 +25,7 @@ from .geometry import (
     solve_scene_for_target,
     volume,
 )
-from .lattice import (
-    AnacciIndex,
-    anacci,
-    bounds_eq37,
-    seq_diagonal,
-    seq_fixed_m,
-    seq_fixed_n,
-)
+from .lattice import AnacciIndex, anacci, bounds_eq37
 from .recurrence import RecurrenceSpec, canonical_init, generate, ratio_limit
 from .solver import _weight, inverse_p, inverse_p_integer, solve_lambda
 
@@ -60,10 +53,11 @@ def _write_text(args, text: str) -> None:
             handle.write(text)
 
 
-def _emit(args, payload: dict, table) -> None:
-    """Render a command result as JSON (default) or CSV per --format."""
+def _emit(args, payload: dict, table=None) -> None:
+    """Render a command result as JSON (default) or CSV per --format; with no
+    table, the CSV is the payload as one row."""
     if (getattr(args, "format", None) or "json") == "csv":
-        header, rows = table
+        header, rows = table or (tuple(payload), [tuple(payload.values())])
         _write_text(args, figures.render_csv(header, rows))
     else:
         _write_text(args, json.dumps(payload, indent=2) + "\n")
@@ -71,17 +65,9 @@ def _emit(args, payload: dict, table) -> None:
 
 def _cmd_solve(args) -> int:
     result = solve_lambda(args.p, args.q)
-    payload = {
-        "p": result.p,
-        "q": result.q,
-        "value": result.value,
-        "bracket_lo": result.bracket_lo,
-        "bracket_hi": result.bracket_hi,
-        "residual": result.residual,
-        "iterations": result.iterations,
-        "regime": result.regime.value,
-    }
-    _emit(args, payload, (tuple(payload), [tuple(payload.values())]))
+    payload = result._asdict()
+    payload["regime"] = result.regime.value
+    _emit(args, payload)
     return 0
 
 
@@ -101,7 +87,7 @@ def _cmd_inverse(args) -> int:
             raise AnacciError("provide --q (real order) or --n (integer order)")
         p = inverse_p(float(args.lam), args.q)
         payload = {"lam": float(args.lam), "q": args.q, "p": p}
-    _emit(args, payload, (tuple(payload), [tuple(payload.values())]))
+    _emit(args, payload)
     return 0
 
 
@@ -123,13 +109,12 @@ def _parse_init(text: str, exact: bool):
 def _cmd_recurrence(args) -> int:
     if args.exact and not isinstance(args.p, int):
         raise AnacciError("--exact needs an integer weight --p")
-    p = args.p
     init = (
         canonical_init(args.n)
         if args.init is None
         else _parse_init(args.init, args.exact)
     )
-    spec = RecurrenceSpec(p=p, n=args.n, init=init)
+    spec = RecurrenceSpec(p=args.p, n=args.n, init=init)
     terms = generate(spec, args.count)
     payload = {
         "p": _jsonable(spec.p),
@@ -139,17 +124,21 @@ def _cmd_recurrence(args) -> int:
     }
     try:
         estimate = ratio_limit(spec, args.tol, max(args.count, 2 * args.n, 64))
-        payload["ratio"] = {
-            "value": estimate.value,
-            "k_used": estimate.k_used,
-            "k0": estimate.k0,
-            "converged": estimate.converged,
-        }
+        payload["ratio"] = dataclasses.asdict(estimate)
     except AnacciError as exc:
         payload["ratio"] = {"error": str(exc)}
     table = (("k", "term"), list(enumerate(payload["terms"])))
     _emit(args, payload, table)
     return 0
+
+
+# the i-th lattice point (m, n) of each --seq family, i = 1..count
+_SEQ_INDEX = {
+    "fixed-m": lambda args, i: (args.m, i),
+    "fixed-n": lambda args, i: (i, args.n),
+    "kn": lambda args, i: (args.k * i, i),
+    "km": lambda args, i: (i, args.k * i),
+}
 
 
 def _cmd_anacci(args) -> int:
@@ -160,22 +149,12 @@ def _cmd_anacci(args) -> int:
             enclosure = bounds_eq37(idx)
             payload["lower"] = enclosure.lower
             payload["upper"] = enclosure.upper
-        _emit(args, payload, (tuple(payload), [tuple(payload.values())]))
+        _emit(args, payload)
         return 0
-    count = args.count
-    if args.seq == "fixed-m":
-        values = seq_fixed_m(args.m, count)
-        labels = [(args.m, n) for n in range(1, count + 1)]
-    elif args.seq == "fixed-n":
-        values = seq_fixed_n(args.n, count)
-        labels = [(m, args.n) for m in range(1, count + 1)]
-    elif args.seq == "kn":
-        values = seq_diagonal(args.k, count, "kn")
-        labels = [(args.k * n, n) for n in range(1, count + 1)]
-    else:
-        values = seq_diagonal(args.k, count, "km")
-        labels = [(m, args.k * m) for m in range(1, count + 1)]
-    rows = [(m, n, value) for (m, n), value in zip(labels, values)]
+    if args.seq in ("kn", "km") and args.k < 1:
+        raise ValueError(f"k must be a positive integer, got {args.k!r}")
+    points = (_SEQ_INDEX[args.seq](args, i) for i in range(1, args.count + 1))
+    rows = [(m, n, anacci((m, n))) for m, n in points]
     payload = {"sequence": [{"m": m, "n": n, "value": v} for m, n, v in rows]}
     if args.format is None:
         args.format = "csv"  # sequences default to CSV
@@ -352,10 +331,7 @@ def main(argv=None) -> int:
         return exc.code if exc.code is not None else 2
     try:
         return args.func(args)
-    except AnacciError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (AnacciError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -39,6 +39,10 @@ class AllZeroInit(AnacciError):
     """A recurrence needs at least one nonzero initial term."""
 
 
+class TermOverflow(AnacciError):
+    """A float recurrence term or its window sum lies beyond the double range."""
+
+
 class OrderOne(AnacciError):
     """Operation defined only for recurrence order n > 1."""
 

@@ -25,14 +25,14 @@ from typing import TYPE_CHECKING
 from .errors import (
     DegenerateShell,
     LambdaOne,
-    NonPositiveInput,
+    NoConvergence,
     OEqualsA,
     OOutsideBody,
     PTooSmall,
     TargetUnreachable,
 )
 from .lattice import anacci
-from .qkernel import RegionClass, _check_positive, classify
+from .qkernel import RegionClass, _check_positive
 from .solver import solve_lambda
 
 if TYPE_CHECKING:  # numpy is imported where Monte Carlo runs, not at start-up
@@ -359,14 +359,13 @@ def lambda_from_p(n: int, p: float) -> float:
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"dimension n must be a positive integer, got {n!r}")
-    if not p > 0:
-        raise NonPositiveInput(f"ratio p must be > 0, got {p!r}")
-    regime = classify(p, n)
-    if regime is RegionClass.SUB:
+    try:
+        result = solve_lambda(p, n)
+    except NoConvergence:  # a sub-critical zero below the double range
+        result = None
+    if result is None or result.regime is RegionClass.SUB:
         raise PTooSmall(f"p = {p!r} <= 1/{n}: no dilation factor places B there")
-    if regime is RegionClass.CRITICAL:
-        return 1.0
-    return solve_lambda(p, n).value
+    return result.value  # exactly 1.0 on the critical p = 1/n
 
 
 def solve_scene_for_target(body: ConvexBody, O: float, target_b: float) -> DilationScene:

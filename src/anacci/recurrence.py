@@ -5,24 +5,26 @@ A spec (weight p, order n, initial terms a_0..a_{n-1}) generates
     F_k = p * (F_{k-1} + ... + F_{k-n})        for k >= n.
 
 With rational p and initial terms the arithmetic is exact (Python
-ints/Fractions); in floating mode the sliding window sum is recomputed
-from scratch periodically so it cannot drift.  The ratio F_{k+1}/F_k
-converges to the dominant characteristic root; ratio estimation skips
-indices at or before the last zero term and detects convergence from a
-run of consecutive small ratio deltas.
+ints/Fractions).  Otherwise each term is p times the math.fsum of the n
+terms before it: no running sum carries the rounding error of earlier,
+larger terms into a decaying sequence, and a term beyond the double
+range raises TermOverflow.  The ratio F_{k+1}/F_k converges to the
+dominant characteristic root; ratio estimation skips indices at or
+before the last zero term and detects convergence from a run of
+consecutive small ratio deltas.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
-from .errors import AllZeroInit, NoConvergence, NonPositiveInput
+from .errors import AllZeroInit, NoConvergence, NonPositiveInput, TermOverflow
 
-# steps between full recomputations of the float window sum (and between
-# renormalizations during ratio estimation)
+# steps between renormalizations of the window during ratio estimation
 _RESYNC_EVERY = 64
 
 
@@ -30,7 +32,8 @@ _RESYNC_EVERY = 64
 class RecurrenceSpec:
     """Weight, order, and initial terms of one recurrence.
 
-    ``init`` must hold exactly ``n`` entries, not all zero.
+    ``p`` must be finite and > 0; ``init`` must hold exactly ``n`` entries,
+    not all zero, and its float entries must be finite.
     """
 
     p: float | int | Fraction
@@ -40,13 +43,15 @@ class RecurrenceSpec:
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 1:
             raise ValueError(f"order n must be a positive integer, got {self.n!r}")
-        if not self.p > 0:
-            raise NonPositiveInput(f"weight p must be > 0, got {self.p!r}")
+        if not 0 < self.p < math.inf:
+            raise NonPositiveInput(f"weight p must be finite and > 0, got {self.p!r}")
         object.__setattr__(self, "init", tuple(self.init))
         if len(self.init) != self.n:
             raise ValueError(
                 f"init must have exactly n={self.n} entries, got {len(self.init)}"
             )
+        if any(isinstance(t, float) and not math.isfinite(t) for t in self.init):
+            raise ValueError(f"float init terms must be finite, got {self.init!r}")
         if all(term == 0 for term in self.init):
             raise AllZeroInit("initial terms must not all be zero")
 
@@ -80,12 +85,23 @@ def canonical_init(n: int) -> tuple:
     return (0,) * (n - 1) + (1,)
 
 
+def _float_term(p: float, window, k: int) -> float:
+    """Term k by the float rule: p times the correctly rounded window sum."""
+    try:
+        term = p * math.fsum(window)
+    except OverflowError:  # fsum's own report of a sum beyond the doubles
+        term = math.inf
+    if -math.inf < term < math.inf:
+        return term
+    raise TermOverflow(f"term {k} of the recurrence lies beyond the double range")
+
+
 def generate(spec: RecurrenceSpec, count: int) -> list:
     """First ``count`` terms of the sequence (count >= n).
 
     Exact inputs stay exact: all-int specs yield ints, rational specs yield
-    Fractions.  Float mode keeps the window sum incrementally but recomputes
-    it by compensated summation every 64 steps.
+    Fractions; other specs yield floats by the module's float rule and
+    raise TermOverflow at the first term beyond the double range.
     """
     if count < spec.n:
         raise ValueError(f"count must be >= n = {spec.n}, got {count}")
@@ -98,19 +114,13 @@ def generate(spec: RecurrenceSpec, count: int) -> list:
             new = p * window_sum
             terms.append(new)
             window_sum += new - terms[-n - 1]
-        return terms[:count]
+        return terms
 
     p = float(spec.p)
     terms = [float(t) for t in spec.init]
-    window_sum = math.fsum(terms)
-    for k in range(count - n):
-        new = p * window_sum
-        terms.append(new)
-        if (k + 1) % _RESYNC_EVERY == 0:
-            window_sum = math.fsum(terms[-n:])
-        else:
-            window_sum += new - terms[-n - 1]
-    return terms[:count]
+    for k in range(n, count):
+        terms.append(_float_term(p, terms[-n:], k))
+    return terms
 
 
 def ratio_limit(
@@ -124,8 +134,9 @@ def ratio_limit(
     can produce up to n-2 exactly equal ratios (a delta start yields a
     plain doubling run) that a fixed-length detector would mistake for
     convergence.  A zero term resets the detector and advances k0.  Terms
-    are iterated in floating point and renormalized every 64 steps, so
-    arbitrarily long runs cannot overflow.
+    follow the float rule of ``generate`` and are renormalized every 64
+    steps, so long runs cannot overflow; a term that overflows between
+    renormalizations raises TermOverflow.
 
     Raises NoConvergence when max_terms is exhausted: either the budget is
     too small or the initial condition has no component along the dominant
@@ -137,19 +148,18 @@ def ratio_limit(
         raise ValueError(f"max_terms must be >= 2n = {2 * spec.n}, got {max_terms}")
     n = spec.n
     p = float(spec.p)
-    window = [float(t) for t in spec.init]
+    window = deque(map(float, spec.init), maxlen=n)
 
     k0 = -1
     for i, term in enumerate(window):
         if term == 0.0:
             k0 = i
 
-    window_sum = math.fsum(window)
     needed = max(3, n)
     last_ratio = None
     small_deltas = 0
     for k in range(n, max_terms):
-        new = p * window_sum
+        new = _float_term(p, window, k)
         prev = window[-1]
         if new == 0.0:
             k0 = k
@@ -165,12 +175,11 @@ def ratio_limit(
                 else:
                     small_deltas = 0
             last_ratio = ratio
-        window = window[1:] + [new]
+        window.append(new)  # drops the oldest term
         if (k - n + 1) % _RESYNC_EVERY == 0:
             scale = abs(new)
             if scale > 0.0:
-                window = [t / scale for t in window]
-        window_sum = math.fsum(window)
+                window = deque((t / scale for t in window), maxlen=n)
     raise NoConvergence(
         f"ratios did not settle within {max_terms} terms (tol={tol}); "
         "either raise the budget or check the initial condition"

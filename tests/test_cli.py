@@ -42,6 +42,13 @@ class TestSolveCommand:
         assert code == 2
         assert "finite" in err
 
+    def test_zero_below_the_double_range_exits_two(self, capsys):
+        code, out, err = run_cli(capsys, "solve", "--p", "1e-5", "--q", "0.01")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "below the representable range" in err
+
     def test_usage_error_exits_two(self, capsys):
         assert run_cli(capsys, "solve", "--p", "1")[0] == 2
         assert run_cli(capsys, "nonsense")[0] == 2
@@ -130,6 +137,35 @@ class TestRecurrenceCommand:
         assert code == 2
         assert "init" in err
 
+    @pytest.mark.parametrize("flags, message", [
+        (("--p", "inf"), "finite and > 0"),
+        (("--init", "nan,1"), "init"),
+    ])
+    def test_non_finite_input_exits_two(self, capsys, flags, message):
+        code, out, err = run_cli(capsys, "recurrence", "--n", "2", "--p", "1", *flags)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+    @pytest.mark.parametrize("flags, term", [
+        (("--p", "2.5", "--count", "900"), 601),
+        (("--p", "1", "--init", "1e308,1e308", "--count", "3"), 2),
+    ])
+    def test_overflowing_term_exits_two(self, capsys, flags, term):
+        code, out, err = run_cli(capsys, "recurrence", "--n", "2", *flags)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: term {term} of the recurrence lies beyond the double range\n"
+
+    def test_overflowing_ratio_estimate_is_reported(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "recurrence", "--p", "1e300", "--n", "2", "--count", "3"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["terms"] == [0.0, 1.0, 1e300]
+        assert "beyond the double range" in payload["ratio"]["error"]
+
 
 class TestAnacciCommand:
     def test_single_value(self, capsys):
@@ -145,6 +181,26 @@ class TestAnacciCommand:
         lines = out.strip().splitlines()
         assert lines[0] == "m,n,value"
         assert len(lines) == 4
+
+    @pytest.mark.parametrize("flags, points", [
+        (("--seq", "fixed-n", "--n", "3"), [(1, 3), (2, 3), (3, 3)]),
+        (("--seq", "kn", "--k", "2"), [(2, 1), (4, 2), (6, 3)]),
+        (("--seq", "km", "--k", "2"), [(1, 2), (2, 4), (3, 6)]),
+    ])
+    def test_sequence_families(self, capsys, flags, points):
+        code, out, _ = run_cli(capsys, "anacci", *flags, "--count", "3")
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert [(int(m), int(n)) for m, n, _ in rows] == points
+        for (m, n), (_, _, value) in zip(points, rows):
+            assert float(value) == anacci.anacci((m, n))
+
+    @pytest.mark.parametrize("seq", ["kn", "km"])
+    def test_diagonal_step_below_one_exits_two(self, capsys, seq):
+        code, out, err = run_cli(capsys, "anacci", "--seq", seq, "--k", "0")
+        assert code == 2
+        assert out == ""
+        assert err == "error: k must be a positive integer, got 0\n"
 
 
 class TestSceneCommand:

@@ -242,6 +242,20 @@ class TestLambdaFromP:
         with pytest.raises(PTooSmall):
             lambda_from_p(3, 0.2)
 
+    def test_below_boundary_raises_when_the_zero_is_out_of_range(self):
+        # the sub-critical zero, about 1e-301, lies below the solver's floor
+        with pytest.raises(PTooSmall):
+            lambda_from_p(1, 1e-301)
+
+    def test_rejects_non_integer_dimension(self):
+        with pytest.raises(ValueError, match="dimension n"):
+            lambda_from_p(2.5, 2.0)
+
+    @pytest.mark.parametrize("p", [0.0, -1.0])
+    def test_rejects_nonpositive_ratio(self, p):
+        with pytest.raises(NonPositiveInput):
+            lambda_from_p(2, p)
+
     def test_matches_solver(self):
         assert lambda_from_p(4, 2.5) == solve_lambda(2.5, 4).value
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anacci.errors import AllZeroInit, NoConvergence, NonPositiveInput
+from anacci.errors import AllZeroInit, NoConvergence, NonPositiveInput, TermOverflow
 from anacci.recurrence import (
     RecurrenceSpec,
     canonical_init,
@@ -28,6 +28,19 @@ class TestSpec:
     def test_rejects_nonpositive_weight(self):
         with pytest.raises(NonPositiveInput):
             RecurrenceSpec(p=0, n=2, init=(0, 1))
+
+    def test_rejects_infinite_weight(self):
+        with pytest.raises(NonPositiveInput, match="finite and > 0"):
+            RecurrenceSpec(p=math.inf, n=2, init=(0, 1))
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_float_init(self, bad):
+        with pytest.raises(ValueError, match="init"):
+            RecurrenceSpec(p=1, n=2, init=(bad, 1.0))
+
+    def test_accepts_exact_terms_of_any_size(self):
+        spec = RecurrenceSpec(p=10**400, n=2, init=(Fraction(1, 10**400), 10**400))
+        assert generate(spec, 3)[2] == 10**800 + 1
 
     def test_exact_detection(self):
         assert RecurrenceSpec(p=1, n=2, init=(0, 1)).exact
@@ -84,6 +97,28 @@ class TestGenerate:
             assert f == pytest.approx(float(e), rel=1e-12)
 
 
+    @pytest.mark.parametrize("p, n", [
+        (0.2, 2), (0.1, 3), (0.05, 5), (0.010888409742776727, 2),
+    ])
+    def test_decaying_float_terms_track_the_exact_sequence(self, p, n):
+        # p*n < 1: the terms decay, so a running window sum would keep the
+        # rounding error of the early, larger terms
+        approx = generate(RecurrenceSpec(p, n, tuple(map(float, canonical_init(n)))), 200)
+        exact = generate(RecurrenceSpec(Fraction(p), n, canonical_init(n)), 200)
+        for k, (f, e) in enumerate(zip(approx, exact)):
+            assert abs(Fraction(f) - e) <= 8 * Fraction(math.ulp(float(e))), (k, f)
+
+    def test_overflowing_term_is_named(self):
+        with pytest.raises(TermOverflow, match="term 601 "):
+            generate(RecurrenceSpec(p=2.5, n=2, init=(0.0, 1.0)), 900)
+
+    def test_overflowing_window_sum_is_named(self):
+        spec = RecurrenceSpec(p=1, n=2, init=(1e308, 1e308))
+        assert generate(spec, 2) == [1e308, 1e308]  # no sum is formed
+        with pytest.raises(TermOverflow, match="term 2 "):
+            generate(spec, 3)
+
+
 class TestRatioLimit:
     def test_fibonacci_reaches_golden_ratio(self):
         spec = RecurrenceSpec(p=1, n=2, init=(0, 1))
@@ -126,6 +161,10 @@ class TestRatioLimit:
         assert math.isfinite(estimate.value)
         assert estimate.k_used > 64  # crossed at least one renormalization
         assert estimate.value == pytest.approx(solve_lambda(5, 6).value, abs=1e-9)
+
+    def test_overflow_between_renormalizations_is_named(self):
+        with pytest.raises(TermOverflow, match="term 3 "):
+            ratio_limit(RecurrenceSpec(p=1e300, n=2, init=(0.0, 1.0)))
 
     def test_budget_exhaustion_raises(self):
         spec = RecurrenceSpec(p=1, n=2, init=(0, 1))

@@ -8,6 +8,7 @@ from anacci import qkernel, solver
 from anacci.errors import (
     CriticalRegime,
     InputOutOfRange,
+    NoConvergence,
     NonPositiveInput,
     WeightOverflow,
     WeightUnderflow,
@@ -129,6 +130,11 @@ class TestSolveLambda:
         ):
             with pytest.raises(InputOutOfRange, match=f"^{name} lies outside"):
                 solve_lambda(p, q)
+
+    def test_zero_below_the_double_range(self):
+        # (p/(p+1))^(1/q) = exp(-1151): the bracket's lower end underflows
+        with pytest.raises(NoConvergence, match="below the representable range"):
+            solve_lambda(1e-5, 0.01)
 
     @pytest.mark.parametrize("p,q", _mpmath_panel())
     def test_matches_mpmath_panel(self, p, q):
