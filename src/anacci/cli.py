@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import figures, verify
-from .errors import AnacciError
+from .errors import AnacciError, _check_positive_int, _weight
 from .geometry import (
     BodyKind,
     ConvexBody,
@@ -27,7 +27,7 @@ from .geometry import (
 )
 from .lattice import AnacciIndex, anacci, bounds_eq37
 from .recurrence import RecurrenceSpec, canonical_init, generate, ratio_limit
-from .solver import _weight, inverse_p, inverse_p_integer, solve_lambda
+from .solver import inverse_p, inverse_p_integer, solve_lambda
 
 
 def _jsonable(value):
@@ -77,7 +77,7 @@ def _cmd_inverse(args) -> int:
             raise AnacciError("--exact needs an integer order --n")
         lam = Fraction(args.lam)
         p = inverse_p_integer(lam, args.n)
-        p_float = _weight(p, args.lam, "n", args.n)
+        p_float = _weight(p, "lam=%s, n=%r", args.lam, args.n)
         payload = {"lam": str(lam), "n": args.n, "p": str(p), "p_float": p_float}
     elif args.n is not None:
         p = inverse_p_integer(float(args.lam), args.n)
@@ -151,8 +151,8 @@ def _cmd_anacci(args) -> int:
             payload["upper"] = enclosure.upper
         _emit(args, payload)
         return 0
-    if args.seq in ("kn", "km") and args.k < 1:
-        raise ValueError(f"k must be a positive integer, got {args.k!r}")
+    if args.seq in ("kn", "km"):
+        _check_positive_int(args.k, "k")
     points = (_SEQ_INDEX[args.seq](args, i) for i in range(1, args.count + 1))
     rows = [(m, n, anacci((m, n))) for m, n in points]
     payload = {"sequence": [{"m": m, "n": n, "value": v} for m, n, v in rows]}

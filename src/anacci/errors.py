@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by all anacci modules."""
+"""Exception hierarchy shared by all anacci modules, and the input contract:
+the argument checks of every public function, next to the errors they raise."""
+
+import math
 
 
 class AnacciError(Exception):
@@ -69,3 +72,41 @@ class TargetUnreachable(AnacciError):
 
 class DegenerateShell(AnacciError):
     """Monte Carlo acceptance rate too low to estimate the shell centroid."""
+
+
+def _check_positive(**named):
+    for name, value in named.items():
+        if not 0 < value < math.inf:
+            raise NonPositiveInput(f"{name} must be finite and > 0, got {value!r}")
+
+
+# The two checks below take one value each, positionally: a keyword call
+# costs several times as much, and every lattice lookup checks its m and n.
+def _check_positive_int(value, name: str, error=ValueError):
+    if not isinstance(value, int) or value < 1:
+        raise error(f"{name} must be a positive integer, got {value!r}")
+
+
+def _check_nonnegative(value, name: str, error=ValueError):
+    if not 0 <= value < math.inf:
+        raise error(f"{name} must be finite and >= 0, got {value!r}")
+
+
+def _to_double(value) -> float:
+    """float(value), saturated to +-inf where an exact value lies beyond the
+    double range instead of raising OverflowError."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _weight(p, where: str, *args) -> float:
+    """p as a double, once it is positive and finite there; the message names
+    the weight as ``where % args``, formatted only when the check fails."""
+    p = _to_double(p)
+    if p == 0.0:
+        raise WeightUnderflow(f"weight for {where % args} is below the smallest positive double")
+    if p == math.inf:
+        raise WeightOverflow(f"weight for {where % args} is above the largest finite double")
+    return p

@@ -31,8 +31,9 @@ from .errors import (
     PTooSmall,
     TargetUnreachable,
 )
+from .errors import _check_nonnegative, _check_positive, _check_positive_int
 from .lattice import anacci
-from .qkernel import RegionClass, _check_positive
+from .qkernel import RegionClass
 from .solver import solve_lambda
 
 if TYPE_CHECKING:  # numpy is imported where Monte Carlo runs, not at start-up
@@ -69,8 +70,7 @@ class ConvexBody:
     def __post_init__(self):
         if not isinstance(self.kind, BodyKind):
             raise ValueError(f"kind must be a BodyKind, got {self.kind!r}")
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"dimension n must be a positive integer, got {self.n!r}")
+        _check_positive_int(self.n, "dimension n")
         _check_positive(size=self.size, base=self.base)
         if not math.isfinite(self.axis_offset):
             raise ValueError(f"axis_offset must be finite, got {self.axis_offset!r}")
@@ -186,8 +186,8 @@ class _Shape:
     With c the axis offset, s the size and u = (x1 - c)/s, the section at u
     holds the lateral points whose norm, raised to ``bound_power``, is at
     most section_bound(w, u): 2 for the l2 norm, so membership takes no
-    square root, and 1 for the l-inf norm.  section_bound overwrites an
-    array u with the bound, and returns a new value for a float u.
+    square root, and 1 for the l-inf norm.  section_bound overwrites the
+    array u with the bound.
     ``draw(streams, n, u, lateral, scratch)`` fills u and that power of the
     lateral norm for uniform points of the body with c = 0, s = 1 and w = 1.
     """
@@ -234,8 +234,7 @@ def centroid(body: ConvexBody) -> float:
 
 def unit_ball_volume(n: int) -> float:
     """Volume pi^(n/2)/Gamma(n/2+1) of the unit n-ball (1 at n = 0)."""
-    if n < 0:
-        raise ValueError(f"dimension must be >= 0, got {n!r}")
+    _check_nonnegative(n, "dimension")
     try:
         return math.pi ** (n / 2) / math.gamma(n / 2 + 1)
     except OverflowError:  # Gamma overflows from n = 342 on; the ratio does not
@@ -357,8 +356,7 @@ def lambda_from_p(n: int, p: float) -> float:
     Needs p > 1/n for a factor above 1; at p = 1/n exactly the factor is 1
     (the B(1) limit configuration).
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"dimension n must be a positive integer, got {n!r}")
+    _check_positive_int(n, "dimension n")
     try:
         result = solve_lambda(p, n)
     except NoConvergence:  # a sub-critical zero below the double range
@@ -497,9 +495,9 @@ def cone_representation(m: int, n: int) -> ConeRepresentation:
     The (1, 1) corner degenerates to the lam = 1 limit with B(1) = 1 and a
     point shell.
     """
+    lam = anacci((m, n))  # checks m and n before they divide
     body = cone(n, 1.0, apex=0.0)
     O = (m * n - 1) / (m * (n + 1))
-    lam = anacci((m, n))
     scene = DilationScene(body, O, lam)
     points = scene_points(scene)
     return ConeRepresentation(
@@ -550,8 +548,7 @@ def centroid_ratio_theorem_check(kind: BodyKind, n: int) -> bool:
     the shell centroid at lam = 1 +- 1e-5 approaches the base-face centroid
     (within 1e-4) and that d(O, A)/d(A, B(1)) = n within 1e-6.
     """
-    # an apex body's section at the reference point is a single point
-    if kind not in _SHAPES or _SHAPES[kind].section_bound(1.0, 0.0) != 0.0:
+    if kind not in (BodyKind.CONE, BodyKind.PYRAMID):
         raise ValueError(f"check applies to cones and pyramids, got {kind!r}")
     body = ConvexBody(kind, n, 1.0)
     a = centroid(body)

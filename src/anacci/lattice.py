@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .errors import OrderOne
+from .errors import OrderOne, _check_positive_int
 from .solver import BoundPair, BoundSource, solve_lambda
 
 
@@ -23,14 +23,18 @@ class AnacciIndex:
     n: int
 
     def __post_init__(self):
-        if not isinstance(self.m, int) or self.m < 1:
-            raise ValueError(f"m must be a positive integer, got {self.m!r}")
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n!r}")
+        _check_positive_int(self.m, "m")
+        _check_positive_int(self.n, "n")
 
 
-def _as_index(idx) -> AnacciIndex:
-    return idx if isinstance(idx, AnacciIndex) else AnacciIndex(*idx)
+def _pair(idx) -> tuple[int, int]:
+    """(m, n) of an AnacciIndex, or of a pair checked as one without building it."""
+    if isinstance(idx, AnacciIndex):
+        return idx.m, idx.n
+    m, n = idx
+    _check_positive_int(m, "m")
+    _check_positive_int(n, "n")
+    return m, n
 
 
 @cache
@@ -40,8 +44,7 @@ def _phi(m: int, n: int) -> float:
 
 def anacci(idx) -> float:
     """phi(m, n), memoized; accepts an AnacciIndex or an (m, n) pair."""
-    idx = _as_index(idx)
-    return _phi(idx.m, idx.n)
+    return _phi(*_pair(idx))
 
 
 def clear_cache() -> None:
@@ -54,10 +57,9 @@ def bounds_eq37(idx) -> BoundPair:
 
     At n = 1 the constant equals m exactly and the enclosure is undefined.
     """
-    idx = _as_index(idx)
-    if idx.n == 1:
-        raise OrderOne(f"phi(m, 1) = m exactly; no enclosure at n = 1 (m={idx.m})")
-    m = idx.m
+    m, n = _pair(idx)
+    if n == 1:
+        raise OrderOne(f"phi(m, 1) = m exactly; no enclosure at n = 1 (m={m})")
     return BoundPair(m + 1.0 - 1.0 / (m + 1.0), m + 1.0, BoundSource.REFINED)
 
 
@@ -92,8 +94,7 @@ def seq_diagonal(k: int, count: int, which: str) -> list[float]:
     which="kn": (phi(k*n, n))_{n=1..count} — weight grows with the order.
     which="km": (phi(m, k*m))_{m=1..count} — order grows with the weight.
     """
-    if not isinstance(k, int) or k < 1:
-        raise ValueError(f"k must be a positive integer, got {k!r}")
+    _check_positive_int(k, "k")
     if which == "kn":
         return [anacci((k * n, n)) for n in range(1, count + 1)]
     if which == "km":

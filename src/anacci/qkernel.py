@@ -21,7 +21,7 @@ import math
 from enum import Enum
 from fractions import Fraction
 
-from .errors import NonPositiveInput
+from .errors import _check_nonnegative, _check_positive, _check_positive_int, _to_double
 
 # |p*q - 1| at or below this counts as the merged-double-root regime for
 # floating inputs; the two zero branches of Q are then within ~1e-6 of 1.
@@ -33,12 +33,6 @@ _EXP_OVERFLOW = 700.0
 # input types whose regime is decided exactly; other Rational types, such as
 # numpy integers whose products wrap, take the double path
 _EXACT = (int, Fraction)
-
-
-def _check_positive(**named):
-    for name, value in named.items():
-        if not 0 < value < math.inf:
-            raise NonPositiveInput(f"{name} must be finite and > 0, got {value!r}")
 
 
 class RegionClass(Enum):
@@ -115,8 +109,7 @@ def eval_P(lam: float, p: float, n: int) -> float:
     The geometric part is accumulated with compensated summation.
     """
     _check_positive(lam=lam, p=p)
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"order n must be a positive integer, got {n!r}")
+    _check_positive_int(n, "order n")
     geometric = math.fsum(lam**k for k in range(n))
     return lam**n - p * geometric
 
@@ -138,8 +131,7 @@ def classify(p, q, tol: float = CRITICAL_TOL) -> RegionClass:
     1 - p*q > tol, everything between is CRITICAL.
     """
     _check_positive(p=p, q=q)
-    if tol < 0:
-        raise ValueError(f"tol must be >= 0, got {tol!r}")
+    _check_nonnegative(tol, "tol")
     return _classify(p, q, tol)
 
 
@@ -160,7 +152,7 @@ def _classify(p, q, tol: float = CRITICAL_TOL) -> RegionClass:
         if num < den:
             return RegionClass.SUB
         return RegionClass.CRITICAL
-    excess = float(p) * float(q) - 1.0
+    excess = _to_double(p) * _to_double(q) - 1.0  # an exact side may saturate
     if excess > tol:
         return RegionClass.SUPER
     if -excess > tol:

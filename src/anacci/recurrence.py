@@ -23,6 +23,7 @@ from fractions import Fraction
 from numbers import Rational
 
 from .errors import AllZeroInit, NoConvergence, NonPositiveInput, TermOverflow
+from .errors import _check_nonnegative, _check_positive, _check_positive_int, _to_double, _weight
 
 # steps between renormalizations of the window during ratio estimation
 _RESYNC_EVERY = 64
@@ -41,10 +42,8 @@ class RecurrenceSpec:
     init: tuple
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"order n must be a positive integer, got {self.n!r}")
-        if not 0 < self.p < math.inf:
-            raise NonPositiveInput(f"weight p must be finite and > 0, got {self.p!r}")
+        _check_positive_int(self.n, "order n")
+        _check_positive(**{"weight p": self.p})
         object.__setattr__(self, "init", tuple(self.init))
         if len(self.init) != self.n:
             raise ValueError(
@@ -80,9 +79,12 @@ class RatioEstimate:
 
 def canonical_init(n: int) -> tuple:
     """The delta start (0, ..., 0, 1) whose ratio limit always exists."""
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"order n must be a positive integer, got {n!r}")
+    _check_positive_int(n, "order n")
     return (0,) * (n - 1) + (1,)
+
+
+def _overflow(k: int) -> TermOverflow:
+    return TermOverflow(f"term {k} of the recurrence lies beyond the double range")
 
 
 def _float_term(p: float, window, k: int) -> float:
@@ -93,7 +95,16 @@ def _float_term(p: float, window, k: int) -> float:
         term = math.inf
     if -math.inf < term < math.inf:
         return term
-    raise TermOverflow(f"term {k} of the recurrence lies beyond the double range")
+    raise _overflow(k)
+
+
+def _float_start(spec: RecurrenceSpec) -> tuple[float, list[float]]:
+    """The weight and the initial terms of ``spec`` as doubles, checked."""
+    init = [_to_double(t) for t in spec.init]
+    for k, term in enumerate(init):
+        if not -math.inf < term < math.inf:
+            raise _overflow(k)
+    return _weight(spec.p, "the order-%r recurrence", spec.n), init
 
 
 def generate(spec: RecurrenceSpec, count: int) -> list:
@@ -101,7 +112,8 @@ def generate(spec: RecurrenceSpec, count: int) -> list:
 
     Exact inputs stay exact: all-int specs yield ints, rational specs yield
     Fractions; other specs yield floats by the module's float rule and
-    raise TermOverflow at the first term beyond the double range.
+    raise TermOverflow at the first term beyond the double range, or
+    WeightUnderflow/WeightOverflow for a weight with no positive double.
     """
     if count < spec.n:
         raise ValueError(f"count must be >= n = {spec.n}, got {count}")
@@ -116,8 +128,7 @@ def generate(spec: RecurrenceSpec, count: int) -> list:
             window_sum += new - terms[-n - 1]
         return terms
 
-    p = float(spec.p)
-    terms = [float(t) for t in spec.init]
+    p, terms = _float_start(spec)
     for k in range(n, count):
         terms.append(_float_term(p, terms[-n:], k))
     return terms
@@ -140,15 +151,15 @@ def ratio_limit(
 
     Raises NoConvergence when max_terms is exhausted: either the budget is
     too small or the initial condition has no component along the dominant
-    direction — reported, not guessed.
+    direction — reported, not guessed.  A weight with no positive double
+    raises WeightUnderflow or WeightOverflow, as in ``generate``.
     """
-    if tol < 0:
-        raise ValueError(f"tol must be >= 0, got {tol!r}")
+    _check_nonnegative(tol, "tol")
     if max_terms < 2 * spec.n:
         raise ValueError(f"max_terms must be >= 2n = {2 * spec.n}, got {max_terms}")
     n = spec.n
-    p = float(spec.p)
-    window = deque(map(float, spec.init), maxlen=n)
+    p, init = _float_start(spec)
+    window = deque(init, maxlen=n)
 
     k0 = -1
     for i, term in enumerate(window):
@@ -193,8 +204,7 @@ def horadam_check(m: int, a1: int, a2: int, count: int) -> list:
     second-order members of the equal-weight family, in exact integer
     arithmetic.
     """
-    if not isinstance(m, int) or m < 1:
-        raise NonPositiveInput(f"weight m must be a positive integer, got {m!r}")
+    _check_positive_int(m, "weight m", NonPositiveInput)
     if count < 2:
         raise ValueError(f"count must be >= 2, got {count}")
     return generate(RecurrenceSpec(p=m, n=2, init=(a1, a2)), count)

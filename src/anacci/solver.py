@@ -17,22 +17,9 @@ from fractions import Fraction
 from numbers import Rational
 from typing import NamedTuple
 
-from .errors import (
-    CriticalRegime,
-    InputOutOfRange,
-    NoConvergence,
-    NonPositiveInput,
-    WeightOverflow,
-    WeightUnderflow,
-)
-from .qkernel import (
-    RegionClass,
-    _check_positive,
-    _classify,
-    _ln,
-    _q_dq,
-    lambda_min,
-)
+from .errors import CriticalRegime, InputOutOfRange, NoConvergence, NonPositiveInput
+from .errors import _check_nonnegative, _check_positive, _check_positive_int, _to_double, _weight
+from .qkernel import RegionClass, _classify, _ln, _q_dq, lambda_min
 from .qkernel import q_value  # noqa: F401  # perfbench's tracer self-test reads solver.q_value
 
 MAX_ITERATIONS = 200
@@ -89,10 +76,7 @@ def _midpoint(lo: float, hi: float) -> float:
 def _double(name: str, value) -> float:
     """float(value) for a positive input that is not a float; an exact
     value beyond the double range raises InputOutOfRange."""
-    try:
-        x = float(value)
-    except OverflowError:
-        x = math.inf
+    x = _to_double(value)
     if not 0.0 < x < math.inf:
         raise InputOutOfRange(f"{name} lies outside the positive double range")
     return x
@@ -214,13 +198,13 @@ def inverse_p(lam: float, q: float) -> float:
     """
     _check_positive(lam=lam, q=q)
     if lam == 1.0:
-        return _weight(1.0 / q, lam, "q", q)
+        return _weight(1.0 / q, "lam=%s, q=%r", lam, q)
     t = q * _ln(lam)
     if -t > 700.0:
         # lam^q underflows: p ~ lam^q * (1 - lam)
-        return _weight(math.exp(t) * (1.0 - lam), lam, "q", q)
+        return _weight(math.exp(t) * (1.0 - lam), "lam=%s, q=%r", lam, q)
     # 1 - lam^(-q) < 1 for lam > 1, so the quotient can pass the largest double
-    return _weight((lam - 1.0) / (-math.expm1(-t)), lam, "q", q)
+    return _weight((lam - 1.0) / (-math.expm1(-t)), "lam=%s, q=%r", lam, q)
 
 
 def inverse_p_integer(m_lambda, n: int):
@@ -232,8 +216,7 @@ def inverse_p_integer(m_lambda, n: int):
     weight lies below the smallest positive double.
     """
     _check_positive(m_lambda=m_lambda)
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"order n must be a positive integer, got {n!r}")
+    _check_positive_int(n, "order n")
     if isinstance(m_lambda, Rational):
         lam = Fraction(m_lambda)
         return lam**n / sum(lam**k for k in range(n))
@@ -244,30 +227,7 @@ def inverse_p_integer(m_lambda, n: int):
         # divide through by lam^n, which can overflow where p cannot
         return 1.0 / math.fsum(lam**-k for k in range(1, n + 1))
     p = lam**n / math.fsum(lam**k for k in range(n))
-    return _weight(p, lam, "n", n)
-
-
-def _weight(p, lam, order: str, value) -> float:
-    """p as a double, once it is positive and finite there.
-
-    An exact weight is rounded first; ``lam`` is printed with str, so a
-    target may be given as the text it was parsed from.
-    """
-    try:
-        p = float(p)
-    except OverflowError:  # a Fraction beyond the double range
-        p = math.inf
-    if p == 0.0:
-        raise WeightUnderflow(
-            f"weight for lam={lam}, {order}={value!r} is below the smallest "
-            "positive double"
-        )
-    if p == math.inf:
-        raise WeightOverflow(
-            f"weight for lam={lam}, {order}={value!r} is above the largest "
-            "finite double"
-        )
-    return p
+    return _weight(p, "lam=%s, n=%r", lam, n)
 
 
 def _derivative_parts(p: float, q: float) -> tuple[float, float]:
@@ -340,6 +300,5 @@ def lower_bound_refined(p: float) -> float:
 def bound_crossover(p: float) -> float:
     """(p+1)^2 - 1: the q at and below which the basic bound does not exceed
     the refined bound."""
-    if p < 0:
-        raise NonPositiveInput(f"p must be >= 0, got {p!r}")
+    _check_nonnegative(p, "p", NonPositiveInput)
     return (p + 1.0) ** 2 - 1.0

@@ -157,6 +157,35 @@ class TestRecurrenceCommand:
         assert out == ""
         assert err == f"error: term {term} of the recurrence lies beyond the double range\n"
 
+    def test_nan_tolerance_exits_two(self, capsys):
+        # it used to run the estimate and report "raise the budget", exit 0
+        code, out, err = run_cli(
+            capsys, "recurrence", "--p", "1", "--n", "2", "--tol", "nan"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: tol must be finite and >= 0, got nan\n"
+
+    def test_exact_initial_term_past_the_doubles_exits_two(self, capsys):
+        code, out, err = run_cli(
+            capsys, "recurrence", "--p", "1.5", "--n", "2", "--init", "0,1" + "0" * 400
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: term 1 of the recurrence lies beyond the double range\n"
+
+    def test_exact_weight_past_the_doubles_is_reported(self, capsys):
+        # exact terms print; the float estimate names the overflowing weight
+        code, out, _ = run_cli(
+            capsys, "recurrence", "--p", "1" + "0" * 400, "--n", "2", "--count", "5"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["terms"][:3] == [0, 1, 10**400]
+        assert payload["ratio"] == {
+            "error": "weight for the order-2 recurrence is above the largest finite double"
+        }
+
     def test_overflowing_ratio_estimate_is_reported(self, capsys):
         code, out, _ = run_cli(
             capsys, "recurrence", "--p", "1e300", "--n", "2", "--count", "3"

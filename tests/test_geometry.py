@@ -92,6 +92,12 @@ class TestVolume:
         assert unit_ball_volume(1) == pytest.approx(2.0, rel=1e-15)
         assert unit_ball_volume(3) == pytest.approx(4.0 * math.pi / 3.0, rel=1e-15)
 
+    @pytest.mark.parametrize("n", [math.nan, math.inf, -1])
+    def test_unit_ball_volume_rejects_a_bad_dimension(self, n):
+        # nan used to come back as the volume
+        with pytest.raises(ValueError, match="dimension must be finite and >= 0"):
+            unit_ball_volume(n)
+
     def test_high_dimension_volume(self):
         # 10**400 is past the double range; the unit-ball factors of the
         # ball and the cone bring theirs back inside it

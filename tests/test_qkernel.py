@@ -236,6 +236,12 @@ class TestClassify:
         assert classify(Fraction(1, 3), 4, tol=1.0) is RegionClass.SUPER
         assert classify(Fraction(1, 3), 2, tol=1.0) is RegionClass.SUB
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+    def test_rejects_a_tolerance_that_is_not_finite_and_non_negative(self, tol):
+        # a nan tolerance used to fail both comparisons and report CRITICAL
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            classify(5.0, 5.0, tol=tol)
+
     def test_float_tolerance_band(self):
         assert classify(1.0, 1.0 + 1e-13) is RegionClass.CRITICAL
         assert classify(1.0, 1.0 + 1e-9) is RegionClass.SUPER
@@ -256,6 +262,14 @@ class TestClassify:
         assert _classify(tiny, huge - 1) is RegionClass.SUB
         assert _classify(huge, 1) is RegionClass.SUPER
         assert _classify(tiny, 3) is RegionClass.SUB
+
+    def test_exact_side_of_a_float_pair_beyond_the_double_range(self):
+        # the exact side saturates to inf or 0 on the tolerance path; float(10**400)
+        # used to raise OverflowError
+        huge, tiny = 10**400, Fraction(1, 10**400)
+        assert classify(0.5, huge) is RegionClass.SUPER
+        assert classify(huge, 1e-300) is RegionClass.SUPER
+        assert classify(tiny, 2.0) is RegionClass.SUB
 
     def test_numpy_integers_do_not_wrap(self):
         # 2**32 * 2**32 wraps to 0 in int64 arithmetic

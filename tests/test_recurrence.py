@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anacci.errors import AllZeroInit, NoConvergence, NonPositiveInput, TermOverflow
+from anacci.errors import (
+    AllZeroInit,
+    NoConvergence,
+    NonPositiveInput,
+    TermOverflow,
+    WeightOverflow,
+    WeightUnderflow,
+)
 from anacci.recurrence import (
     RecurrenceSpec,
     canonical_init,
@@ -118,6 +125,25 @@ class TestGenerate:
         with pytest.raises(TermOverflow, match="term 2 "):
             generate(spec, 3)
 
+    def test_exact_initial_term_past_the_doubles_is_named(self):
+        # float(10**400) used to raise a bare OverflowError
+        spec = RecurrenceSpec(p=1.5, n=2, init=(0, 10**400))
+        with pytest.raises(TermOverflow, match="^term 1 "):
+            generate(spec, 4)
+        with pytest.raises(TermOverflow, match="^term 1 "):
+            ratio_limit(spec)
+
+    def test_exact_weight_below_the_doubles_raises(self):
+        # the weight used to round to 0.0 and zero every later term
+        spec = RecurrenceSpec(p=Fraction(1, 10**400), n=2, init=(0, 1.0))
+        with pytest.raises(WeightUnderflow, match="order-2 recurrence is below"):
+            generate(spec, 4)
+
+    def test_exact_weight_past_the_doubles_raises(self):
+        spec = RecurrenceSpec(p=10**400, n=2, init=(0, 1.0))
+        with pytest.raises(WeightOverflow, match="order-2 recurrence is above"):
+            generate(spec, 4)
+
 
 class TestRatioLimit:
     def test_fibonacci_reaches_golden_ratio(self):
@@ -165,6 +191,19 @@ class TestRatioLimit:
     def test_overflow_between_renormalizations_is_named(self):
         with pytest.raises(TermOverflow, match="term 3 "):
             ratio_limit(RecurrenceSpec(p=1e300, n=2, init=(0.0, 1.0)))
+
+    def test_exact_weight_past_the_doubles_raises(self):
+        # exact terms exist, but the float estimate has no weight to run on
+        spec = RecurrenceSpec(p=10**400, n=2, init=(0, 1))
+        assert generate(spec, 3) == [0, 1, 10**400]
+        with pytest.raises(WeightOverflow, match="above the largest finite double"):
+            ratio_limit(spec)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+    def test_rejects_a_tolerance_that_is_not_finite_and_non_negative(self, tol):
+        # a nan tolerance used to fail every delta test and end in NoConvergence
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            ratio_limit(RecurrenceSpec(p=1, n=2, init=(0, 1)), tol)
 
     def test_budget_exhaustion_raises(self):
         spec = RecurrenceSpec(p=1, n=2, init=(0, 1))

@@ -530,6 +530,12 @@ class TestBounds:
         assert bound_crossover(0.0) == 0.0
         assert bound_crossover(2.0) == 8.0
 
+    @pytest.mark.parametrize("p", [math.nan, math.inf, -1.0])
+    def test_crossover_rejects_a_weight_that_is_not_finite_and_non_negative(self, p):
+        # nan and inf used to come back as the crossover itself
+        with pytest.raises(NonPositiveInput, match="p must be finite and >= 0"):
+            bound_crossover(p)
+
     def test_crossover_characterizes_bound_order(self):
         for i in range(1, 17):
             for j in range(1, 33):
