@@ -23,7 +23,8 @@ class NoConvergence(AnacciError):
 
 
 class InputOutOfRange(AnacciError):
-    """An exact (int/Fraction) input is positive but has no positive finite double."""
+    """An exact (int/Fraction) input, or a closed-form bound, is positive but
+    has no positive finite double."""
 
 
 class WeightUnderflow(AnacciError):

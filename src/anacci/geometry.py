@@ -575,30 +575,54 @@ _MC_COUNTER_STRIDE = 1 << 128
 _MC_CHUNK = 1 << 14
 
 
-class _BlockStreams(dict):
-    """The draw streams of one block of ``count`` points.
+def _words(value: int, count: int) -> list[int]:
+    """``value`` as ``count`` 64-bit words, least significant first."""
+    return [(value >> (64 * i)) & 0xFFFF_FFFF_FFFF_FFFF for i in range(count)]
 
-    Stream k holds the draws of the block's k-th ``random(count)`` call,
-    [k*count, (k+1)*count) of the Philox stream with key ``seed`` and
-    counter block*2^128.  Each stream is a generator opened at its first
-    draw, on first use, so the block can be drawn one chunk at a time.
+
+class _BlockStreams(dict):
+    """The draw streams of one ``mc_centroid`` call, placed block by block.
+
+    After ``start(block, count)``, stream k holds the draws of the block's
+    k-th ``random(count)`` call, [k*count, (k+1)*count) of the Philox stream
+    with key ``seed`` and counter block*2^128.  Each stream is placed at its
+    first draw on first use, so the block can be drawn one chunk at a time.
+    One generator per stream index serves the whole call and is moved to
+    each block through its state: opening a Philox costs several times as
+    much, since it draws an OS-entropy seed that the key then replaces.
     """
 
-    def __init__(self, seed: int, block: int, count: int):
+    def __init__(self, seed: int):
         super().__init__()
-        self.seed = seed
+        self.key = _words(seed, 2)
+        self.generators: dict[int, np.random.Generator] = {}
+
+    def start(self, block: int, count: int) -> None:
+        self.clear()
         self.counter = block * _MC_COUNTER_STRIDE
         self.count = count
 
     def __missing__(self, k: int) -> np.random.Generator:
         import numpy as np
 
+        stream = self.generators.get(k)
+        if stream is None:  # its key and counter are set below
+            stream = self.generators[k] = np.random.Generator(np.random.Philox())
         start = k * self.count
-        # one counter step yields four draws
-        bits = np.random.Philox(key=self.seed, counter=self.counter + start // 4)
+        bits = stream.bit_generator
+        # one counter step yields four draws; an empty buffer makes the next
+        # draw step the counter first, as in a Philox opened at it
+        bits.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": _words(self.counter + start // 4, 4), "key": self.key},
+            "buffer": [0, 0, 0, 0],
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
         if start % 4:
             bits.random_raw(start % 4)
-        self[k] = stream = np.random.Generator(bits)
+        self[k] = stream
         return stream
 
 
@@ -668,12 +692,13 @@ def mc_centroid(scene: DilationScene, seed: int, samples: int) -> tuple[float, f
     work = np.empty((4, _MC_CHUNK))  # x1, lateral norm and two scratch rows
     flags = np.empty((2, _MC_CHUNK), dtype=bool)
 
+    streams = _BlockStreams(seed)
     accepted = 0
     mean = 0.0  # of x1 - O over the accepted points
     m2 = 0.0  # their sum of squared deviations from the mean
     for first in range(0, samples, _MC_BLOCK):
         count = min(_MC_BLOCK, samples - first)
-        streams = _BlockStreams(seed, first // _MC_BLOCK, count)
+        streams.start(first // _MC_BLOCK, count)
         for done in range(0, count, _MC_CHUNK):
             size = min(_MC_CHUNK, count - done)
             x1, lateral, scratch, rest = work[:, :size]

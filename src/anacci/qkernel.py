@@ -117,9 +117,19 @@ def eval_P(lam: float, p: float, n: int) -> float:
 def lambda_min(p, q):
     """Location (p+1)*q/(q+1) of the unique minimum of Q in lam.
 
-    Equals 1 exactly when p*q = 1.  Exact for Fraction/int inputs.
+    Equals 1 exactly when p*q = 1.  An int/Fraction pair returns the exact
+    Fraction (a+b)c / (b(c+d)) for p = a/b, q = c/d, built in integers and
+    free of the double range; any other pair takes the generic formula.
     """
     _check_positive(p=p, q=q)
+    # the exact-type test of _classify, written out there too because a
+    # helper call would cost every float solve
+    if not (isinstance(p, float) or isinstance(q, float)) and (
+        isinstance(p, _EXACT) and isinstance(q, _EXACT)
+    ):
+        a, b = p.numerator, p.denominator
+        c, d = q.numerator, q.denominator
+        return Fraction((a + b) * c, b * (c + d))
     return (p + 1) * q / (q + 1)
 
 

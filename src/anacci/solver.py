@@ -283,8 +283,12 @@ def dlambda_dq(p: float, q: float) -> float:
 
 def lower_bound_basic(p: float, q: float) -> float:
     """(p+1)q/(q+1): strict lower bound on lam(p, q) when p*q > 1, strict
-    upper bound when p*q < 1 (it is the minimum locus of Q)."""
-    return float(lambda_min(p, q))
+    upper bound when p*q < 1 (it is the minimum locus of Q).
+
+    An int/Fraction pair is rounded once from the exact bound.  Raises
+    InputOutOfRange when the bound has no positive finite double.
+    """
+    return _double("basic bound (p+1)q/(q+1)", lambda_min(p, q))
 
 
 def lower_bound_refined(p: float) -> float:
@@ -299,6 +303,12 @@ def lower_bound_refined(p: float) -> float:
 
 def bound_crossover(p: float) -> float:
     """(p+1)^2 - 1: the q at and below which the basic bound does not exceed
-    the refined bound."""
+    the refined bound.
+
+    Raises InputOutOfRange when the crossover lies above the largest double.
+    """
     _check_nonnegative(p, "p", NonPositiveInput)
-    return (p + 1.0) ** 2 - 1.0
+    try:
+        return (p + 1.0) ** 2 - 1.0
+    except OverflowError:
+        raise InputOutOfRange("bound crossover (p+1)^2-1 lies above the largest double") from None

@@ -97,8 +97,9 @@ def _report(suite: str, pairs, **sizes) -> list[CheckResult]:
     """One CheckResult per family of ``suite``, in table order.
 
     A float margin holds when it is positive, and the family reports its
-    smallest; a bool margin is an exact check, reported without a margin.
-    A family that made no check fails, since it has shown nothing.
+    smallest; a nan margin fails the family, which reports nan.  A bool
+    margin is an exact check, reported without a margin.  A family that
+    made no check fails, since it has shown nothing.
     """
     margins = {family: [] for family in FAMILIES[suite]}
     for family, margin in pairs:
@@ -110,6 +111,11 @@ def _report(suite: str, pairs, **sizes) -> list[CheckResult]:
             passed, worst = all(values), math.nan
         else:
             worst = min(values, default=math.inf)
+            # min passes over a nan after the first margin, but a sum keeps
+            # it; otherwise the sum is nan only for +inf next to -inf, and
+            # then min is -inf
+            if worst > -math.inf and math.isnan(sum(values)):
+                worst = math.nan
             passed = bool(values) and worst > 0.0
         name = f"{suite}.{family}"
         results.append(CheckResult(name, passed, worst, len(values), note.format(**sizes)))
@@ -142,13 +148,13 @@ def _bounds(m_max: int, n_max: int, seed: int):
             yield "basic_lattice", value - lmin
             yield "basic_lattice", (m + 1) - value + _resolution(m + 1)
 
-    # one pass over the random solves feeds both random families
-    rng = random.Random(seed)
+    # one pass over the random solves feeds both random families; each
+    # point is random.uniform's lo + (hi - lo) * random(), inlined
+    draw = random.Random(seed).random
     for _ in range(10_000):
-        p = rng.uniform(0.05, 5.0)
-        q = rng.uniform(0.05, 40.0)
-        result = solve_lambda(p, q)
-        regime, value = result.regime, result.value
+        p = 0.05 + (5.0 - 0.05) * draw()
+        q = 0.05 + (40.0 - 0.05) * draw()
+        _, _, value, _, _, _, _, regime = solve_lambda(p, q)
         if regime is RegionClass.CRITICAL:
             continue
         # the bounds of lower_bound_basic and lower_bound_refined, on the
@@ -165,13 +171,14 @@ def _bounds(m_max: int, n_max: int, seed: int):
         if q >= 2.0 and p > _INV_PHI:
             yield "refined", value - (p + 1.0 - 1.0 / (p + 1.0))
 
+    # the library's lambda_min on every grid point; the rest is built once
+    qs = [Fraction(j, 4) for j in range(1, 4 * 16 + 1)]
     for i in range(1, 4 * 5 + 1):
-        for j in range(1, 4 * 16 + 1):
-            p = Fraction(i, 4)
-            q = Fraction(j, 4)
+        p = Fraction(i, 4)
+        refined = p + 1 - Fraction(1, p + 1)
+        crossover = (p + 1) ** 2 - 1
+        for q in qs:
             basic = lambda_min(p, q)
-            refined = p + 1 - Fraction(1, p + 1)
-            crossover = (p + 1) ** 2 - 1
             yield "crossover_equivalence", (basic <= refined) == (q <= crossover)
 
 

@@ -215,6 +215,24 @@ class TestLambdaMin:
         assert lambda_min(Fraction(1, 3), 3) == 1
         assert lambda_min(Fraction(2), Fraction(5)) == Fraction(5, 2)
 
+    def test_exact_branch_matches_the_fraction_formula(self):
+        # lambda_min(10**400, 1) used to raise a raw OverflowError
+        values = [1, 2, 7, 10**400, Fraction(1, 3), Fraction(22, 7), Fraction(3, 10**400),
+                  Fraction(10**400, 3)]
+        for p in values:
+            for q in values:
+                got = lambda_min(p, q)
+                assert type(got) is Fraction, (p, q)
+                assert got == (Fraction(p) + 1) * q / (q + 1), (p, q)
+
+    def test_float_and_mixed_pairs_take_the_generic_formula(self):
+        pairs = [(1.3, 2.7), (0.1, 9.5), (1e-300, 1e300), (2, 0.75), (0.3, 5),
+                 (Fraction(1, 3), 2.5), (1.5, Fraction(7, 3)), (True, 0.5)]
+        for p, q in pairs:
+            got = lambda_min(p, q)
+            assert type(got) is float, (p, q)
+            assert got == (p + 1) * q / (q + 1), (p, q)
+
     @given(p=positive, q=positive)
     @settings(max_examples=200, deadline=None)
     def test_unit_iff_critical(self, p, q):

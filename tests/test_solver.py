@@ -530,6 +530,33 @@ class TestBounds:
         assert bound_crossover(0.0) == 0.0
         assert bound_crossover(2.0) == 8.0
 
+    @pytest.mark.parametrize("p", [1e200, 1.35e154, 10**400, Fraction(10**400, 3)],
+                             ids=["1e200", "1.35e154", "10**400", "10**400/3"])
+    def test_crossover_past_the_doubles_is_named(self, p):
+        # (p + 1.0) ** 2 raised a raw OverflowError
+        with pytest.raises(InputOutOfRange, match="crossover"):
+            bound_crossover(p)
+
+    def test_crossover_just_below_the_largest_double(self):
+        assert bound_crossover(1.3e154) == (1.3e154 + 1.0) ** 2 - 1.0
+
+    @pytest.mark.parametrize("p, q", [(10**400, 1), (Fraction(10**400, 7), 10**400),
+                                      (Fraction(1, 10**400), Fraction(1, 10**400))],
+                             ids=["10**400-1", "10**400/7-10**400", "10**-400-10**-400"])
+    def test_basic_bound_past_the_doubles_is_named(self, p, q):
+        # an int pair divided to a float and raised a raw OverflowError
+        with pytest.raises(InputOutOfRange, match="basic bound"):
+            lower_bound_basic(p, q)
+
+    def test_basic_bound_rounds_the_exact_bound_once(self):
+        for m in range(1, 30):
+            for n in range(1, 30):
+                assert lower_bound_basic(m, n) == (m + 1) * n / (n + 1)
+        # exact inputs beyond the doubles whose bound is in range
+        assert lower_bound_basic(1, Fraction(10**400, 7)) == 2.0
+        p, q = Fraction(10**400, 3), Fraction(3, 10**400)
+        assert lower_bound_basic(p, q) == float((p + 1) * q / (q + 1))
+
     @pytest.mark.parametrize("p", [math.nan, math.inf, -1.0])
     def test_crossover_rejects_a_weight_that_is_not_finite_and_non_negative(self, p):
         # nan and inf used to come back as the crossover itself

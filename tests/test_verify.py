@@ -96,6 +96,68 @@ class TestBoundsWork:
         assert results["bounds.refined"].passed
         assert calls == {"float": 10_000, "exact": 20 * 64}
 
+    def test_crossover_grid_calls_the_library_at_every_point(self, monkeypatch):
+        calls = []
+        lambda_min = verify.lambda_min
+
+        def counted(p, q):
+            calls.append((type(p), type(q)))
+            return lambda_min(p, q)
+
+        monkeypatch.setattr(verify, "lambda_min", counted)
+        results = {r.name: r for r in suite_bounds(m_max=0, n_max=0)}
+        assert results["bounds.crossover_equivalence"].passed
+        assert calls == [(Fraction, Fraction)] * 1280
+
+
+# (family, count, repr of worst_margin) of the bounds suite, recorded before
+# the suite's grid and random draws were restructured
+BOUNDS_PINS = {
+    20240801: [
+        ("bounds.sandwich_lattice", 900, "7.105427357601002e-14"),
+        ("bounds.basic_lattice", 1497, "7.105427357601002e-14"),
+        ("bounds.random_regimes", 30242, "4.49897398495028e-15"),
+        ("bounds.refined", 8441, "0.0353404303428535"),
+        ("bounds.crossover_equivalence", 1280, "nan"),
+    ],
+    42: [
+        ("bounds.sandwich_lattice", 900, "7.105427357601002e-14"),
+        ("bounds.basic_lattice", 1497, "7.105427357601002e-14"),
+        ("bounds.random_regimes", 30201, "4.5005116779855095e-15"),
+        ("bounds.refined", 8417, "0.025799681014643916"),
+        ("bounds.crossover_equivalence", 1280, "nan"),
+    ],
+}
+
+
+class TestBoundsPinned:
+    # suite_bounds defaults to seed 20240801 and run_suite to seed 42
+    @pytest.mark.parametrize("seed, run", [
+        (20240801, suite_bounds),
+        (42, lambda: run_suite("bounds")),
+    ])
+    def test_counts_and_worst_margins_at_the_defaults(self, seed, run):
+        results = run()
+        assert all(r.passed for r in results)
+        assert [(r.name, r.count, repr(r.worst_margin)) for r in results] == BOUNDS_PINS[seed]
+
+
+class TestReport:
+    @pytest.mark.parametrize("margins", [[1.0, math.nan], [math.nan, 1.0], [2.0, math.nan, 3.0]])
+    def test_nan_margin_fails_wherever_it_occurs(self, margins):
+        pairs = [("sandwich_lattice", m) for m in margins]
+        result, *_ = verify._report("bounds", pairs)
+        assert not result.passed
+        assert math.isnan(result.worst_margin)
+        assert result.count == len(margins)
+
+    def test_infinite_margins(self):
+        pairs = [("sandwich_lattice", math.inf), ("sandwich_lattice", -math.inf),
+                 ("basic_lattice", math.inf), ("basic_lattice", 1.0)]
+        sandwich, basic, *_ = verify._report("bounds", pairs)
+        assert not sandwich.passed and sandwich.worst_margin == -math.inf
+        assert basic.passed and basic.worst_margin == 1.0
+
 
 class TestCenterOrderings:
     def test_wrong_chain_fails(self, monkeypatch):
