@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -182,13 +183,16 @@ def _cmd_scene(args) -> int:
     else:
         raise AnacciError("provide --lam or --target")
     points = scene_points(scene)
+    body_volume = volume(body)
+    if body_volume == math.inf:  # not JSON
+        raise AnacciError(f"the {body.kind.value}'s volume lies above the largest double")
     payload = {
         "body": body.kind.value,
         "n": body.n,
         "size": body.size,
         "base": body.base,
         "axis_offset": body.axis_offset,
-        "volume": volume(body),
+        "volume": body_volume,
         "lam": scene.lam,
         "points": points,
         "ordering": center_ordering(scene).value,

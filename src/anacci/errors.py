@@ -15,11 +15,15 @@ class NonPositiveInput(AnacciError):
 class NoConvergence(AnacciError):
     """An iteration budget was exhausted before the convergence test passed.
 
-    For the root solver this signals a root below the representable
-    floating-point range, not a mathematical failure; for ratio estimation
-    it signals a too-small term budget or an initial condition with no
+    For the root solver this would mean 200 evaluations without reaching
+    machine resolution, which has not been seen; for ratio estimation it
+    signals a too-small term budget or an initial condition with no
     component along the dominant direction.
     """
+
+
+class ZeroUnderflow(AnacciError):
+    """A sub-critical zero of Q lies below the smallest positive double."""
 
 
 class InputOutOfRange(AnacciError):

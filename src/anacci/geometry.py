@@ -25,11 +25,11 @@ from typing import TYPE_CHECKING
 from .errors import (
     DegenerateShell,
     LambdaOne,
-    NoConvergence,
     OEqualsA,
     OOutsideBody,
     PTooSmall,
     TargetUnreachable,
+    ZeroUnderflow,
 )
 from .errors import _check_nonnegative, _check_positive, _check_positive_int
 from .lattice import anacci
@@ -359,7 +359,7 @@ def lambda_from_p(n: int, p: float) -> float:
     _check_positive_int(n, "dimension n")
     try:
         result = solve_lambda(p, n)
-    except NoConvergence:  # a sub-critical zero below the double range
+    except ZeroUnderflow:  # a sub-critical zero below the double range
         result = None
     if result is None or result.regime is RegionClass.SUB:
         raise PTooSmall(f"p = {p!r} <= 1/{n}: no dilation factor places B there")

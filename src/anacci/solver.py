@@ -17,9 +17,10 @@ from fractions import Fraction
 from numbers import Rational
 from typing import NamedTuple
 
-from .errors import CriticalRegime, InputOutOfRange, NoConvergence, NonPositiveInput
+from .errors import CriticalRegime, InputOutOfRange, NoConvergence, NonPositiveInput, ZeroUnderflow
 from .errors import _check_nonnegative, _check_positive, _check_positive_int, _to_double, _weight
-from .qkernel import RegionClass, _classify, _ln, _q_dq, lambda_min
+from .qkernel import CRITICAL_TOL, RegionClass, _classify, _ln, _q_dq, lambda_min
+from .qkernel import _CRITICAL, _SUB, _SUPER
 from .qkernel import q_value  # noqa: F401  # perfbench's tracer self-test reads solver.q_value
 
 MAX_ITERATIONS = 200
@@ -37,8 +38,9 @@ class AnacciConstant(NamedTuple):
     signed Q(value, p, q).  In the critical regime (p*q = 1) the value is
     exactly 1 with zero residual and a collapsed bracket.  ``regime`` is
     the one the solve ran in, decided on the inputs as given (exactly for
-    int/Fraction inputs).  An immutable named tuple: building one is a
-    single tuple allocation, a fixed cost every solve pays.
+    int/Fraction inputs).  An immutable named tuple: the solver builds it
+    with ``tuple.__new__`` on the field tuple, one allocation and none of
+    the generated ``__new__``'s argument binding.
     """
 
     p: float
@@ -63,6 +65,11 @@ class BoundPair:
     lower: float
     upper: float
     source: BoundSource
+
+
+# _new(AnacciConstant, fields) builds a result without the argument binding
+# of the generated __new__, which costs every solve
+_new = tuple.__new__
 
 
 def _midpoint(lo: float, hi: float) -> float:
@@ -116,20 +123,30 @@ def solve_lambda(p, q) -> AnacciConstant:
 
     Raises NonPositiveInput unless p and q are finite and > 0,
     InputOutOfRange for an exact p or q that rounds to 0 or past the
-    largest double, and NoConvergence when a sub-critical zero lies below
-    the positive double range (or, never seen, after 200 evaluations).
+    largest double, ZeroUnderflow when a sub-critical zero lies below the
+    positive double range, and NoConvergence (never seen) after 200
+    evaluations.
     """
     _check_positive(p=p, q=q)
     if type(p) is float and type(q) is float:
+        # _classify's float rule, written out: its call and the _double
+        # conversions cost every solve
         pf, qf = p, q
+        excess = p * q - 1.0
+        if excess > CRITICAL_TOL:
+            regime = _SUPER
+        elif -excess > CRITICAL_TOL:
+            regime = _SUB
+        else:
+            regime = _CRITICAL
     else:
         pf, qf = _double("p", p), _double("q", q)
-    regime = _classify(p, q)
-    if regime is RegionClass.CRITICAL:
-        return AnacciConstant(pf, qf, 1.0, 1.0, 1.0, 0.0, 0, regime)
+        regime = _classify(p, q)
+    if regime is _CRITICAL:
+        return _new(AnacciConstant, (pf, qf, 1.0, 1.0, 1.0, 0.0, 0, regime))
 
     lmin = (pf + 1.0) * qf / (qf + 1.0)  # lambda_min
-    if regime is RegionClass.SUPER:
+    if regime is _SUPER:
         hi = pf + 1.0
         lo = min(lmin, hi)  # may round past p+1
         x = hi - pf * math.exp(-qf * math.log1p(pf))
@@ -137,7 +154,7 @@ def solve_lambda(p, q) -> AnacciConstant:
     else:
         lo, hi = math.exp(-math.log1p(1.0 / pf) / qf), lmin
         if lo < _LAMBDA_FLOOR:
-            raise NoConvergence(
+            raise ZeroUnderflow(
                 f"zero of Q below the representable range for p={pf}, q={qf}"
             )
         x = lo
@@ -182,7 +199,7 @@ def solve_lambda(p, q) -> AnacciConstant:
         raise NoConvergence(
             f"no convergence after {MAX_ITERATIONS} iterations (p={pf}, q={qf})"
         )
-    return AnacciConstant(pf, qf, x, lo, hi, fx, iterations, regime)
+    return _new(AnacciConstant, (pf, qf, x, lo, hi, fx, iterations, regime))
 
 
 def inverse_p(lam: float, q: float) -> float:
@@ -237,7 +254,7 @@ def _derivative_parts(p: float, q: float) -> tuple[float, float]:
     merged root and the implicit-function derivatives degenerate.
     """
     result = solve_lambda(p, q)
-    if result.regime is RegionClass.CRITICAL:
+    if result.regime is _CRITICAL:
         raise CriticalRegime(
             f"derivatives undefined on p*q = 1 (p={p!r}, q={q!r})"
         )

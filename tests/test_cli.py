@@ -269,12 +269,14 @@ class TestSceneCommand:
         )
         assert code == 0
         assert math.isfinite(json.loads(out)["volume"])
-        code, out, _ = run_cli(
+        # 10**400 has no double; it printed as Infinity, which is not JSON
+        code, out, err = run_cli(
             capsys, "scene", "--body", "cube", "--n", "400", "--size", "10",
             "--center", "1", "--lam", "2",
         )
-        assert code == 0
-        assert json.loads(out)["volume"] == math.inf
+        assert code == 2
+        assert out == ""
+        assert err == "error: the cube's volume lies above the largest double\n"
 
     def test_non_finite_offset_exits_two(self, capsys):
         code, _, err = run_cli(

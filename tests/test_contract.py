@@ -278,7 +278,6 @@ def test_cli_exits_zero_or_two_with_strict_output(capsys, command):
     assert not broken, "\n".join(broken)
 
 
-@pytest.mark.xfail(strict=True, reason="the volume of a body past the double range prints as Infinity")
 def test_cli_scene_volume_past_the_double_range(capsys):
     argv = ["scene", "--body", "cone", "--base", "1e308", "--lam", "2", "--center", "0.1"]
     assert _check_run(capsys, argv) is None

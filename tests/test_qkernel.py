@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anacci.errors import NonPositiveInput
+from anacci.errors import InputOutOfRange, NonPositiveInput
 from anacci.qkernel import (
     RegionClass,
     _classify,
+    _ln,
     _q_dq,
     classify,
     dq_value,
@@ -17,7 +18,7 @@ from anacci.qkernel import (
     lambda_min,
     q_value,
 )
-from anacci.solver import solve_lambda
+from anacci.solver import lower_bound_basic, solve_lambda
 
 from oracles import mp_q_dq, q_naive
 
@@ -38,6 +39,16 @@ class TestEvalP:
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
             eval_P(1.0, 1.0, 0)
+
+    def test_overflowing_power_reports_the_sign_of_the_scaled_form(self):
+        # lam^2 = 1e400 raised a raw OverflowError; P/lam^n = 1 - p/lam - p/lam^2
+        assert eval_P(1e200, 1.0, 2) == math.inf
+        assert eval_P(1e200, 1e300, 2) == -math.inf
+        assert eval_P(1e300, 1.0, 5) == math.inf
+        # the geometric sum overflows while lam^n = 4.7e307 does not
+        lam, p, n = 1.01, 1e-9, 71_200
+        exact = lam**n * (1.0 - p * (1.0 - lam**-n) / (lam - 1.0))
+        assert eval_P(lam, p, n) == pytest.approx(exact, rel=1e-12)
 
 
 class TestEvalQ:
@@ -116,6 +127,24 @@ class TestFusedKernel:
             # within the bound, so the signs agree wherever |reference| exceeds it
             assert abs(value - ref_q) <= bound_q, (lam, value, ref_q)
             assert abs(deriv - ref_dq) <= bound_dq, (lam, deriv, ref_dq)
+
+    @pytest.mark.parametrize("edge", [0.5, 2.0])
+    def test_log_follows_the_ln_rule_at_its_switch_points(self, edge):
+        # _q_dq writes _ln's log1p-or-log choice out; both must switch at
+        # the same doubles
+        lams = [edge]
+        for direction in (0.0, math.inf):
+            lam = edge
+            for _ in range(3):
+                lam = math.nextafter(lam, direction)
+                lams.append(lam)
+        for lam in lams:
+            for p, q in ((1.0, 2.0), (0.3, 1.5), (5.0, 40.0)):
+                t = q * _ln(lam)
+                e = math.exp(t)
+                slope = lam * (q + 1.0) - (p + 1.0) * q
+                expected = ((lam - 1.0) * e - p * math.expm1(t), e / lam * slope)
+                assert _q_dq(lam, p, q) == expected, (lam, p, q)
 
     def test_unit_lam(self):
         assert _q_dq(1.0, 0.7, 3.2) == (0.0, 4.2 - 1.7 * 3.2)
@@ -232,6 +261,22 @@ class TestLambdaMin:
             got = lambda_min(p, q)
             assert type(got) is float, (p, q)
             assert got == (p + 1) * q / (q + 1), (p, q)
+
+    def test_mixed_pair_past_the_doubles_is_exact(self):
+        # 10**400 times a float raised a raw OverflowError
+        assert lambda_min(10**400, 1.0) == Fraction(10**400 + 1, 2)
+        with pytest.raises(InputOutOfRange, match="basic bound"):
+            lower_bound_basic(10**400, 1.0)
+        # the bound of a huge weight at a tiny order is in range
+        assert lower_bound_basic(10**400, 5e-324) == float(
+            (10**400 + 1) * Fraction(5e-324) / (Fraction(5e-324) + 1)
+        )
+
+    def test_float_pair_whose_product_overflows(self):
+        # (p+1)*q overflowed to inf, although the bound is below p+1
+        assert lambda_min(1e308, 1e308) == 1e308 * (1e308 / (1e308 + 1.0))
+        assert lower_bound_basic(1e308, 1e308) == 1e308
+        assert lambda_min(1.7e308, 2.0) == 1.7e308 * (2.0 / 3.0)
 
     @given(p=positive, q=positive)
     @settings(max_examples=200, deadline=None)

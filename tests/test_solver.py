@@ -8,13 +8,13 @@ from anacci import qkernel, solver
 from anacci.errors import (
     CriticalRegime,
     InputOutOfRange,
-    NoConvergence,
     NonPositiveInput,
     WeightOverflow,
     WeightUnderflow,
+    ZeroUnderflow,
 )
 from anacci.figures import DEFAULT_GRIDS
-from anacci.qkernel import RegionClass
+from anacci.qkernel import CRITICAL_TOL, RegionClass, classify
 from anacci.solver import (
     AnacciConstant,
     bound_crossover,
@@ -133,8 +133,10 @@ class TestSolveLambda:
 
     def test_zero_below_the_double_range(self):
         # (p/(p+1))^(1/q) = exp(-1151): the bracket's lower end underflows
-        with pytest.raises(NoConvergence, match="below the representable range"):
+        with pytest.raises(ZeroUnderflow, match="below the representable range"):
             solve_lambda(1e-5, 0.01)
+        with pytest.raises(ZeroUnderflow, match="below the representable range"):
+            dlambda_dp(1e-5, 0.01)
 
     @pytest.mark.parametrize("p,q", _mpmath_panel())
     def test_matches_mpmath_panel(self, p, q):
@@ -313,6 +315,80 @@ class TestRegime:
         assert dlambda_dp(Fraction(10**15 + 1, 10**15), 1) > 0
 
 
+def _steps(x, count):
+    """x and its ``count`` neighbouring doubles on either side."""
+    below, above = [x], [x]
+    for _ in range(count):
+        below.append(math.nextafter(below[-1], 0.0))
+        above.append(math.nextafter(above[-1], math.inf))
+    return below[:0:-1] + above
+
+
+class TestFloatRegimeRule:
+    """solve_lambda decides a float pair's regime itself, with no classify
+    call; it must agree with classify everywhere."""
+
+    def test_float_pairs_at_the_band_edges(self):
+        points = []
+        for q in (1.0, 2.0, 0.5, 3.0, 1e-3):
+            # at q = 1 the excess p*q - 1 = p - 1 is exact; the other q
+            # move p*q in coarser steps
+            for edge in (1.0 + CRITICAL_TOL, 1.0 - CRITICAL_TOL, 1.0):
+                points += [(p, q) for p in _steps(edge / q, 4)]
+        regimes = set()
+        for p, q in points:
+            regime = solve_lambda(p, q).regime
+            assert regime is classify(p, q), (p, q)
+            regimes.add(regime)
+        assert regimes == set(RegionClass)
+        # at q = 1 the steps reach both sides of each band edge
+        for edge in (1.0 + CRITICAL_TOL, 1.0 - CRITICAL_TOL):
+            distance = [abs(p - 1.0) for p in _steps(edge, 4)]
+            assert min(distance) <= CRITICAL_TOL < max(distance)
+
+    def test_exact_and_mixed_pairs(self):
+        pairs = [(2, 3), (1, 1), (Fraction(1, 3), 3), (Fraction(10**15 + 1, 10**15), 1),
+                 (Fraction(1, 4), 2), (True, True), (True, 2), (Fraction(1, 4), True),
+                 (1, 1.0 + 1e-13), (Fraction(1, 3), 3.0), (2, 0.25)]
+        for p, q in pairs:
+            assert solve_lambda(p, q).regime is classify(p, q), (p, q)
+
+
+class TestPinnedResults:
+    """Whole result tuples, recorded before the solver's fixed-cost cuts
+    (the regime written out, _ln inlined, tuple.__new__); any change to a
+    field's bits shows here."""
+
+    PANEL = {
+        (1, 2): "(1.0, 2.0, 1.618033988749895, 1.6180339887498947, 1.618033988749895, "
+                "2.220446049250313e-16, 6, <RegionClass.SUPER: 'super'>)",
+        (5, 40): "(5.0, 40.0, 6.0, 5.853658536585366, 6.0, 0.0, 1, "
+                 "<RegionClass.SUPER: 'super'>)",
+        (0.3, 1.5): "(0.3, 1.5, 0.5364343536942502, 0.3762287112699037, "
+                    "0.5364343536942506, 0.0, 6, <RegionClass.SUB: 'sub'>)",
+        (1 + 1e-9, 1): "(1.000000001, 1.0, 1.000000001, 1.0000000005, 1.50000000075, "
+                       "0.0, 2, <RegionClass.SUPER: 'super'>)",
+        (1, 1e6): "(1.0, 1000000.0, 2.0, 1.999998000002, 2.0, 1.0, 1, "
+                  "<RegionClass.SUPER: 'super'>)",
+        (2, 3): "(2.0, 3.0, 2.919639565839418, 2.25, 2.9196395658394185, 0.0, 5, "
+                "<RegionClass.SUPER: 'super'>)",
+        (Fraction(10**15 + 1, 10**15), 1): "(1.000000000000001, 1.0, 1.000000000000001, "
+                                            "1.0000000000000004, 1.0000000000000013, 0.0, 3, "
+                                            "<RegionClass.SUPER: 'super'>)",
+    }
+
+    def test_panel(self):
+        for (p, q), expected in self.PANEL.items():
+            result = solve_lambda(p, q)
+            assert type(result) is AnacciConstant
+            assert repr(tuple(result)) == expected, (p, q)
+
+    def test_critical_result(self):
+        result = solve_lambda(0.5, 2.0)
+        assert type(result) is AnacciConstant
+        assert tuple(result) == (0.5, 2.0, 1.0, 1.0, 1.0, 0.0, 0, RegionClass.CRITICAL)
+
+
 class TestResultRecord:
     FIELDS = (
         "p", "q", "value", "bracket_lo", "bracket_hi", "residual", "iterations", "regime"
@@ -337,6 +413,12 @@ class TestResultRecord:
         a, b = solve_lambda(1, 2), solve_lambda(1.0, 2.0)
         assert a == b and hash(a) == hash(b)
         assert len({a, b, solve_lambda(0.25, 2)}) == 2
+
+    def test_asdict_and_equality_with_a_constructed_record(self):
+        r = solve_lambda(1, 2)
+        assert r == AnacciConstant(*r) and hash(r) == hash(AnacciConstant(*r))
+        assert r._asdict() == dict(zip(self.FIELDS, r))
+        assert r._replace(iterations=0).iterations == 0
 
 
 class TestInverseP:
