@@ -1,95 +1,120 @@
 """Generalized anacci constants: the ratio limits of equal-weight linear
 recurrences, their analytic structure, and their geometric realization by
-dilations of convex bodies."""
+dilations of convex bodies.
 
-from .errors import (
-    AllZeroInit,
-    AnacciError,
-    CriticalRegime,
-    DegenerateShell,
-    InputOutOfRange,
-    LambdaOne,
-    NoConvergence,
-    NonPositiveInput,
-    OEqualsA,
-    OOutsideBody,
-    OrderOne,
-    PTooSmall,
-    TargetUnreachable,
-    TermOverflow,
-    WeightOverflow,
-    WeightUnderflow,
-    ZeroUnderflow,
-)
-from .geometry import (
-    BallRepresentation,
-    BodyKind,
-    CenterOrdering,
-    ConeRepresentation,
-    ConvexBody,
-    DilationScene,
-    NestingReport,
-    axis_interval,
-    b_one,
-    ball,
-    ball_representation,
-    center_ordering,
-    centroid,
-    centroid_ratio_theorem_check,
-    cone,
-    cone_representation,
-    cube,
-    dilate,
-    height_interval_nesting,
-    lambda_from_p,
-    mc_centroid,
-    pyramid,
-    scene_points,
-    shell_centroid,
-    solve_scene_for_target,
-    unit_ball_volume,
-    volume,
-)
-from .lattice import (
-    AnacciIndex,
-    anacci,
-    bounds_eq37,
-    compare,
-    scaled_seq_A,
-    scaled_seq_B,
-    seq_diagonal,
-    seq_fixed_m,
-    seq_fixed_n,
-)
-from .qkernel import (
-    CRITICAL_TOL,
-    RegionClass,
-    classify,
-    dq_value,
-    eval_P,
-    lambda_min,
-    q_value,
-)
-from .recurrence import (
-    RatioEstimate,
-    RecurrenceSpec,
-    canonical_init,
-    generate,
-    horadam_check,
-    ratio_limit,
-)
-from .solver import (
-    AnacciConstant,
-    BoundPair,
-    BoundSource,
-    bound_crossover,
-    dlambda_dp,
-    dlambda_dq,
-    inverse_p,
-    inverse_p_integer,
-    lower_bound_basic,
-    lower_bound_refined,
-    solve_lambda,
-)
+``import anacci`` loads no layer.  A public name imports its home submodule
+the first time it is read (PEP 562), so a caller pays only for the layers it
+uses: ``anacci.solve_lambda`` loads the solver and the kernel, never the
+geometry.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
+
+# every public name, by the submodule it lives in
+_PUBLIC = {
+    "errors": (
+        "AllZeroInit",
+        "AnacciError",
+        "CriticalRegime",
+        "DegenerateShell",
+        "InputOutOfRange",
+        "LambdaOne",
+        "NoConvergence",
+        "NonPositiveInput",
+        "OEqualsA",
+        "OOutsideBody",
+        "OrderOne",
+        "PTooSmall",
+        "TargetUnreachable",
+        "TermOverflow",
+        "WeightOverflow",
+        "WeightUnderflow",
+        "ZeroUnderflow",
+    ),
+    "geometry": (
+        "BallRepresentation",
+        "BodyKind",
+        "CenterOrdering",
+        "ConeRepresentation",
+        "ConvexBody",
+        "DilationScene",
+        "NestingReport",
+        "axis_interval",
+        "b_one",
+        "ball",
+        "ball_representation",
+        "center_ordering",
+        "centroid",
+        "centroid_ratio_theorem_check",
+        "cone",
+        "cone_representation",
+        "cube",
+        "dilate",
+        "height_interval_nesting",
+        "lambda_from_p",
+        "mc_centroid",
+        "pyramid",
+        "scene_points",
+        "shell_centroid",
+        "solve_scene_for_target",
+        "unit_ball_volume",
+        "volume",
+    ),
+    "lattice": (
+        "AnacciIndex",
+        "anacci",
+        "bounds_eq37",
+        "scaled_seq_A",
+        "scaled_seq_B",
+        "seq_diagonal",
+        "seq_fixed_m",
+        "seq_fixed_n",
+    ),
+    "qkernel": (
+        "CRITICAL_TOL",
+        "RegionClass",
+        "classify",
+        "dq_value",
+        "eval_P",
+        "lambda_min",
+        "q_value",
+    ),
+    "recurrence": (
+        "RatioEstimate",
+        "RecurrenceSpec",
+        "canonical_init",
+        "generate",
+        "ratio_limit",
+    ),
+    "solver": (
+        "AnacciConstant",
+        "BoundPair",
+        "BoundSource",
+        "bound_crossover",
+        "dlambda_dp",
+        "dlambda_dq",
+        "inverse_p",
+        "inverse_p_integer",
+        "lower_bound_basic",
+        "lower_bound_refined",
+        "solve_lambda",
+    ),
+}
+_HOME = {name: module for module, names in _PUBLIC.items() for name in names}
+__all__ = list(_HOME)
+
+
+def __getattr__(name):
+    # Looked up on every read, never stored here, so a name rebound in its
+    # home submodule (a test double, a tracing wrapper) shows through.
+    if name in _HOME:
+        return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    if name in _PUBLIC:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_PUBLIC})

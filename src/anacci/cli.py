@@ -2,7 +2,9 @@
 
 Subcommands: solve, inverse, recurrence, anacci, scene, fig, verify.
 Single values print as JSON, grids as CSV.  Exit codes: 0 ok,
-1 verification failure, 2 usage or domain error, 3 I/O error.
+1 verification failure, 2 usage or domain error, 3 I/O error.  Each command
+imports only the layers it runs, so ``--help`` and ``solve`` start without
+the geometry, figure and verify modules.
 """
 
 from __future__ import annotations
@@ -14,21 +16,7 @@ import math
 import sys
 from fractions import Fraction
 
-from . import figures, verify
 from .errors import AnacciError, _check_positive_int, _weight
-from .geometry import (
-    BodyKind,
-    ConvexBody,
-    DilationScene,
-    center_ordering,
-    mc_centroid,
-    scene_points,
-    solve_scene_for_target,
-    volume,
-)
-from .lattice import AnacciIndex, anacci, bounds_eq37
-from .recurrence import RecurrenceSpec, canonical_init, generate, ratio_limit
-from .solver import inverse_p, inverse_p_integer, solve_lambda
 
 
 def _jsonable(value):
@@ -58,13 +46,17 @@ def _emit(args, payload: dict, table=None) -> None:
     """Render a command result as JSON (default) or CSV per --format; with no
     table, the CSV is the payload as one row."""
     if (getattr(args, "format", None) or "json") == "csv":
+        from .figures import render_csv
+
         header, rows = table or (tuple(payload), [tuple(payload.values())])
-        _write_text(args, figures.render_csv(header, rows))
+        _write_text(args, render_csv(header, rows))
     else:
         _write_text(args, json.dumps(payload, indent=2) + "\n")
 
 
 def _cmd_solve(args) -> int:
+    from .solver import solve_lambda
+
     result = solve_lambda(args.p, args.q)
     payload = result._asdict()
     payload["regime"] = result.regime.value
@@ -73,6 +65,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_inverse(args) -> int:
+    from .solver import inverse_p, inverse_p_integer
+
     if args.exact:
         if args.n is None:
             raise AnacciError("--exact needs an integer order --n")
@@ -108,6 +102,8 @@ def _parse_init(text: str, exact: bool):
 
 
 def _cmd_recurrence(args) -> int:
+    from .recurrence import RecurrenceSpec, canonical_init, generate, ratio_limit
+
     if args.exact and not isinstance(args.p, int):
         raise AnacciError("--exact needs an integer weight --p")
     init = (
@@ -143,6 +139,8 @@ _SEQ_INDEX = {
 
 
 def _cmd_anacci(args) -> int:
+    from .lattice import AnacciIndex, anacci, bounds_eq37
+
     if args.seq is None:
         idx = AnacciIndex(args.m, args.n)
         payload = {"m": idx.m, "n": idx.n, "value": anacci(idx)}
@@ -163,19 +161,25 @@ def _cmd_anacci(args) -> int:
     return 0
 
 
-def _make_body(args) -> ConvexBody:
-    kind = BodyKind(args.body)
-    return ConvexBody(
-        kind=kind,
+def _cmd_scene(args) -> int:
+    from .geometry import (
+        BodyKind,
+        ConvexBody,
+        DilationScene,
+        center_ordering,
+        mc_centroid,
+        scene_points,
+        solve_scene_for_target,
+        volume,
+    )
+
+    body = ConvexBody(
+        kind=BodyKind(args.body),
         n=args.n,
         size=args.size,
         base=args.base,
         axis_offset=args.offset,
     )
-
-
-def _cmd_scene(args) -> int:
-    body = _make_body(args)
     if args.target is not None:
         scene = solve_scene_for_target(body, args.center, args.target)
     elif args.lam is not None:
@@ -208,6 +212,8 @@ def _cmd_scene(args) -> int:
 
 
 def _cmd_fig(args) -> int:
+    from . import figures
+
     grid = None
     fields = (f.name for f in dataclasses.fields(figures.GridSpec))
     overrides = {f: getattr(args, f) for f in fields if getattr(args, f) is not None}
@@ -220,6 +226,8 @@ def _cmd_fig(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verify
+
     results = verify.run_suite(
         args.suite,
         m_max=args.m_max,
@@ -286,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_scene = sub.add_parser("scene", help="build a dilation scene")
     p_scene.add_argument(
-        "--body", choices=tuple(kind.value for kind in BodyKind), default="ball"
+        "--body", choices=("ball", "cube", "cone", "pyramid"), default="ball"
     )
     p_scene.add_argument("--n", type=int, default=2)
     p_scene.add_argument("--size", type=float, default=1.0)
@@ -302,7 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_scene.set_defaults(func=_cmd_scene)
 
     p_fig = sub.add_parser("fig", help="emit figure data as CSV")
-    p_fig.add_argument("--which", choices=sorted(figures.FIGURES), required=True)
+    p_fig.add_argument(
+        "--which", choices=("fig1", "fig2", "fig3", "fig5", "fig6", "fig7"), required=True
+    )
     p_fig.add_argument("--output", help="output path (default stdout)")
     p_fig.add_argument("--p-min", type=float, dest="p_min")
     p_fig.add_argument("--p-max", type=float, dest="p_max")
@@ -315,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the property suites")
     p_verify.add_argument(
         "--suite",
-        choices=(*verify.SUITES, "all"),
+        choices=("bounds", "monotone", "appendices", "geometry", "all"),
         default="all",
     )
     p_verify.add_argument("--m-max", type=int, dest="m_max", default=50)

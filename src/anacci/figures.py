@@ -4,7 +4,9 @@ the dilation constructions.
 Each emitter returns (header, rows) with a fixed column and row order;
 floats are rendered with 17 significant digits so repeated runs are
 byte-identical and doubles round-trip losslessly.  No plotting happens
-here — the CSV is the deliverable.
+here — the CSV is the deliverable.  The geometry layer is imported only by
+the emitters that draw on it (fig5-fig7), so ``render_csv`` and the kernel
+figures load without it.
 """
 
 from __future__ import annotations
@@ -12,13 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .geometry import (
-    DilationScene,
-    ball_representation,
-    cone,
-    cone_representation,
-    scene_points,
-)
 from .qkernel import q_value
 from .solver import inverse_p, solve_lambda
 
@@ -158,6 +153,8 @@ def fig5(grid: GridSpec | None = None):
     """Unit-ball representation data for m <= 3, n <= 5: unit and dilated
     sphere parameters and the doubled constants where the dilated spheres
     cross the first axis."""
+    from .geometry import ball_representation
+
     header = (
         "m",
         "n",
@@ -180,6 +177,8 @@ def fig5(grid: GridSpec | None = None):
 
 def fig6(grid: GridSpec | None = None):
     """The unit-height cone scene realizing the golden ratio (m=1, n=2)."""
+    from .geometry import cone_representation, scene_points
+
     rep = cone_representation(1, 2)
     points = scene_points(rep.scene)
     header = ("quantity", "value")
@@ -200,6 +199,8 @@ def fig6(grid: GridSpec | None = None):
 def fig7(grid: GridSpec | None = None):
     """A 2-cone dilated about its apex with factor 1.2: the shell stays
     convex and its centroid tracks the base-face centroid."""
+    from .geometry import DilationScene, cone, scene_points
+
     scene = DilationScene(cone(2, 1.0, apex=0.0), 0.0, 1.2)
     points = scene_points(scene)
     header = ("quantity", "value")

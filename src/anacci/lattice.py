@@ -63,21 +63,6 @@ def bounds_eq37(idx) -> BoundPair:
     return BoundPair(m + 1.0 - 1.0 / (m + 1.0), m + 1.0, BoundSource.REFINED)
 
 
-def compare(a, b) -> int:
-    """-1, 0, or +1 as phi(a) is below, equal to, or above phi(b).
-
-    Ordering is by the solved values themselves.  (The simple rule "larger
-    n always wins" only holds with the other index fixed: phi(1, 2) < 3 =
-    phi(3, 1), so order-dominance is not true across arbitrary weights.)
-    """
-    va, vb = anacci(a), anacci(b)
-    if va < vb:
-        return -1
-    if va > vb:
-        return 1
-    return 0
-
-
 def seq_fixed_m(m: int, n_max: int) -> list[float]:
     """(phi(m, n))_{n=1..n_max}: strictly increasing toward m+1."""
     return [anacci((m, n)) for n in range(1, n_max + 1)]

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
-from .errors import AllZeroInit, NoConvergence, NonPositiveInput, TermOverflow
+from .errors import AllZeroInit, NoConvergence, TermOverflow
 from .errors import _check_nonnegative, _check_positive, _check_positive_int, _to_double, _weight
 
 # steps between renormalizations of the window during ratio estimation
@@ -195,16 +195,3 @@ def ratio_limit(
         f"ratios did not settle within {max_terms} terms (tol={tol}); "
         "either raise the budget or check the initial condition"
     )
-
-
-def horadam_check(m: int, a1: int, a2: int, count: int) -> list:
-    """Integer order-2 sequence with weight m starting (a1, a2).
-
-    These are the classical Horadam sequences w_k(a1, a2; m, -m): the
-    second-order members of the equal-weight family, in exact integer
-    arithmetic.
-    """
-    _check_positive_int(m, "weight m", NonPositiveInput)
-    if count < 2:
-        raise ValueError(f"count must be >= 2, got {count}")
-    return generate(RecurrenceSpec(p=m, n=2, init=(a1, a2)), count)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import anacci
-from anacci.cli import main
+from anacci.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -403,6 +404,61 @@ class TestVerifyCommand:
         assert "n_max" in err
 
 
+def _fresh_python(script):
+    """Run ``script`` in a new interpreter that imports this checkout's anacci."""
+    source = str(Path(anacci.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (source, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
+def _choices(command, dest):
+    subparsers = next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    return next(
+        action.choices for action in subparsers.choices[command]._actions
+        if action.dest == dest
+    )
+
+
+_SOLVE = {"anacci.qkernel", "anacci.solver"}
+_LATTICE = _SOLVE | {"anacci.lattice"}
+_GEOMETRY = _LATTICE | {"anacci.geometry"}
+
+# case -> (argv, or None for a bare ``import anacci``; the anacci submodules
+# loaded besides anacci.cli and anacci.errors; whether numpy is loaded)
+FOOTPRINTS = {
+    "import": (None, set(), False),
+    "help": (["--help"], set(), False),
+    "solve": (["solve", "--p", "1", "--q", "2"], _SOLVE, False),
+    "inverse": (["inverse", "--lam", "2", "--n", "2", "--exact"], _SOLVE, False),
+    "recurrence": (["recurrence", "--p", "1", "--n", "3", "--count", "12"],
+                   {"anacci.recurrence"}, False),
+    "anacci": (["anacci", "--m", "2", "--n", "2"], _LATTICE, False),
+    # a sequence prints CSV through figures.render_csv
+    "anacci-seq": (["anacci", "--seq", "kn", "--k", "1", "--count", "6"],
+                   _LATTICE | {"anacci.figures"}, False),
+    "scene": (["scene", "--body", "ball", "--n", "2", "--offset", "1", "--target", "2"],
+              _GEOMETRY, False),
+    "scene-mc": (["scene", "--body", "cube", "--n", "3", "--lam", "1.5", "--mc",
+                  "--samples", "10000"], _GEOMETRY, True),
+    "fig1": (["fig", "--which", "fig1", "--p-steps", "3", "--q-steps", "3"],
+             _SOLVE | {"anacci.figures"}, False),
+    "fig5": (["fig", "--which", "fig5"], _GEOMETRY | {"anacci.figures"}, False),
+    "verify-bounds": (["verify", "--suite", "bounds", "--m-max", "2", "--n-max", "2"],
+                      _GEOMETRY | {"anacci.verify"}, False),
+    "verify-geometry": (["verify", "--suite", "geometry", "--m-max", "2", "--n-max", "2",
+                         "--samples", "10000"], _GEOMETRY | {"anacci.verify"}, True),
+}
+
+
 class TestColdStart:
     def test_numpy_is_imported_only_for_monte_carlo(self):
         script = (
@@ -413,13 +469,33 @@ class TestColdStart:
             "assert code == 0, code\n"
             "assert 'numpy' not in sys.modules, 'after solve'\n"
         )
-        source = str(Path(anacci.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, (source, os.environ.get("PYTHONPATH"))))
-        done = subprocess.run(
-            [sys.executable, "-c", script],
-            env={**os.environ, "PYTHONPATH": path},
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
+        done = _fresh_python(script)
         assert done.returncode == 0, done.stderr
+
+    @pytest.mark.parametrize("case", list(FOOTPRINTS))
+    def test_each_command_imports_only_its_layers(self, case):
+        argv, layers, numpy = FOOTPRINTS[case]
+        if argv is None:
+            script, expected = "import anacci\ncode = 0\n", {"anacci"}
+        else:
+            script = f"import anacci.cli\ncode = anacci.cli.main({argv!r})\n"
+            expected = {"anacci", "anacci.cli", "anacci.errors", *layers}
+        script = "import json, sys\n" + script + (
+            "loaded = sorted(m for m in sys.modules if m.partition('.')[0] == 'anacci')\n"
+            "print(json.dumps([code, loaded, 'numpy' in sys.modules]))\n"
+        )
+        done = _fresh_python(script)
+        assert done.returncode == 0, done.stderr
+        code, loaded, numpy_loaded = json.loads(done.stdout.splitlines()[-1])
+        assert code == 0, done.stderr
+        assert set(loaded) == expected
+        assert numpy_loaded is numpy
+
+    def test_literal_choices_match_their_tables(self):
+        # the parser spells these out so that it imports none of the tables
+        from anacci import figures, verify
+        from anacci.geometry import BodyKind
+
+        assert list(_choices("scene", "body")) == [kind.value for kind in BodyKind]
+        assert list(_choices("fig", "which")) == sorted(figures.FIGURES)
+        assert list(_choices("verify", "suite")) == [*verify.SUITES, "all"]

@@ -47,7 +47,6 @@ from anacci import (
     eval_P,
     generate,
     height_interval_nesting,
-    horadam_check,
     inverse_p,
     inverse_p_integer,
     lambda_from_p,
@@ -117,7 +116,6 @@ CASES = {
         lambda p, a0, tol, max_terms: ratio_limit(RecurrenceSpec(p, 2, (a0, 1.0)), tol, max_terms),
         dict(p=1.0, a0=0.0, tol=1e-12, max_terms=200), "p a0 tol", "", "max_terms",
     ),
-    "horadam_check": (horadam_check, dict(m=2, a1=0, a2=1, count=6), "a1 a2", "m", "count"),
     "ConvexBody": (
         lambda n, size, base, offset: ConvexBody(BodyKind.CONE, n, size, base, offset),
         dict(n=3, size=1.0, base=1.0, offset=0.0), "size base offset", "n", "",

@@ -8,7 +8,6 @@ from anacci.lattice import (
     anacci,
     bounds_eq37,
     clear_cache,
-    compare,
     scaled_seq_A,
     scaled_seq_B,
     seq_diagonal,
@@ -68,19 +67,6 @@ class TestBounds37:
                 pair = bounds_eq37((m, n))
                 assert pair.lower < value
                 assert value <= pair.upper  # equality only at double resolution
-
-
-class TestCompare:
-    def test_follows_solved_values(self):
-        assert compare((1, 2), (1, 3)) == -1
-        assert compare((1, 2), (2, 2)) == -1
-        assert compare((2, 2), (1, 2)) == 1
-        assert compare((3, 4), (3, 4)) == 0
-
-    def test_large_weight_beats_higher_order(self):
-        # order does not dominate across arbitrary weights:
-        # phi(100, 1) = 100 while phi(1, 2) is the golden ratio
-        assert compare((100, 1), (1, 2)) == 1
 
 
 class TestSequences:

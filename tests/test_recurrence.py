@@ -17,7 +17,6 @@ from anacci.recurrence import (
     RecurrenceSpec,
     canonical_init,
     generate,
-    horadam_check,
     ratio_limit,
 )
 from anacci.solver import solve_lambda
@@ -229,19 +228,22 @@ class TestRatioLimit:
 
 
 class TestHoradam:
+    """The order-2 members of the family, w_k(a1, a2; m, -m) with integer
+    weight m, in exact integer arithmetic."""
+
     def test_examples(self):
-        assert horadam_check(2, 0, 1, 6) == [0, 1, 2, 6, 16, 44]
-        assert horadam_check(1, 0, 1, 6) == [0, 1, 1, 2, 3, 5]
-        assert horadam_check(3, 1, 1, 5) == [1, 1, 6, 21, 81]
+        assert generate(RecurrenceSpec(2, 2, (0, 1)), 6) == [0, 1, 2, 6, 16, 44]
+        assert generate(RecurrenceSpec(1, 2, (0, 1)), 6) == [0, 1, 1, 2, 3, 5]
+        assert generate(RecurrenceSpec(3, 2, (1, 1)), 5) == [1, 1, 6, 21, 81]
 
     def test_integer_arithmetic(self):
-        terms = horadam_check(7, 2, -3, 30)
+        terms = generate(RecurrenceSpec(7, 2, (2, -3)), 30)
         assert all(isinstance(t, int) for t in terms)
 
     def test_count_precondition(self):
         with pytest.raises(ValueError):
-            horadam_check(2, 0, 1, 1)
+            generate(RecurrenceSpec(2, 2, (0, 1)), 1)
 
     def test_weight_precondition(self):
         with pytest.raises(NonPositiveInput):
-            horadam_check(0, 0, 1, 4)
+            generate(RecurrenceSpec(0, 2, (0, 1)), 4)
