@@ -4,25 +4,18 @@ Subcommands: solve, inverse, recurrence, anacci, scene, fig, verify.
 Single values print as JSON, grids as CSV.  Exit codes: 0 ok,
 1 verification failure, 2 usage or domain error, 3 I/O error.  Each command
 imports only the layers it runs, so ``--help`` and ``solve`` start without
-the geometry, figure and verify modules.
+the geometry, figure and verify modules, and ``--help`` also without the
+standard ``dataclasses`` and ``fractions`` modules.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
-from fractions import Fraction
 
 from .errors import AnacciError, _check_positive_int, _weight
-
-
-def _jsonable(value):
-    if isinstance(value, Fraction):
-        return str(value)
-    return value
 
 
 def _number(text: str):
@@ -68,6 +61,8 @@ def _cmd_inverse(args) -> int:
     from .solver import inverse_p, inverse_p_integer
 
     if args.exact:
+        from fractions import Fraction
+
         if args.n is None:
             raise AnacciError("--exact needs an integer order --n")
         lam = Fraction(args.lam)
@@ -87,6 +82,8 @@ def _cmd_inverse(args) -> int:
 
 
 def _parse_init(text: str, exact: bool):
+    from fractions import Fraction
+
     parts = [piece.strip() for piece in text.split(",") if piece.strip()]
     if not parts:
         raise AnacciError(f"could not parse init list {text!r}")
@@ -102,7 +99,13 @@ def _parse_init(text: str, exact: bool):
 
 
 def _cmd_recurrence(args) -> int:
+    import dataclasses
+    from fractions import Fraction
+
     from .recurrence import RecurrenceSpec, canonical_init, generate, ratio_limit
+
+    def jsonable(value):
+        return str(value) if isinstance(value, Fraction) else value
 
     if args.exact and not isinstance(args.p, int):
         raise AnacciError("--exact needs an integer weight --p")
@@ -114,10 +117,10 @@ def _cmd_recurrence(args) -> int:
     spec = RecurrenceSpec(p=args.p, n=args.n, init=init)
     terms = generate(spec, args.count)
     payload = {
-        "p": _jsonable(spec.p),
+        "p": jsonable(spec.p),
         "n": spec.n,
-        "init": [_jsonable(t) for t in spec.init],
-        "terms": [_jsonable(t) for t in terms],
+        "init": [jsonable(t) for t in spec.init],
+        "terms": [jsonable(t) for t in terms],
     }
     try:
         estimate = ratio_limit(spec, args.tol, max(args.count, 2 * args.n, 64))
@@ -212,6 +215,8 @@ def _cmd_scene(args) -> int:
 
 
 def _cmd_fig(args) -> int:
+    import dataclasses
+
     from . import figures
 
     grid = None

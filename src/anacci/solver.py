@@ -4,8 +4,9 @@ For every (p, q) with p*q != 1 the kernel function Q has exactly one
 positive zero besides 1; that zero is the ratio limit of the order-q,
 weight-p recurrence family (the dominant characteristic root at integer q).
 This module locates it to machine resolution with one bracket-guarded
-Newton loop, started on the convex side of Q, and provides the inverse map
-p(lam, q), both implicit partial derivatives, and the closed-form bounds.
+Newton loop, started from the leading terms of the paper's series for the
+zero, and provides the inverse map p(lam, q), both implicit partial
+derivatives, and the closed-form bounds.
 """
 
 from __future__ import annotations
@@ -29,6 +30,13 @@ _ULP_STOP = 4.0
 # smallest accepted lower end (p/(p+1))^(1/q) of a sub-critical bracket; the
 # zero sits just above that end, so below it the zero is out of range
 _LAMBDA_FLOOR = 1e-300
+# below this z = p/(p+1)^(q+1) the super-critical start keeps only the
+# first series term; the second is q*z^2 relative to p+1, and q*z < 1, so
+# it is then below 1e-8 relative, which the first Newton step removes
+_SERIES_SKIP = 1e-8
+# |p*q - 1| below this tries the start from Q's Taylor model at 1; on the
+# band its denominator stays above q/4
+_NEAR_BAND = 0.5
 
 
 class AnacciConstant(NamedTuple):
@@ -80,6 +88,13 @@ def _midpoint(lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def _near_start(p: float, q: float, excess: float) -> float:
+    """1 + (p*q-1) / (q*(1 - p*(q-1)/2)): the zero other than 1 of Q's
+    quadratic Taylor model at 1, one Newton step on P from 1.  ``excess``
+    is p*q - 1 of the doubles."""
+    return 1.0 + excess / (q * (1.0 - 0.5 * p * (q - 1.0)))
+
+
 def _double(name: str, value) -> float:
     """float(value) for a positive input that is not a float; an exact
     value beyond the double range raises InputOutOfRange."""
@@ -94,16 +109,28 @@ def solve_lambda(p, q) -> AnacciConstant:
 
     One safeguarded Newton loop in the style of ``rtsafe`` (Numerical
     Recipes 9.4).  Each regime has a bracket whose end signs follow from
-    the shape of Q, and starts next to its zero on the side where Q is
-    convex:
+    the shape of Q, and starts next to its zero from the leading terms of
+    the paper's analytic representation:
 
     * p*q > 1: the zero lies in [lambda_min, p+1], with Q < 0 at the lower
-      end and Q(p+1) = p.  The start is the first Newton step from p+1,
-      p+1 - p*(p+1)^(-q), formed without the overflowing power; once
-      lambda_min rounds onto p+1 it is already the answer.
-    * p*q < 1: the zero lies in [(p/(p+1))^(1/q), lambda_min], with
-      Q = p*lam/(p+1) > 0 at the lower end and Q < 0 at the upper one; the
-      start is the lower end.
+      end and Q(p+1) = p.  The start is three terms of the Lagrange series
+      lam = (p+1)*(1 - z - q*z^2 - q(3q+1)/2*z^3 - ...) with
+      z = p/(p+1)^(q+1), formed from one exp without the overflowing power.
+      Every term is positive, so the start lies above the zero.  Below
+      z = 1e-8 only the first term is kept, and where that rounds away the
+      start is p+1, which is then within rounding of the zero.
+    * p*q < 1: the zero lies in [c, lambda_min] with c = (p/(p+1))^(1/q),
+      Q = p*lam/(p+1) > 0 at c and Q < 0 at the upper end.  The start is
+      three terms of the dual series, c*(1 + w/q + (3/q+1)/(2q)*w^2) with
+      w = c/(p+1), which lie below the zero; it is c where they leave the
+      bracket.
+    * |p*q - 1| < 0.5: both series converge slowly next to the hyperbola,
+      where their ratio tends to 1.  The start there is
+      1 + (p*q-1) / (q*(1 - p(q-1)/2)), the zero other than 1 of Q's
+      quadratic Taylor model at 1, wherever it lies strictly inside the
+      bracket and nearer 1 than the series start.  p*q - 1 is taken from
+      the doubles, also for an exact pair, and a sign that disagrees with
+      the exact regime skips this start.
 
     The steps are Newton steps on P = Q/(lam-1), the characteristic
     polynomial at integer q, computed from Q and Q' as
@@ -148,8 +175,18 @@ def solve_lambda(p, q) -> AnacciConstant:
     lmin = (pf + 1.0) * qf / (qf + 1.0)  # lambda_min
     if regime is _SUPER:
         hi = pf + 1.0
-        lo = min(lmin, hi)  # may round past p+1
-        x = hi - pf * math.exp(-qf * math.log1p(pf))
+        lo = hi if hi < lmin else lmin  # lambda_min may round past p+1
+        u = pf * math.exp(-qf * math.log1p(pf))  # (p+1)*z, z = p/(p+1)^(q+1)
+        x = hi - u
+        if x != hi:
+            z = u / hi
+            if z > _SERIES_SKIP:
+                x -= u * qf * z * (1.0 + 0.5 * (3.0 * qf + 1.0) * z)
+            excess = pf * qf - 1.0
+            if 0.0 < excess < _NEAR_BAND:
+                near = _near_start(pf, qf, excess)
+                if lo < near < x:
+                    x = near
         neg_low = True
     else:
         lo, hi = math.exp(-math.log1p(1.0 / pf) / qf), lmin
@@ -157,7 +194,15 @@ def solve_lambda(p, q) -> AnacciConstant:
             raise ZeroUnderflow(
                 f"zero of Q below the representable range for p={pf}, q={qf}"
             )
-        x = lo
+        w = lo / (pf + 1.0)
+        x = lo * (1.0 + w / qf * (1.0 + 0.5 * (3.0 / qf + 1.0) * w))
+        if not lo < x < hi:
+            x = lo
+        excess = pf * qf - 1.0
+        if -_NEAR_BAND < excess < 0.0:
+            near = _near_start(pf, qf, excess)
+            if x < near < hi:
+                x = near
         neg_low = False
 
     step = older = hi - lo

@@ -98,6 +98,18 @@ def ulp_distance(value, exact):
         return float(abs(mpmath.mpf(value) - exact) / spacing)
 
 
+def bracket_miss_ulp(lo, hi, exact):
+    """How far ``exact`` (an mpf) lies outside [lo, hi], in units of the
+    double spacing at the nearer end; 0 inside."""
+    import mpmath
+
+    if lo <= exact <= hi:
+        return 0.0
+    end = lo if exact < lo else hi
+    with mpmath.workdps(80):
+        return float(abs(mpmath.mpf(end) - exact) / math.ulp(end))
+
+
 def central_difference(f, x, h=1e-6):
     return (f(x + h) - f(x - h)) / (2.0 * h)
 

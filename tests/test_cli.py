@@ -428,6 +428,15 @@ def _choices(command, dest):
     )
 
 
+# a footprint script prints [exit code, the anacci modules loaded, whether
+# numpy is loaded, which of dataclasses and fractions are loaded]
+_FOOTPRINT_HEAD = "import json, sys\n"
+_FOOTPRINT_TAIL = (
+    "loaded = sorted(m for m in sys.modules if m.partition('.')[0] == 'anacci')\n"
+    "stdlib = [m for m in ('dataclasses', 'fractions') if m in sys.modules]\n"
+    "print(json.dumps([code, loaded, 'numpy' in sys.modules, stdlib]))\n"
+)
+
 _SOLVE = {"anacci.qkernel", "anacci.solver"}
 _LATTICE = _SOLVE | {"anacci.lattice"}
 _GEOMETRY = _LATTICE | {"anacci.geometry"}
@@ -480,16 +489,16 @@ class TestColdStart:
         else:
             script = f"import anacci.cli\ncode = anacci.cli.main({argv!r})\n"
             expected = {"anacci", "anacci.cli", "anacci.errors", *layers}
-        script = "import json, sys\n" + script + (
-            "loaded = sorted(m for m in sys.modules if m.partition('.')[0] == 'anacci')\n"
-            "print(json.dumps([code, loaded, 'numpy' in sys.modules]))\n"
-        )
-        done = _fresh_python(script)
+        done = _fresh_python(_FOOTPRINT_HEAD + script + _FOOTPRINT_TAIL)
         assert done.returncode == 0, done.stderr
-        code, loaded, numpy_loaded = json.loads(done.stdout.splitlines()[-1])
+        code, loaded, numpy_loaded, stdlib = json.loads(done.stdout.splitlines()[-1])
         assert code == 0, done.stderr
         assert set(loaded) == expected
         assert numpy_loaded is numpy
+        if case in ("import", "help"):
+            # only the handlers that use them import these
+            bare = _fresh_python(_FOOTPRINT_HEAD + "code = 0\n" + _FOOTPRINT_TAIL)
+            assert set(stdlib) <= set(json.loads(bare.stdout.splitlines()[-1])[3])
 
     def test_literal_choices_match_their_tables(self):
         # the parser spells these out so that it imports none of the tables
