@@ -91,7 +91,6 @@ _PUBLIC = {
     "solver": (
         "AnacciConstant",
         "BoundPair",
-        "BoundSource",
         "bound_crossover",
         "dlambda_dp",
         "dlambda_dq",

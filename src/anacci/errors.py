@@ -106,6 +106,14 @@ def _to_double(value) -> float:
         return math.inf if value > 0 else -math.inf
 
 
+def _double(name: str, value) -> float:
+    """float(value) of a positive exact input; InputOutOfRange if it has none."""
+    x = _to_double(value)
+    if not 0.0 < x < math.inf:
+        raise InputOutOfRange(f"{name} lies outside the positive double range")
+    return x
+
+
 def _weight(p, where: str, *args) -> float:
     """p as a double, once it is positive and finite there; the message names
     the weight as ``where % args``, formatted only when the check fails."""

@@ -4,18 +4,15 @@ the dilation constructions.
 Each emitter returns (header, rows) with a fixed column and row order;
 floats are rendered with 17 significant digits so repeated runs are
 byte-identical and doubles round-trip losslessly.  No plotting happens
-here — the CSV is the deliverable.  The geometry layer is imported only by
-the emitters that draw on it (fig5-fig7), so ``render_csv`` and the kernel
-figures load without it.
+here — the CSV is the deliverable.  Each emitter imports the layers it
+draws on, the solver and kernel (fig1-fig3) or geometry (fig5-fig7), so
+``render_csv`` loads neither.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from .qkernel import q_value
-from .solver import inverse_p, solve_lambda
 
 
 @dataclass(frozen=True)
@@ -63,13 +60,6 @@ def render_csv(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _lambda_closed(p: float, q: float) -> float:
-    """Ratio limit extended by continuity to the closed quadrant boundary."""
-    if p == 0.0 or q == 0.0:
-        return 0.0
-    return solve_lambda(p, q).value
-
-
 DEFAULT_GRIDS = {
     "fig1": GridSpec(0.0, 2.0, 60, 0.0, 4.0, 60),
     "fig2": GridSpec(0.0, 3.0, 60, 1.0, 4.0, 61),
@@ -84,6 +74,9 @@ def fig1(grid: GridSpec | None = None):
     outer, lam inner), then one zero-curve row per q giving the second
     zero of Q(., 1, q); at q = 1 that zero merges with the plane lam = 1.
     """
+    from .qkernel import q_value
+    from .solver import solve_lambda
+
     grid = grid or DEFAULT_GRIDS["fig1"]
     header = ("series", "lam", "q", "value")
     rows = []
@@ -105,6 +98,8 @@ def fig2(grid: GridSpec | None = None):
     """Ratio-limit curves lam(a, q) for seven weights over q in [1, 4],
     plus the crossover curve q = (p+1)^2 - 1 along which the two lower
     bounds exchange sharpness."""
+    from .solver import solve_lambda
+
     grid = grid or DEFAULT_GRIDS["fig2"]
     header = ("series", "p", "q", "lam")
     rows = []
@@ -122,12 +117,14 @@ _FIG3_LEVELS = tuple(k / 2 for k in range(1, 9))  # 0.5, 1, ..., 4
 
 
 def fig3(grid: GridSpec | None = None):
-    """Ratio-limit surface over [0, 3] x [0, 4.1] with its level curves and
-    the asymptotic plane p + 1.
+    """Ratio-limit surface over [0, 3] x [0, 4.1], 0 on the axes by
+    continuity, with its level curves and the asymptotic plane p + 1.
 
     Level-curve rows trace p(c, q) for each level c, clipped to the p
     window; the c = 1 trace is exactly the hyperbola p*q = 1.
     """
+    from .solver import inverse_p, solve_lambda
+
     grid = grid or DEFAULT_GRIDS["fig3"]
     header = ("series", "p", "q", "value")
     rows = []
@@ -135,7 +132,8 @@ def fig3(grid: GridSpec | None = None):
     qs = grid.q_values()
     for q in qs:
         for p in ps:
-            rows.append(("surface", p, q, _lambda_closed(p, q)))
+            value = 0.0 if p == 0.0 or q == 0.0 else solve_lambda(p, q).value
+            rows.append(("surface", p, q, value))
     for c in _FIG3_LEVELS:
         for q in qs:
             if q == 0.0:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from .errors import OrderOne, _check_positive_int
-from .solver import BoundPair, BoundSource, solve_lambda
+from .solver import BoundPair, solve_lambda
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,7 @@ def bounds_eq37(idx) -> BoundPair:
     m, n = _pair(idx)
     if n == 1:
         raise OrderOne(f"phi(m, 1) = m exactly; no enclosure at n = 1 (m={m})")
-    return BoundPair(m + 1.0 - 1.0 / (m + 1.0), m + 1.0, BoundSource.REFINED)
+    return BoundPair(m + 1.0 - 1.0 / (m + 1.0), m + 1.0)
 
 
 def seq_fixed_m(m: int, n_max: int) -> list[float]:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
+from numbers import Rational
 
 from .errors import _check_nonnegative, _check_positive, _check_positive_int, _to_double
 
@@ -112,25 +113,41 @@ def dq_value(lam: float, p: float, q: float) -> float:
     return _q_dq(lam, p, q)[1]
 
 
-def eval_P(lam: float, p: float, n: int) -> float:
-    """Characteristic polynomial lam^n - p*(lam^(n-1) + ... + 1).
+def _ratio(x) -> tuple[int, int]:
+    """(numerator, denominator) as Python ints, of float(x) unless Rational."""
+    if isinstance(x, Rational):
+        return int(x.numerator), int(x.denominator)  # numpy's own powers wrap
+    return float(x).as_integer_ratio()
 
-    The geometric part is accumulated with compensated summation.  Where a
-    power of lam, or their sum, overflows, P is lam^n times the scaled form
-    ``P/lam^n = 1 - p*(lam^-1 + ... + lam^-n)``, and reports as +-inf by
-    the sign of that form once lam^n overflows too, as _q_dq does for Q.
+
+def _power_sum(lam, n: int) -> tuple[int, int, int]:
+    """(a^n, b*G, b^n) for lam = a/b: lam^n and lam^(n-1) + ... + 1 over b^n,
+    with G = (a^n - b^n)/(a - b), or n*a^(n-1) where a = b."""
+    a, b = _ratio(lam)
+    power, base = a**n, b**n
+    total = n * base if a == b else b * ((power - base) // (a - b))
+    return power, total, base
+
+
+def eval_P(lam, p, n: int):
+    """Characteristic polynomial lam^n - p*(lam^(n-1) + ... + 1), exactly.
+
+    In Python integers from lam = a/b, p = c/d (a float is the dyadic
+    rational it holds): the Fraction for two Rationals, else the correctly
+    rounded double, +-inf by the sign of P past the double range.  Costs
+    about 1 ms at n = 10^3 and 0.5 s at n = 71 200 for a float lam.
     """
     _check_positive(lam=lam, p=p)
     _check_positive_int(n, "order n")
+    power, total, base = _power_sum(lam, n)
+    c, d = _ratio(p)
+    num, den = power * d - c * total, base * d
+    if isinstance(lam, Rational) and isinstance(p, Rational):
+        return Fraction(num, den)
     try:
-        geometric = math.fsum(lam**k for k in range(n))
-        return lam**n - p * geometric
-    except OverflowError:  # only for lam > 1, where lam^-k cannot overflow
-        scaled = 1.0 - p * math.fsum(lam**-k for k in range(1, n + 1))
-    try:
-        return lam**n * scaled
-    except OverflowError:
-        return math.copysign(math.inf, scaled) if scaled else 0.0
+        return num / den
+    except OverflowError:  # int / int rounds correctly or raises
+        return math.inf if num > 0 else -math.inf
 
 
 def lambda_min(p, q):

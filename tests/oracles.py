@@ -7,6 +7,22 @@ produced by these.
 """
 
 import math
+from fractions import Fraction
+
+
+def P_exact(lam, p, n):
+    """P(lam; p, n) = lam^n - p*(lam^(n-1) + ... + 1) as a Fraction: a plain
+    sum of powers of the exact values of lam and p."""
+    lam, p = Fraction(lam), Fraction(p)
+    return lam**n - p * sum(lam**k for k in range(n))
+
+
+def rounded(exact):
+    """The double nearest a Fraction, or +-inf past the double range."""
+    try:
+        return float(exact)
+    except OverflowError:
+        return math.inf if exact > 0 else -math.inf
 
 
 def q_naive(lam, p, q):

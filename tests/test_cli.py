@@ -450,6 +450,9 @@ FOOTPRINTS = {
     "inverse": (["inverse", "--lam", "2", "--n", "2", "--exact"], _SOLVE, False),
     "recurrence": (["recurrence", "--p", "1", "--n", "3", "--count", "12"],
                    {"anacci.recurrence"}, False),
+    # CSV reaches figures.render_csv, and through it no solver
+    "recurrence-csv": (["recurrence", "--p", "1", "--n", "3", "--count", "5", "--format", "csv"],
+                       {"anacci.recurrence", "anacci.figures"}, False),
     "anacci": (["anacci", "--m", "2", "--n", "2"], _LATTICE, False),
     # a sequence prints CSV through figures.render_csv
     "anacci-seq": (["anacci", "--seq", "kn", "--k", "1", "--count", "6"],

@@ -14,7 +14,7 @@ from anacci.lattice import (
     seq_fixed_m,
     seq_fixed_n,
 )
-from anacci.solver import BoundSource, solve_lambda
+from anacci.solver import solve_lambda
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -48,7 +48,6 @@ class TestBounds37:
         pair = bounds_eq37((1, 2))
         assert (pair.lower, pair.upper) == (1.5, 2.0)
         assert pair.lower < anacci((1, 2)) < pair.upper
-        assert pair.source is BoundSource.REFINED
 
     def test_values(self):
         pair = bounds_eq37((2, 3))

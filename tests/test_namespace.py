@@ -33,7 +33,7 @@ HOMES = {
     "qkernel": "CRITICAL_TOL RegionClass classify dq_value eval_P lambda_min q_value",
     "recurrence": "RatioEstimate RecurrenceSpec canonical_init generate ratio_limit",
     "solver": (
-        "AnacciConstant BoundPair BoundSource bound_crossover dlambda_dp dlambda_dq "
+        "AnacciConstant BoundPair bound_crossover dlambda_dp dlambda_dq "
         "inverse_p inverse_p_integer lower_bound_basic lower_bound_refined solve_lambda"
     ),
 }

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +21,7 @@ from anacci.qkernel import (
 )
 from anacci.solver import lower_bound_basic, solve_lambda
 
-from oracles import mp_q_dq, q_naive
+from oracles import P_exact, mp_q_dq, q_naive, rounded
 
 positive = st.floats(min_value=0.01, max_value=50.0, allow_nan=False)
 
@@ -49,6 +50,65 @@ class TestEvalP:
         lam, p, n = 1.01, 1e-9, 71_200
         exact = lam**n * (1.0 - p * (1.0 - lam**-n) / (lam - 1.0))
         assert eval_P(lam, p, n) == pytest.approx(exact, rel=1e-12)
+
+
+class TestEvalPExact:
+    """eval_P against the plain Fraction sum of oracles.P_exact."""
+
+    def test_rational_inputs_give_the_exact_fraction(self):
+        lams = (1, 2, 7, Fraction(1, 3), Fraction(5, 2), Fraction(10**30 + 1, 10**30))
+        for lam in lams:
+            for p in (1, 3, Fraction(2, 7), Fraction(1, 10**40)):
+                for n in range(1, 13):
+                    value = eval_P(lam, p, n)
+                    assert type(value) is Fraction
+                    assert value == P_exact(lam, p, n), (lam, p, n)
+
+    def test_float_inputs_round_the_exact_value_once(self):
+        rng = random.Random(5)
+        points = []
+        for _ in range(400):
+            p = math.exp(rng.uniform(math.log(1e-3), math.log(1e3)))
+            points.append((rng.uniform(1e-2, p + 2.0), p, rng.randint(1, 60)))
+        for _, p, n in points[:50]:
+            # the solved root and its neighbours, where P cancels
+            root = solve_lambda(p, n).value if n > 1 else p
+            points += [(lam, p, n) for lam in (math.nextafter(root, 0.0), root,
+                                               math.nextafter(root, math.inf))]
+        points += [
+            (1.0, 0.3, 5), (1.0, 5e-324, 7), (1.0, 1e300, 3),  # lam = 1
+            (0.5, 0.25, 1), (1e308, 1e-308, 1), (5e-324, 1e-323, 1),  # n = 1
+            (5e-324, 1.0, 3), (1e-310, 1e-315, 4), (2.0, 5e-324, 10),  # subnormal
+        ]
+        # P overflows, or underflows to a signed zero
+        signed = {
+            (1e200, 1.0, 2): math.inf,
+            (1e300, 1.0, 5): math.inf,
+            (1e200, 1e300, 2): -math.inf,
+            (1.5, 1e308, 40): -math.inf,
+            (2.0**-537, 2.0**-1074, 2): -0.0,
+            (2.0**-537 * (1.0 + 2.0**-52), 2.0**-1074, 2): 0.0,
+        }
+        for point, expected in signed.items():
+            assert rounded(P_exact(*point)).hex() == expected.hex()
+        points += list(signed)
+        mismatches = [
+            point for point in points
+            if eval_P(*point).hex() != rounded(P_exact(*point)).hex()
+        ]
+        assert not mismatches
+
+    def test_numpy_and_bool_inputs(self):
+        # numpy integers are Rationals whose own powers wrap past 2^63
+        value = eval_P(np.int64(3), np.int64(1), 40)
+        assert type(value) is Fraction and value == P_exact(3, 1, 40)
+        value = eval_P(True, True, 3)
+        assert type(value) is Fraction and value == -2
+        value = eval_P(np.float64(1.5), 0.25, 7)
+        assert type(value) is float and value == rounded(P_exact(1.5, 0.25, 7))
+        # one Rational and one float side round once
+        value = eval_P(Fraction(1, 3), 0.5, 4)
+        assert type(value) is float and value == rounded(P_exact(Fraction(1, 3), 0.5, 4))
 
 
 class TestEvalQ:

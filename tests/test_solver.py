@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from anacci import qkernel, solver
@@ -606,12 +607,32 @@ class TestInversePInteger:
         [(2.0, 2000), (10.0, 400), (1.0000001, 5000), (0.5, 60), (0.999, 300)],
     )
     def test_float_mode_high_order(self, lam, n):
-        # lam^n overflows for the first two; the answer stays within 2 ulp
-        # of the exact value N^n / (D * (N^n - D^n)/(N - D)), lam = N/D
+        # lam^n overflows for the first two; the answer is the exact value
+        # N^n / (D * (N^n - D^n)/(N - D)), lam = N/D, rounded once by the
+        # correctly rounded int / int
         num, den = lam.as_integer_ratio()
         exact = num**n / (den * ((num**n - den**n) // (num - den)))
-        approx = inverse_p_integer(lam, n)
-        assert abs(approx - exact) <= 2 * math.ulp(exact)
+        assert inverse_p_integer(lam, n) == exact
+
+    def test_float_mode_rounds_the_exact_weight_once(self):
+        rng = random.Random(5)
+        mismatches = []
+        for _ in range(300):
+            lam = math.exp(rng.uniform(math.log(1e-2), math.log(1e3)))
+            n = rng.randint(1, 60)
+            exact = Fraction(lam) ** n / sum(Fraction(lam) ** k for k in range(n))
+            if inverse_p_integer(lam, n) != float(exact):
+                mismatches.append((lam, n))
+        assert not mismatches
+
+    def test_numpy_and_bool_targets_stay_exact(self):
+        # numpy integers are Rationals whose own powers wrap past 2^63
+        assert inverse_p_integer(np.int64(2), 2) == Fraction(4, 3)
+        p = inverse_p_integer(np.int64(3), 50)
+        assert type(p) is Fraction and p == Fraction(2 * 3**50, 3**50 - 1)
+        p = inverse_p_integer(True, 3)
+        assert type(p) is Fraction and p == Fraction(1, 3)
+        assert type(inverse_p_integer(np.float64(1.5), 4)) is float
 
     def test_underflowed_weight_raises(self):
         with pytest.raises(WeightUnderflow, match="n=2"):
