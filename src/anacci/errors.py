@@ -27,8 +27,9 @@ class ZeroUnderflow(AnacciError):
 
 
 class InputOutOfRange(AnacciError):
-    """An exact (int/Fraction) input, or a closed-form bound, is positive but
-    has no positive finite double."""
+    """An input that is not a float, or a closed-form bound, is positive but
+    has no positive finite double; or a derivative lies above the largest
+    double."""
 
 
 class WeightUnderflow(AnacciError):
@@ -40,7 +41,8 @@ class WeightOverflow(AnacciError):
 
 
 class CriticalRegime(AnacciError):
-    """Operation undefined on the hyperbola p*q = 1 (merged double root)."""
+    """Operation undefined on the hyperbola p*q = 1 (merged double root), or
+    the zero is within rounding of 1."""
 
 
 class AllZeroInit(AnacciError):

@@ -22,7 +22,7 @@ from enum import Enum
 from fractions import Fraction
 from numbers import Rational
 
-from .errors import _check_nonnegative, _check_positive, _check_positive_int, _to_double
+from .errors import _check_positive, _check_positive_int, _double, _to_double
 
 # |p*q - 1| at or below this counts as the merged-double-root regime for
 # floating inputs; the two zero branches of Q are then within ~1e-6 of 1.
@@ -113,17 +113,18 @@ def dq_value(lam: float, p: float, q: float) -> float:
     return _q_dq(lam, p, q)[1]
 
 
-def _ratio(x) -> tuple[int, int]:
-    """(numerator, denominator) as Python ints, of float(x) unless Rational."""
+def _ratio(name: str, x) -> tuple[int, int]:
+    """(numerator, denominator) as Python ints, of float(x) unless Rational;
+    InputOutOfRange where a non-Rational x has no positive double."""
     if isinstance(x, Rational):
         return int(x.numerator), int(x.denominator)  # numpy's own powers wrap
-    return float(x).as_integer_ratio()
+    return _double(name, x).as_integer_ratio()
 
 
 def _power_sum(lam, n: int) -> tuple[int, int, int]:
     """(a^n, b*G, b^n) for lam = a/b: lam^n and lam^(n-1) + ... + 1 over b^n,
     with G = (a^n - b^n)/(a - b), or n*a^(n-1) where a = b."""
-    a, b = _ratio(lam)
+    a, b = _ratio("lam", lam)
     power, base = a**n, b**n
     total = n * base if a == b else b * ((power - base) // (a - b))
     return power, total, base
@@ -136,11 +137,13 @@ def eval_P(lam, p, n: int):
     rational it holds): the Fraction for two Rationals, else the correctly
     rounded double, +-inf by the sign of P past the double range.  Costs
     about 1 ms at n = 10^3 and 0.5 s at n = 71 200 for a float lam.
+    Raises InputOutOfRange for an input that is neither float nor Rational
+    and has no positive double, such as Decimal('1e400').
     """
     _check_positive(lam=lam, p=p)
     _check_positive_int(n, "order n")
     power, total, base = _power_sum(lam, n)
-    c, d = _ratio(p)
+    c, d = _ratio("p", p)
     num, den = power * d - c * total, base * d
     if isinstance(lam, Rational) and isinstance(p, Rational):
         return Fraction(num, den)
@@ -178,19 +181,18 @@ def lambda_min(p, q):
     return bound
 
 
-def classify(p, q, tol: float = CRITICAL_TOL) -> RegionClass:
+def classify(p, q) -> RegionClass:
     """Regime of (p, q) relative to the hyperbola p*q = 1.
 
-    With exact rational inputs (int/Fraction) the comparison is exact and
-    tol is ignored; otherwise SUPER needs p*q - 1 > tol and SUB needs
-    1 - p*q > tol, everything between is CRITICAL.
+    With exact rational inputs (int/Fraction) the comparison is exact;
+    otherwise SUPER needs p*q - 1 > CRITICAL_TOL and SUB needs
+    1 - p*q > CRITICAL_TOL, everything between is CRITICAL.
     """
     _check_positive(p=p, q=q)
-    _check_nonnegative(tol, "tol")
-    return _classify(p, q, tol)
+    return _classify(p, q)
 
 
-def _classify(p, q, tol: float = CRITICAL_TOL) -> RegionClass:
+def _classify(p, q) -> RegionClass:
     """classify without its input checks.
 
     A float in the pair decides the tolerance path before the slow ABC
@@ -208,8 +210,8 @@ def _classify(p, q, tol: float = CRITICAL_TOL) -> RegionClass:
             return _SUB
         return _CRITICAL
     excess = _to_double(p) * _to_double(q) - 1.0  # an exact side may saturate
-    if excess > tol:
+    if excess > CRITICAL_TOL:
         return _SUPER
-    if -excess > tol:
+    if -excess > CRITICAL_TOL:
         return _SUB
     return _CRITICAL

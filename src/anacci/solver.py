@@ -102,7 +102,8 @@ def solve_lambda(p, q) -> AnacciConstant:
       z = p/(p+1)^(q+1), formed from one exp without the overflowing power.
       Every term is positive, so the start lies above the zero.  Below
       z = 1e-8 only the first term is kept, and where that rounds away the
-      start is p+1, which is then within rounding of the zero.
+      start is p+1, which is then within rounding of the zero.  A start
+      outside the bracket, as where (p+1)*z rounds onto p+1, is p+1 too.
     * p*q < 1: the zero lies in [c, lambda_min] with c = (p/(p+1))^(1/q),
       Q = p*lam/(p+1) > 0 at c and Q < 0 at the upper end.  The start is
       three terms of the dual series, c*(1 + w/q + (3/q+1)/(2q)*w^2) with
@@ -171,6 +172,8 @@ def solve_lambda(p, q) -> AnacciConstant:
                 near = _near_start(pf, qf, excess)
                 if lo < near < x:
                     x = near
+        if not lo < x <= hi:
+            x = hi  # u rounded onto p+1: the start left the bracket
         neg_low = True
     else:
         lo, hi = math.exp(-math.log1p(1.0 / pf) / qf), lmin
@@ -261,6 +264,8 @@ def inverse_p_integer(m_lambda, n: int):
     m-1 and m for n > 1; any other lam the correctly rounded double, which
     cannot overflow as p <= lam, or WeightUnderflow where it is 0.  Costs
     about 0.5 ms at n = 10^3 and 0.5 s at n = 71 200 for a float lam.
+    Raises InputOutOfRange for a lam that is neither float nor Rational and
+    has no positive double, such as Decimal('1e400').
     """
     _check_positive(m_lambda=m_lambda)
     _check_positive_int(n, "order n")
@@ -270,55 +275,54 @@ def inverse_p_integer(m_lambda, n: int):
     return _weight(power / total, "lam=%s, n=%r", m_lambda, n)
 
 
-def _derivative_parts(p: float, q: float) -> tuple[float, float]:
-    """Solve for lam and return (lam, the shared denominator).
+def _derivative_parts(p: float, q: float) -> tuple[float, float, float]:
+    """Solve for lam and return (lam, gap, D) for both derivatives.
 
-    Raises CriticalRegime on the hyperbola, where dQ/dlam vanishes at the
-    merged root and the implicit-function derivatives degenerate.
+    gap is p+1-lam through the identity p+1-lam = p*lam^(-q) at the zero,
+    which stays positive after lam saturates onto p+1 in doubles; where
+    lam^q underflows, the benign subtraction.  D = lam - q*gap equals
+    lam(q+1) - (p+1)q without its cancellation; D > 0 above the hyperbola
+    and D < 0 below.  Raises CriticalRegime on the hyperbola, and where the
+    sign of D contradicts the regime: the zero is then within rounding of 1.
     """
     result = solve_lambda(p, q)
     if result.regime is _CRITICAL:
-        raise CriticalRegime(
-            f"derivatives undefined on p*q = 1 (p={p!r}, q={q!r})"
-        )
-    lam = result.value
-    return lam, lam * (q + 1.0) - (p + 1.0) * q
+        raise CriticalRegime(f"derivatives undefined on p*q = 1 (p={p!r}, q={q!r})")
+    lam, p, q = result.value, result.p, result.q
+    t = q * _ln(lam)
+    gap = p + 1.0 - lam if -t > _EXP_OVERFLOW else p * math.exp(-t)
+    denom = lam - q * gap
+    if not (denom > 0.0 if result.regime is _SUPER else denom < 0.0):
+        raise CriticalRegime(f"no derivatives: zero within rounding of 1 (p={p!r}, q={q!r})")
+    return lam, gap, denom
 
 
 def dlambda_dp(p: float, q: float) -> float:
     """Partial derivative of lam(p, q) in p, by the implicit function theorem.
 
-    Equals (lam^q - 1) / (lam^(q-1) * [lam(q+1) - (p+1)q]); evaluated in the
-    overflow-free arrangement lam*(1 - lam^(-q)) / [...].  Strictly positive
-    off the hyperbola: numerator and denominator share their sign in both
-    regimes.
+    Equals (lam^q - 1) / (lam^(q-1) * D), D = lam(q+1) - (p+1)q, and at the
+    zero 1 - lam^(-q) = (lam-1)/p, so it is lam/p * ((lam-1)/D).  Strictly
+    positive off the hyperbola.  Raises CriticalRegime on the hyperbola and
+    where the zero is within rounding of 1.
     """
-    lam, denom = _derivative_parts(p, q)
-    t = q * _ln(lam)
-    if -t > _EXP_OVERFLOW:
-        numer = -lam * math.exp(-t)  # 1 - lam^(-q) ~ -lam^(-q)
-    else:
-        numer = lam * (-math.expm1(-t))
-    return numer / denom
+    lam, _, denom = _derivative_parts(p, q)
+    return lam / p * ((lam - 1.0) / denom)
 
 
 def dlambda_dq(p: float, q: float) -> float:
     """Partial derivative of lam(p, q) in q, by the implicit function theorem.
 
-    Equals [p+1-lam] * lam^q * ln(lam) / (lam^(q-1) * [lam(q+1) - (p+1)q]),
-    i.e. (p+1-lam) * lam * ln(lam) / [...] after cancelling the powers.
-    The leading gap is evaluated through the identity p+1-lam = p*lam^(-q)
-    (exact at the zero), which stays positive long after the solved lam has
-    saturated onto p+1 in doubles and direct subtraction would return 0.
-    Strictly positive off the hyperbola, down to subnormal underflow.
+    Equals (p+1-lam) * lam^q * ln(lam) / (lam^(q-1) * D), evaluated as
+    gap * ln(lam) * (lam/D), a grouping whose intermediates stay finite
+    wherever the value is.  Positive off the hyperbola, down to subnormal
+    underflow.  Raises CriticalRegime as dlambda_dp does, and
+    InputOutOfRange where the value lies above the largest double.
     """
-    lam, denom = _derivative_parts(p, q)
-    t = q * _ln(lam)
-    if t > -_EXP_OVERFLOW:
-        gap = p * math.exp(-t)
-    else:
-        gap = p + 1.0 - lam  # lam far below 1: the subtraction is benign
-    return gap * lam * _ln(lam) / denom
+    lam, gap, denom = _derivative_parts(p, q)
+    value = gap * _ln(lam) * (lam / denom)
+    if value == math.inf:
+        raise InputOutOfRange(f"dlambda_dq lies above the largest double (p={p!r}, q={q!r})")
+    return value
 
 
 def lower_bound_basic(p: float, q: float) -> float:

@@ -2,8 +2,8 @@
 
 Deliberately naive implementations that share no code path with the
 package: plain power arithmetic, pure bisection, and bisection in
-50-digit mpmath arithmetic.  Expected values frozen in the tests were
-produced by these.
+mpmath arithmetic, at 50 digits or at more where the inputs need them.
+Expected values frozen in the tests were produced by these.
 """
 
 import math
@@ -90,6 +90,29 @@ def mp_root(p, q, digits=50):
         return (lo + hi) / 2
 
 
+def mp_digits(p, q):
+    """Digits that resolve p+1-lam and lam^(-q) at (p, q): 60 plus the
+    decades of p and q."""
+    return 60 + math.ceil(abs(math.log10(p)) + abs(math.log10(q)))
+
+
+def mp_dlambda(p, q):
+    """(dlam/dp, dlam/dq) as mpfs, by the implicit function theorem on the
+    identity p+1-lam = p*lam^(-q) that holds at the zero:
+    gap = p*lam^(-q), D = lam - q*gap, dlam/dp = lam*(lam-1)/(p*D) and
+    dlam/dq = gap*ln(lam)*lam/D, at lam = mp_root(p, q, mp_digits(p, q)).
+    A fixed 50 digits cannot resolve the gap of a saturated zero."""
+    import mpmath
+
+    digits = mp_digits(p, q)
+    lam = mp_root(p, q, digits)
+    with mpmath.workdps(digits + 20):
+        p, q = mpmath.mpf(p), mpmath.mpf(q)
+        gap = p * lam ** (-q)
+        denom = lam - q * gap
+        return lam * (lam - 1) / (p * denom), gap * mpmath.log(lam) * lam / denom
+
+
 def mp_q_dq(lam, p, q, digits=40):
     """(Q, dQ/dlam) from the plain power forms in ``digits``-digit mpmath,
     with lam, p and q taken as the exact values of the given doubles."""
@@ -112,6 +135,17 @@ def ulp_distance(value, exact):
     with mpmath.workdps(80):
         spacing = math.ulp(min(abs(value), abs(float(exact))))
         return float(abs(mpmath.mpf(value) - exact) / spacing)
+
+
+def relative_units(value, exact):
+    """|value - exact| in units of 2^-52 * |exact|, ``exact`` an mpf; below
+    the normal range the unit is the subnormal spacing 2^-1074, so a value
+    that underflows to 0 with the exact one counts as 0 or 1 units."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        unit = max(abs(exact) * mpmath.mpf(2) ** -52, mpmath.mpf(2) ** -1074)
+        return float(abs(mpmath.mpf(value) - exact) / unit)
 
 
 def bracket_miss_ulp(lo, hi, exact):

@@ -86,7 +86,7 @@ CASES = {
     "dq_value": (dq_value, dict(lam=2.0, p=1.0, q=2.0), "lam p q", "", ""),
     "eval_P": (eval_P, dict(lam=2.0, p=1.0, n=2), "lam p", "n", ""),
     "lambda_min": (lambda_min, dict(p=1.0, q=2.0), "p q", "", ""),
-    "classify": (classify, dict(p=1.0, q=2.0, tol=1e-12), "p q tol", "", ""),
+    "classify": (classify, dict(p=1.0, q=2.0), "p q", "", ""),
     "solve_lambda": (solve_lambda, dict(p=1.0, q=2.0), "p q", "", ""),
     "inverse_p": (inverse_p, dict(lam=2.0, q=2.0), "lam q", "", ""),
     "inverse_p_integer": (inverse_p_integer, dict(m_lambda=2.0, n=2), "m_lambda", "n", ""),

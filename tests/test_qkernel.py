@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -109,6 +110,14 @@ class TestEvalPExact:
         # one Rational and one float side round once
         value = eval_P(Fraction(1, 3), 0.5, 4)
         assert type(value) is float and value == rounded(P_exact(Fraction(1, 3), 0.5, 4))
+
+    @pytest.mark.parametrize("big", [Decimal("1e400"), Decimal("1e-400")])
+    def test_non_double_input_outside_the_double_range(self, big):
+        # float() reads these as inf, which raised a raw OverflowError, and as 0
+        with pytest.raises(InputOutOfRange, match="^lam lies outside"):
+            eval_P(big, 1.0, 3)
+        with pytest.raises(InputOutOfRange, match="^p lies outside"):
+            eval_P(1.5, big, 3)
 
 
 class TestEvalQ:
@@ -350,20 +359,9 @@ class TestLambdaMin:
 
 class TestClassify:
     def test_examples(self):
-        assert classify(1, 1, 0.0) is RegionClass.CRITICAL
-        assert classify(1.0, 2.0, 1e-12) is RegionClass.SUPER
-        assert classify(0.25, 2.0, 1e-12) is RegionClass.SUB
-
-    def test_exact_rational_ignores_tol(self):
-        assert classify(Fraction(1, 3), 3, tol=1.0) is RegionClass.CRITICAL
-        assert classify(Fraction(1, 3), 4, tol=1.0) is RegionClass.SUPER
-        assert classify(Fraction(1, 3), 2, tol=1.0) is RegionClass.SUB
-
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
-    def test_rejects_a_tolerance_that_is_not_finite_and_non_negative(self, tol):
-        # a nan tolerance used to fail both comparisons and report CRITICAL
-        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
-            classify(5.0, 5.0, tol=tol)
+        assert classify(1, 1) is RegionClass.CRITICAL
+        assert classify(1.0, 2.0) is RegionClass.SUPER
+        assert classify(0.25, 2.0) is RegionClass.SUB
 
     def test_float_tolerance_band(self):
         assert classify(1.0, 1.0 + 1e-13) is RegionClass.CRITICAL
@@ -406,7 +404,6 @@ class TestClassify:
         assert _classify(p, 1) is RegionClass.SUPER
         assert _classify(p, 1.0) is RegionClass.CRITICAL
         assert _classify(1.0, p) is RegionClass.CRITICAL
-        assert _classify(p, 1.0, 0.0) is RegionClass.SUPER
 
     @given(p=positive, q=positive)
     @settings(max_examples=300, deadline=None)

@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from anacci import qkernel, solver
 from anacci.errors import (
+    AnacciError,
     CriticalRegime,
     InputOutOfRange,
     NonPositiveInput,
@@ -28,7 +30,16 @@ from anacci.solver import (
     solve_lambda,
 )
 
-from oracles import bisect_lambda, bracket_miss_ulp, central_difference, mp_root, ulp_distance
+from oracles import (
+    bisect_lambda,
+    bracket_miss_ulp,
+    central_difference,
+    mp_digits,
+    mp_dlambda,
+    mp_root,
+    relative_units,
+    ulp_distance,
+)
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 # frozen from the pure-bisection oracle in oracles.py
@@ -50,6 +61,46 @@ def _mpmath_panel():
     points += [(p, q_column) for p in fig3.p_values() if p in (0.35, 1.85)]
     points += [(0.3938, 0.09495), (1, 1e16), (10, 1e17)]
     return points
+
+
+def _log_uniform(rng, lo, hi):
+    return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+
+def _regime_draws(regime, count=25, seed=5):
+    """(p, q) draws by the laws of the benchmark's regime_draw, in the same
+    order of random calls, so seed 5 gives its first draws."""
+    rng = random.Random(seed)
+    draws = []
+    while len(draws) < count:
+        if regime == "super":
+            p, q = _log_uniform(rng, 0.1, 10.0), _log_uniform(rng, 0.5, 50.0)
+            if p * q <= 1.001:
+                continue
+        elif regime == "sub":
+            p = _log_uniform(rng, 1e-3, 1.0)
+            q = rng.uniform(1e-2, 0.999) / p
+            if math.log(p / (p + 1.0)) / q < -300.0 * math.log(10.0):
+                continue
+        elif regime == "near":
+            offset = _log_uniform(rng, 1e-11, 1e-3) * rng.choice((-1.0, 1.0))
+            p = _log_uniform(rng, 0.2, 5.0)
+            q = (1.0 + offset) / p
+        else:  # saturated
+            p, q = _log_uniform(rng, 0.1, 10.0), _log_uniform(rng, 1e2, 1e17)
+        draws.append((p, q))
+    return draws
+
+
+def _full_range_pairs(count=300, seed=3):
+    """(p, q) with each side 2^e * (1 + U), e uniform over the positive
+    doubles, subnormals included."""
+    rng = random.Random(seed)
+
+    def draw():
+        return math.ldexp(1.0 + rng.random(), rng.randint(-1074, 1023))
+
+    return [(draw(), draw()) for _ in range(count)]
 
 
 class TestSolveLambda:
@@ -147,6 +198,16 @@ class TestSolveLambda:
         if not r.bracket_lo <= root <= r.bracket_hi:
             edge = r.bracket_lo if root < r.bracket_lo else r.bracket_hi
             assert ulp_distance(edge, root) <= 16.0
+
+    @pytest.mark.parametrize("p,q", [(1e20, 1e-19), (3.18e302, 1.48e-220)])
+    def test_super_start_that_rounds_out_of_the_bracket(self, p, q):
+        # exp(-q*log1p(p)) rounds to 1, so the series start (p+1) - u - ...
+        # came out at or below 0 and raised a raw ValueError in its log;
+        # 50 digits cannot resolve p+1-lam here
+        r = solve_lambda(p, q)
+        root = mp_root(p, q, mp_digits(p, q))
+        assert ulp_distance(r.value, root) <= 0.5
+        assert r.bracket_lo <= root <= r.bracket_hi
 
     def test_saturated_points_reach_weight_plus_one(self):
         assert solve_lambda(1, 1e16).value == 2.0
@@ -634,6 +695,12 @@ class TestInversePInteger:
         assert type(p) is Fraction and p == Fraction(1, 3)
         assert type(inverse_p_integer(np.float64(1.5), 4)) is float
 
+    @pytest.mark.parametrize("big", [Decimal("1e400"), Decimal("1e-400")])
+    def test_non_double_target_outside_the_double_range(self, big):
+        # float() reads these as inf, which raised a raw OverflowError, and as 0
+        with pytest.raises(InputOutOfRange, match="^lam lies outside"):
+            inverse_p_integer(big, 3)
+
     def test_underflowed_weight_raises(self):
         with pytest.raises(WeightUnderflow, match="n=2"):
             inverse_p_integer(1e-200, 2)
@@ -692,6 +759,64 @@ class TestDerivatives:
             dlambda_dp(1.0, 1.0)
         with pytest.raises(CriticalRegime):
             dlambda_dq(0.5, 2.0)
+
+    # worst relative error against mp_dlambda on _regime_draws, in units of
+    # 2^-52, (dp, dq); measured 2, 137, 646, 499, 15, 29 and 3.3e10 twice.
+    # Near the hyperbola the double lam holds lam-1 only to ulp(1), and
+    # lam-1 is as small as 1e-11.
+    PANEL_BOUNDS = {
+        "saturated": (16.0, 160.0),
+        "sub": (700.0, 550.0),
+        "super": (16.0, 32.0),
+        "near": (4e10, 4e10),
+    }
+
+    @pytest.mark.parametrize("regime", sorted(PANEL_BOUNDS))
+    def test_matches_mpmath_panel(self, regime):
+        for p, q in _regime_draws(regime):
+            exact = mp_dlambda(p, q)
+            for value, want, bound in zip(
+                (dlambda_dp(p, q), dlambda_dq(p, q)), exact, self.PANEL_BOUNDS[regime]
+            ):
+                assert value >= 0.0
+                assert relative_units(value, want) <= bound, (p, q)
+
+    def test_full_range_gives_a_value_or_a_named_error(self):
+        values = 0
+        for p, q in _full_range_pairs():
+            for derivative in (dlambda_dp, dlambda_dq):
+                try:
+                    value = derivative(p, q)
+                except AnacciError:
+                    continue
+                assert 0.0 <= value < math.inf, (derivative.__name__, p, q, value)
+                values += 1
+        assert values > 200
+
+    def test_saturated_zero_with_an_unresolved_gap(self):
+        # lam*(q+1) - (p+1)*q cancelled to 0, a raw ZeroDivisionError
+        p, q = 0.16587, 8.51e16
+        dp, dq = mp_dlambda(p, q)
+        assert relative_units(dlambda_dp(p, q), dp) <= 16.0
+        assert dlambda_dq(p, q) == 0.0 and relative_units(0.0, dq) <= 1.0
+
+    def test_zero_within_rounding_of_one(self):
+        # p+1 rounds to 1 and so does the zero, which holds no digit of lam-1
+        for derivative in (dlambda_dp, dlambda_dq):
+            with pytest.raises(CriticalRegime, match="within rounding of 1"):
+                derivative(1e-43, 1e223)
+
+    def test_overflowing_terms_of_the_old_denominator(self):
+        # lam*(q+1) and (p+1)*q both overflowed, and their difference was nan;
+        # lam^(-q) underflows, so the gap is 0 and dp = (lam-1)/p
+        assert dlambda_dp(1.58e92, 3.45e237) == pytest.approx(1.0, rel=1e-15)
+        assert dlambda_dq(1.58e92, 3.45e237) == 0.0
+
+    def test_dq_above_the_largest_double(self):
+        # mpmath puts dlam/dq at 7.5e309
+        with pytest.raises(InputOutOfRange, match="dlambda_dq lies above"):
+            dlambda_dq(1.1643088451801888e307, 4.824694963117825e-30)
+        assert 0.0 < dlambda_dp(1.1643088451801888e307, 4.824694963117825e-30) < 1e-26
 
     def test_random_points_match_finite_differences(self):
         # q capped where h=1e-6 central differences still resolve the
