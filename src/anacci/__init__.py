@@ -63,9 +63,7 @@ _PUBLIC = {
         "volume",
     ),
     "lattice": (
-        "AnacciIndex",
         "anacci",
-        "bounds_eq37",
         "scaled_seq_A",
         "scaled_seq_B",
         "seq_diagonal",
@@ -90,7 +88,6 @@ _PUBLIC = {
     ),
     "solver": (
         "AnacciConstant",
-        "BoundPair",
         "bound_crossover",
         "dlambda_dp",
         "dlambda_dq",

@@ -4,8 +4,9 @@ Subcommands: solve, inverse, recurrence, anacci, scene, fig, verify.
 Single values print as JSON, grids as CSV.  Exit codes: 0 ok,
 1 verification failure, 2 usage or domain error, 3 I/O error.  Each command
 imports only the layers it runs, so ``--help`` and ``solve`` start without
-the geometry, figure and verify modules, and ``--help`` also without the
-standard ``dataclasses`` and ``fractions`` modules.
+the geometry, figure and verify modules, ``--help`` also without the
+standard ``dataclasses`` and ``fractions`` modules, and ``solve``,
+``inverse`` and ``anacci`` without ``dataclasses``.
 """
 
 from __future__ import annotations
@@ -142,15 +143,15 @@ _SEQ_INDEX = {
 
 
 def _cmd_anacci(args) -> int:
-    from .lattice import AnacciIndex, anacci, bounds_eq37
+    from .lattice import anacci
+    from .solver import lower_bound_refined
 
     if args.seq is None:
-        idx = AnacciIndex(args.m, args.n)
-        payload = {"m": idx.m, "n": idx.n, "value": anacci(idx)}
-        if idx.n > 1:
-            enclosure = bounds_eq37(idx)
-            payload["lower"] = enclosure.lower
-            payload["upper"] = enclosure.upper
+        payload = {"m": args.m, "n": args.n, "value": anacci((args.m, args.n))}
+        if args.n > 1:
+            # the lattice enclosure m+1-1/(m+1) < phi(m, n) < m+1 of eq. (37)
+            payload["lower"] = lower_bound_refined(args.m)
+            payload["upper"] = args.m + 1.0
         _emit(args, payload)
         return 0
     if args.seq in ("kn", "km"):

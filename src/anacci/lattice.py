@@ -2,39 +2,17 @@
 
 phi(m, n) denotes the ratio limit of the order-n recurrence with integer
 weight m — the classical golden ratio at (1, 2), the tribonacci constant
-at (1, 3), and so on.  Solved values are memoized per (m, n) since the
-geometry and figure layers revisit the same lattice points heavily.
+at (1, 3), and so on.  A lattice point is an (m, n) pair of integers.
+Solved values are memoized per (m, n) since the geometry and figure layers
+revisit the same lattice points heavily.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
 from .errors import OrderOne, _check_positive_int
-from .solver import BoundPair, solve_lambda
-
-
-@dataclass(frozen=True)
-class AnacciIndex:
-    """A lattice point: integer weight m >= 1 and integer order n >= 1."""
-
-    m: int
-    n: int
-
-    def __post_init__(self):
-        _check_positive_int(self.m, "m")
-        _check_positive_int(self.n, "n")
-
-
-def _pair(idx) -> tuple[int, int]:
-    """(m, n) of an AnacciIndex, or of a pair checked as one without building it."""
-    if isinstance(idx, AnacciIndex):
-        return idx.m, idx.n
-    m, n = idx
-    _check_positive_int(m, "m")
-    _check_positive_int(n, "n")
-    return m, n
+from .solver import solve_lambda
 
 
 @cache
@@ -43,24 +21,17 @@ def _phi(m: int, n: int) -> float:
 
 
 def anacci(idx) -> float:
-    """phi(m, n), memoized; accepts an AnacciIndex or an (m, n) pair."""
-    return _phi(*_pair(idx))
+    """phi(m, n), memoized, at the lattice point idx = (m, n): integer weight
+    m >= 1 and integer order n >= 1."""
+    m, n = idx
+    _check_positive_int(m, "m")
+    _check_positive_int(n, "n")
+    return _phi(m, n)
 
 
 def clear_cache() -> None:
     """Drop all memoized values (mainly for tests of cache transparency)."""
     _phi.cache_clear()
-
-
-def bounds_eq37(idx) -> BoundPair:
-    """The enclosure m+1-1/(m+1) < phi(m, n) < m+1, valid for n > 1.
-
-    At n = 1 the constant equals m exactly and the enclosure is undefined.
-    """
-    m, n = _pair(idx)
-    if n == 1:
-        raise OrderOne(f"phi(m, 1) = m exactly; no enclosure at n = 1 (m={m})")
-    return BoundPair(m + 1.0 - 1.0 / (m + 1.0), m + 1.0)
 
 
 def seq_fixed_m(m: int, n_max: int) -> list[float]:

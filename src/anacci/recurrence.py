@@ -74,7 +74,6 @@ class RatioEstimate:
     value: float
     k_used: int
     k0: int
-    converged: bool
 
 
 def canonical_init(n: int) -> tuple:
@@ -182,7 +181,7 @@ def ratio_limit(
                 if abs(ratio - last_ratio) <= tol:
                     small_deltas += 1
                     if small_deltas >= needed:
-                        return RatioEstimate(ratio, k, k0, True)
+                        return RatioEstimate(ratio, k, k0)
                 else:
                     small_deltas = 0
             last_ratio = ratio

@@ -12,7 +12,6 @@ derivatives, and the closed-form bounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 from typing import NamedTuple
@@ -60,14 +59,6 @@ class AnacciConstant(NamedTuple):
     regime: RegionClass
 
 
-@dataclass(frozen=True)
-class BoundPair:
-    """A lower/upper enclosure for a ratio limit."""
-
-    lower: float
-    upper: float
-
-
 # _new(AnacciConstant, fields) builds a result without the argument binding
 # of the generated __new__, which costs every solve
 _new = tuple.__new__
@@ -79,13 +70,6 @@ def _midpoint(lo: float, hi: float) -> float:
     if hi > 4.0 * lo:
         return math.sqrt(lo) * math.sqrt(hi)
     return 0.5 * (lo + hi)
-
-
-def _near_start(p: float, q: float, excess: float) -> float:
-    """1 + (p*q-1) / (q*(1 - p*(q-1)/2)): the zero other than 1 of Q's
-    quadratic Taylor model at 1, one Newton step on P from 1.  ``excess``
-    is p*q - 1 of the doubles."""
-    return 1.0 + excess / (q * (1.0 - 0.5 * p * (q - 1.0)))
 
 
 def solve_lambda(p, q) -> AnacciConstant:
@@ -167,14 +151,8 @@ def solve_lambda(p, q) -> AnacciConstant:
             z = u / hi
             if z > _SERIES_SKIP:
                 x -= u * qf * z * (1.0 + 0.5 * (3.0 * qf + 1.0) * z)
-            excess = pf * qf - 1.0
-            if 0.0 < excess < _NEAR_BAND:
-                near = _near_start(pf, qf, excess)
-                if lo < near < x:
-                    x = near
         if not lo < x <= hi:
             x = hi  # u rounded onto p+1: the start left the bracket
-        neg_low = True
     else:
         lo, hi = math.exp(-math.log1p(1.0 / pf) / qf), lmin
         if lo < _LAMBDA_FLOOR:
@@ -185,12 +163,14 @@ def solve_lambda(p, q) -> AnacciConstant:
         x = lo * (1.0 + w / qf * (1.0 + 0.5 * (3.0 / qf + 1.0) * w))
         if not lo < x < hi:
             x = lo
-        excess = pf * qf - 1.0
-        if -_NEAR_BAND < excess < 0.0:
-            near = _near_start(pf, qf, excess)
-            if x < near < hi:
-                x = near
-        neg_low = False
+    neg_low = regime is _SUPER
+    excess = pf * qf - 1.0
+    if 0.0 < (excess if neg_low else -excess) < _NEAR_BAND:
+        # the zero other than 1 of Q's quadratic Taylor model at 1, which is
+        # one Newton step on P from 1
+        near = 1.0 + excess / (qf * (1.0 - 0.5 * pf * (qf - 1.0)))
+        if lo < near < hi and abs(near - 1.0) < abs(x - 1.0):
+            x = near
 
     step = older = hi - lo
     newton = False
@@ -338,8 +318,9 @@ def lower_bound_basic(p: float, q: float) -> float:
 def lower_bound_refined(p: float) -> float:
     """p+1-1/(p+1): sharper lower bound, valid for q >= 2 and p > 1/phi.
 
-    The caller checks applicability; the value alone is defined for any
-    positive p.
+    At an integer weight p = m and order n >= 2 it is the lower end of the
+    lattice enclosure m+1-1/(m+1) < phi(m, n) < m+1 (eq. 37).  The caller
+    checks applicability; the value alone is defined for any positive p.
     """
     _check_positive(p=p)
     return p + 1.0 - 1.0 / (p + 1.0)

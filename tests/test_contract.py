@@ -22,7 +22,6 @@ import pytest
 
 from anacci import (
     AnacciError,
-    AnacciIndex,
     BodyKind,
     ConvexBody,
     DilationScene,
@@ -32,7 +31,6 @@ from anacci import (
     ball,
     ball_representation,
     bound_crossover,
-    bounds_eq37,
     canonical_init,
     center_ordering,
     centroid_ratio_theorem_check,
@@ -95,9 +93,7 @@ CASES = {
     "lower_bound_basic": (lower_bound_basic, dict(p=1.0, q=2.0), "p q", "", ""),
     "lower_bound_refined": (lower_bound_refined, dict(p=1.0), "p", "", ""),
     "bound_crossover": (bound_crossover, dict(p=1.0), "p", "", ""),
-    "AnacciIndex": (AnacciIndex, dict(m=2, n=3), "", "m n", ""),
     "anacci": (lambda m, n: anacci((m, n)), dict(m=2, n=3), "", "m n", ""),
-    "bounds_eq37": (lambda m, n: bounds_eq37((m, n)), dict(m=2, n=3), "", "m n", ""),
     "seq_fixed_m": (seq_fixed_m, dict(m=2, n_max=4), "", "m", "n_max"),
     "seq_fixed_n": (seq_fixed_n, dict(n=2, m_max=4), "", "n", "m_max"),
     "seq_diagonal": (seq_diagonal, dict(k=2, count=4, which="kn"), "", "k", "count"),

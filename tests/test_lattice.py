@@ -4,9 +4,7 @@ import pytest
 
 from anacci.errors import OrderOne
 from anacci.lattice import (
-    AnacciIndex,
     anacci,
-    bounds_eq37,
     clear_cache,
     scaled_seq_A,
     scaled_seq_B,
@@ -14,7 +12,7 @@ from anacci.lattice import (
     seq_fixed_m,
     seq_fixed_n,
 )
-from anacci.solver import solve_lambda
+from anacci.solver import lower_bound_refined, solve_lambda
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -25,14 +23,11 @@ class TestAnacci:
         assert anacci((1, 2)) == pytest.approx(PHI, abs=1e-14)
         assert anacci((2, 2)) == pytest.approx(1.0 + math.sqrt(3.0), abs=1e-14)
 
-    def test_accepts_index_or_pair(self):
-        assert anacci(AnacciIndex(1, 3)) == anacci((1, 3))
-
     def test_index_validation(self):
         with pytest.raises(ValueError):
-            AnacciIndex(0, 1)
+            anacci((0, 1))
         with pytest.raises(ValueError):
-            AnacciIndex(1, -2)
+            anacci((1, -2))
 
     def test_memo_matches_fresh_solve_bitwise(self):
         clear_cache()
@@ -44,28 +39,22 @@ class TestAnacci:
 
 
 class TestBounds37:
+    # eq. (37): m + 1 - 1/(m + 1) < phi(m, n) < m + 1 for n > 1
     def test_golden_enclosure(self):
-        pair = bounds_eq37((1, 2))
-        assert (pair.lower, pair.upper) == (1.5, 2.0)
-        assert pair.lower < anacci((1, 2)) < pair.upper
+        lower, upper = lower_bound_refined(1), 1 + 1.0
+        assert (lower, upper) == (1.5, 2.0)
+        assert lower < anacci((1, 2)) < upper
 
     def test_values(self):
-        pair = bounds_eq37((2, 3))
-        assert pair.lower == pytest.approx(8.0 / 3.0)
-        assert pair.upper == 3.0
-
-    def test_order_one_raises(self):
-        with pytest.raises(OrderOne):
-            bounds_eq37((1, 1))
-        assert anacci((1, 1)) == 1.0
+        assert lower_bound_refined(2) == pytest.approx(8.0 / 3.0)
+        assert lower_bound_refined(2) < anacci((2, 3)) < 3.0
 
     def test_holds_over_lattice(self):
         for m in range(1, 51):
             for n in range(2, 11):
                 value = anacci((m, n))
-                pair = bounds_eq37((m, n))
-                assert pair.lower < value
-                assert value <= pair.upper  # equality only at double resolution
+                assert lower_bound_refined(m) < value
+                assert value <= m + 1  # equality only at double resolution
 
 
 class TestSequences:

@@ -27,13 +27,12 @@ HOMES = {
         "scene_points shell_centroid solve_scene_for_target unit_ball_volume volume"
     ),
     "lattice": (
-        "AnacciIndex anacci bounds_eq37 scaled_seq_A scaled_seq_B seq_diagonal "
-        "seq_fixed_m seq_fixed_n"
+        "anacci scaled_seq_A scaled_seq_B seq_diagonal seq_fixed_m seq_fixed_n"
     ),
     "qkernel": "CRITICAL_TOL RegionClass classify dq_value eval_P lambda_min q_value",
     "recurrence": "RatioEstimate RecurrenceSpec canonical_init generate ratio_limit",
     "solver": (
-        "AnacciConstant BoundPair bound_crossover dlambda_dp dlambda_dq "
+        "AnacciConstant bound_crossover dlambda_dp dlambda_dq "
         "inverse_p inverse_p_integer lower_bound_basic lower_bound_refined solve_lambda"
     ),
 }

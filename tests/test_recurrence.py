@@ -148,7 +148,6 @@ class TestRatioLimit:
     def test_fibonacci_reaches_golden_ratio(self):
         spec = RecurrenceSpec(p=1, n=2, init=(0, 1))
         estimate = ratio_limit(spec, 1e-12)
-        assert estimate.converged
         assert estimate.k0 == 0
         assert estimate.value == pytest.approx(solve_lambda(1, 2).value, abs=1e-11)
 
@@ -159,7 +158,6 @@ class TestRatioLimit:
 
     def test_constant_sequence_converges_at_zero_tol(self):
         estimate = ratio_limit(RecurrenceSpec(p=1, n=1, init=(5,)), 0.0)
-        assert estimate.converged
         assert estimate.value == 1.0
         assert estimate.k0 == -1
 

@@ -414,6 +414,18 @@ class TestSeriesStarts:
     def test_evaluations_per_regime_on_a_stream_mix(self):
         self._check_means(_stream_mix())
 
+    @pytest.mark.parametrize("p,q", [
+        (3.369865157708169e191, 3.3498480181401048e-192),
+        (4.3171924246304695e226, 2.970844466482842e-227),
+    ])
+    def test_taylor_start_after_the_series_start_left_its_bracket(self, p, q):
+        # p*q - 1 is 0.13 and 0.28, inside the Taylor band, and the series
+        # start falls out of the bracket, so the Taylor start must follow
+        # the bracket guard
+        r = solve_lambda(p, q)
+        assert r.iterations <= 6
+        assert ulp_distance(r.value, mp_root(p, q, mp_digits(p, q))) <= 2.0
+
     def test_start_lies_strictly_inside_the_bracket(self, monkeypatch):
         points = [(Fraction(10**15 + 1, 10**15), 1)]
         for p in (0.2, 1.0, 4.0):
