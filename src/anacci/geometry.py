@@ -568,60 +568,42 @@ def centroid_ratio_theorem_check(kind: BodyKind, n: int) -> bool:
 # Monte Carlo shell-centroid oracle
 
 _MC_BLOCK = 1 << 16
-# counter stride per block in the Philox state space; blocks can never
-# overlap no matter how many draws one block consumes
-_MC_COUNTER_STRIDE = 1 << 128
 # points per pass over the workspace: its four float rows stay in cache
 _MC_CHUNK = 1 << 14
-
-
-def _words(value: int, count: int) -> list[int]:
-    """``value`` as ``count`` 64-bit words, least significant first."""
-    return [(value >> (64 * i)) & 0xFFFF_FFFF_FFFF_FFFF for i in range(count)]
 
 
 class _BlockStreams(dict):
     """The draw streams of one ``mc_centroid`` call, placed block by block.
 
-    After ``start(block, count)``, stream k holds the draws of the block's
-    k-th ``random(count)`` call, [k*count, (k+1)*count) of the Philox stream
-    with key ``seed`` and counter block*2^128.  Each stream is placed at its
-    first draw on first use, so the block can be drawn one chunk at a time.
-    One generator per stream index serves the whole call and is moved to
-    each block through its state: opening a Philox costs several times as
-    much, since it draws an OS-entropy seed that the key then replaces.
+    Every stream is a stretch of the one PCG64DXSM stream seeded with
+    ``seed``, one draw per uniform.  After ``start(block, count)``, stream k
+    holds the draws of the block's k-th ``random(count)`` call: it starts at
+    draw block*2^64 + k*count, so blocks never overlap however many draws
+    one consumes.  Each stream is placed at its first draw on first use by
+    PCG's O(log n) ``advance``, so the block can be drawn one chunk at a
+    time.  One generator per stream index serves the whole call and is
+    moved to each block from its opening state.
     """
 
     def __init__(self, seed: int):
         super().__init__()
-        self.key = _words(seed, 2)
-        self.generators: dict[int, np.random.Generator] = {}
+        self.seed = seed
+        self.generators: dict[int, tuple[np.random.Generator, dict]] = {}
 
     def start(self, block: int, count: int) -> None:
         self.clear()
-        self.counter = block * _MC_COUNTER_STRIDE
+        self.first = block << 64
         self.count = count
 
     def __missing__(self, k: int) -> np.random.Generator:
         import numpy as np
 
-        stream = self.generators.get(k)
-        if stream is None:  # its key and counter are set below
-            stream = self.generators[k] = np.random.Generator(np.random.Philox())
-        start = k * self.count
-        bits = stream.bit_generator
-        # one counter step yields four draws; an empty buffer makes the next
-        # draw step the counter first, as in a Philox opened at it
-        bits.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": _words(self.counter + start // 4, 4), "key": self.key},
-            "buffer": [0, 0, 0, 0],
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        if start % 4:
-            bits.random_raw(start % 4)
+        if k not in self.generators:
+            stream = np.random.Generator(np.random.PCG64DXSM(self.seed))
+            self.generators[k] = stream, stream.bit_generator.state
+        stream, opening = self.generators[k]
+        stream.bit_generator.state = opening
+        stream.bit_generator.advance(self.first + k * self.count)
         self[k] = stream
         return stream
 
@@ -654,10 +636,11 @@ def _membership(body: ConvexBody) -> Callable:
 def mc_centroid(scene: DilationScene, seed: int, samples: int) -> tuple[float, float]:
     """Monte Carlo estimate (mean, standard error) of the shell centroid.
 
-    Uniform points are drawn inside the larger body with a counter-based
-    Philox stream keyed by (seed, block index); results are bit-reproducible
-    for a fixed seed regardless of how the fixed-size blocks would be
-    scheduled.  Membership reads only a point's first coordinate x1 and the
+    Uniform points are drawn inside the larger body from a PCG64DXSM stream
+    seeded with ``seed``, each fixed-size block from its own stretch of it,
+    reached by ``advance`` (see _BlockStreams); results are bit-reproducible
+    for a fixed seed regardless of how the blocks would be scheduled or
+    chunked.  Membership reads only a point's first coordinate x1 and the
     norm of its lateral part, so only those two are drawn: x1 from the
     body's axial law (U for a cube, U^(1/n) for a cone or pyramid, the
     first coordinate of a uniform point of the n-ball for a ball), and the

@@ -2,6 +2,7 @@ import math
 import tracemalloc
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -40,6 +41,8 @@ from anacci.geometry import (
     solve_scene_for_target,
     unit_ball_volume,
     volume,
+    _BlockStreams,
+    _MC_CHUNK,
 )
 from anacci.solver import solve_lambda
 
@@ -525,8 +528,9 @@ class TestMonteCarlo:
 
     def test_thin_shell_raises(self):
         # at either factor exactly one of the 10**4 points lands in the
-        # shell, which meets the 1e-4 rate but leaves no spread to estimate
-        for lam in (1.00001, 1.000056):
+        # shell, which meets the 1e-4 rate but leaves no spread to estimate;
+        # they are the ends of the run of such factors on a 1e-6 grid
+        for lam in (1.000046, 1.000076):
             scene = DilationScene(ball(2, 1.0, center=1.0), 0.0, lam)
             with pytest.raises(DegenerateShell, match=r"^1 of 10000 points accepted"):
                 mc_centroid(scene, 42, 10**4)
@@ -551,27 +555,27 @@ class TestMonteCarlo:
 
 
 # (kind, n, lam, seed, samples, estimate, stderr), recorded with the sampler
-# that drew each block as whole-block arrays.  The chunked workspace must
-# draw the same points, so only the merge order of the moments may move the
-# last digits; one point moved at 2e5 samples shifts an estimate by about
-# 2e-3 stderr.
+# that drew each block as whole-block arrays from one generator advanced to
+# the block's first draw.  The chunked workspace must draw the same points,
+# so only the merge order of the moments may move the last digits; one point
+# moved at 2e5 samples shifts an estimate by about 2e-3 stderr.
 MC_GOLDEN = [
-    ("ball", 1, 0.7, 42, 10000, 1.5132952243946145, 0.010766539413218194),
-    ("ball", 2, 1.6, 43, 65536, 1.736232192627282, 0.0041258904093819816),
-    ("ball", 3, 0.7, 44, 201234, 1.1161129136283792, 0.0012711356123140747),
-    ("ball", 8, 1.6, 45, 10000, 1.4618186275044878, 0.005132962200790185),
-    ("cube", 1, 1.6, 46, 65536, 0.9793996357853427, 0.0034026108853719025),
-    ("cube", 2, 0.7, 47, 201234, 0.5880047200247522, 0.001032465777870672),
-    ("cube", 3, 1.6, 48, 10000, 0.7445883342965824, 0.005654184154926724),
-    ("cube", 8, 0.7, 49, 65536, 0.5034571624457593, 0.0011756763291186408),
-    ("cone", 1, 1.6, 50, 201234, 0.9796272459082735, 0.0019452413884184342),
-    ("cone", 2, 0.7, 51, 10000, 0.8044940892957746, 0.0029915775234303455),
-    ("cone", 3, 1.6, 52, 65536, 1.1854514129785907, 0.0011751283097284596),
-    ("cone", 8, 0.7, 53, 201234, 0.9013376220258027, 0.0001976374501446231),
-    ("pyramid", 1, 1.6, 54, 10000, 0.9791479300552923, 0.008643065923747207),
-    ("pyramid", 2, 0.7, 55, 65536, 0.8004021801407739, 0.001174979528951546),
-    ("pyramid", 3, 1.6, 56, 201234, 1.1852616482248939, 0.0006753269573729105),
-    ("pyramid", 8, 0.7, 57, 10000, 0.9018573838115505, 0.0008743578242020133),
+    ("ball", 1, 0.7, 42, 10000, 1.5294144758775563, 0.010412574207472375),
+    ("ball", 2, 1.6, 43, 65536, 1.7383761500041555, 0.004115719065699813),
+    ("ball", 3, 0.7, 44, 201234, 1.117785349297667, 0.0012698541683586184),
+    ("ball", 8, 1.6, 45, 10000, 1.4571797626591116, 0.005093608613547746),
+    ("cube", 1, 1.6, 46, 65536, 0.9833434092686888, 0.0034126240125378886),
+    ("cube", 2, 0.7, 47, 201234, 0.5881114650190168, 0.0010338083370037593),
+    ("cube", 3, 1.6, 48, 10000, 0.7365345622560628, 0.005629348232131678),
+    ("cube", 8, 0.7, 49, 65536, 0.5056883146624058, 0.0011812032908689253),
+    ("cone", 1, 1.6, 50, 201234, 0.9794613573953022, 0.0019493658120034345),
+    ("cone", 2, 0.7, 51, 10000, 0.7993010054378484, 0.002978689775980084),
+    ("cone", 3, 1.6, 52, 65536, 1.1881907409239094, 0.00116885493283137),
+    ("cone", 8, 0.7, 53, 201234, 0.9013418343254884, 0.00019852954659936814),
+    ("pyramid", 1, 1.6, 54, 10000, 0.9804003474269176, 0.008681070772278135),
+    ("pyramid", 2, 0.7, 55, 65536, 0.8021365671537075, 0.0011654783576184743),
+    ("pyramid", 3, 1.6, 56, 201234, 1.1869774038377798, 0.0006683721528325846),
+    ("pyramid", 8, 0.7, 57, 10000, 0.9024053603098225, 0.000886344751787853),
 ]
 
 
@@ -583,6 +587,23 @@ class TestMonteCarloDraws:
         got, got_stderr = mc_centroid(make_scene(maker, n, lam), seed, samples)
         assert abs(got - estimate) <= 1e-9 * stderr
         assert abs(got_stderr - stderr) <= 1e-9 * stderr
+
+    @pytest.mark.parametrize("count", [65536, 10007])
+    @pytest.mark.parametrize("seed", [0, 2**128 - 3])
+    def test_streams_are_stretches_of_one_seeded_stream(self, seed, count):
+        # stream k of block b starts at draw b*2^64 + k*count of the one
+        # PCG64DXSM stream seeded with ``seed``, drawn a chunk at a time
+        streams = _BlockStreams(seed)
+        for block in (0, 1):
+            streams.start(block, count)
+            got = np.empty((3, count))
+            for done in range(0, count, _MC_CHUNK):
+                for k in range(3):
+                    streams[k].random(out=got[k, done:done + _MC_CHUNK])
+            bits = np.random.PCG64DXSM(seed)
+            bits.advance(block << 64)
+            expected = np.random.Generator(bits).random(3 * count)
+            assert np.array_equal(got.ravel(), expected), block
 
     def test_workspace_stays_below_one_megabyte(self):
         # whole-block draws peaked at 2.5-3.6 MB for 10**6 samples
