@@ -47,7 +47,6 @@ _PUBLIC = {
         "ball_representation",
         "center_ordering",
         "centroid",
-        "centroid_ratio_theorem_check",
         "cone",
         "cone_representation",
         "cube",

@@ -154,6 +154,7 @@ def _cmd_anacci(args) -> int:
             payload["upper"] = args.m + 1.0
         _emit(args, payload)
         return 0
+    _check_positive_int(args.count, "count")
     if args.seq in ("kn", "km"):
         _check_positive_int(args.k, "k")
     points = (_SEQ_INDEX[args.seq](args, i) for i in range(1, args.count + 1))

@@ -541,29 +541,6 @@ def height_interval_nesting(n: int, m_max: int) -> NestingReport:
     return NestingReport(n, lefts, rights, left_margins, right_margins, ok)
 
 
-def centroid_ratio_theorem_check(kind: BodyKind, n: int) -> bool:
-    """Verify the n:1 apex-to-base centroid split by dilation limits.
-
-    Dilates a unit-height cone or pyramid about its apex and checks that
-    the shell centroid at lam = 1 +- 1e-5 approaches the base-face centroid
-    (within 1e-4) and that d(O, A)/d(A, B(1)) = n within 1e-6.
-    """
-    if kind not in (BodyKind.CONE, BodyKind.PYRAMID):
-        raise ValueError(f"check applies to cones and pyramids, got {kind!r}")
-    body = ConvexBody(kind, n, 1.0)
-    a = centroid(body)
-    base_center = axis_interval(body)[1]
-    limit_b = b_one(body, 0.0)
-    if abs(limit_b - base_center) > 1e-12:
-        return False
-    for lam in (1.0 + 1e-5, 1.0 - 1e-5):
-        b = shell_centroid(DilationScene(body, 0.0, lam))
-        if abs(b - limit_b) > 1e-4:
-            return False
-    ratio = (a - 0.0) / (limit_b - a)
-    return abs(ratio - n) <= 1e-6
-
-
 # ---------------------------------------------------------------------------
 # Monte Carlo shell-centroid oracle
 

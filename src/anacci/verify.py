@@ -18,13 +18,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .geometry import (
-    BodyKind,
     DilationScene,
+    axis_interval,
     ball,
     ball_representation,
     b_one,
     center_ordering,
-    centroid_ratio_theorem_check,
+    centroid,
     cone,
     cone_representation,
     cube,
@@ -132,21 +132,21 @@ def _rises(family: str, seq):
 
 
 def _bounds(m_max: int, n_max: int, seed: int):
-    for m in range(1, m_max + 1):
-        for n in range(2, n_max + 1):
-            value = anacci((m, n))
-            yield "sandwich_lattice", value - (m + 1 - 1 / (m + 1))
-            yield "sandwich_lattice", (m + 1) - value + _resolution(m + 1)
-
+    # one pass over the lattice feeds both lattice families; the sandwich
+    # starts at n = 2 and the basic bound skips (1, 1), where it equals 1
     for m in range(1, m_max + 1):
         for n in range(1, n_max + 1):
             if m * n == 1:
                 continue
             value = anacci((m, n))
+            below_ceiling = (m + 1) - value + _resolution(m + 1)
+            if n > 1:
+                yield "sandwich_lattice", value - (m + 1 - 1 / (m + 1))
+                yield "sandwich_lattice", below_ceiling
             lmin = lower_bound_basic(m, n)
             yield "basic_lattice", lmin - 1.0
             yield "basic_lattice", value - lmin
-            yield "basic_lattice", (m + 1) - value + _resolution(m + 1)
+            yield "basic_lattice", below_ceiling
 
     # one pass over the random solves feeds both random families; each
     # point is random.uniform's lo + (hi - lo) * random(), inlined
@@ -182,14 +182,21 @@ def _bounds(m_max: int, n_max: int, seed: int):
             yield "crossover_equivalence", (basic <= refined) == (q <= crossover)
 
 
-def suite_bounds(
-    m_max: int = 50, n_max: int = 10, seed: int = 20240801, **_
-) -> list[CheckResult]:
+def suite_bounds(*, m_max: int, n_max: int, seed: int, **_) -> list[CheckResult]:
     return _report("bounds", _bounds(m_max, n_max, seed))
 
 
 # ---------------------------------------------------------------------------
 # monotone structure
+
+# segments whose endpoints and midpoint all have p*q >= 1, where lam is concave
+_CONCAVITY_SEGMENTS = (
+    ((1.0, 1.5), (3.0, 2.0)),
+    ((0.8, 2.0), (2.5, 4.0)),
+    ((1.5, 1.0), (1.5, 6.0)),
+    ((1.0, 2.0), (4.0, 2.0)),
+    ((2.0, 0.6), (3.0, 5.0)),
+)
 
 
 def _monotone(m_max: int, n_max: int):
@@ -213,10 +220,8 @@ def _monotone(m_max: int, n_max: int):
     for n in range(1, n_max + 1):
         yield from _rises("scaled_A_increasing", scaled_seq_A(n, m_max))
 
-    for n in range(2, n_max + 1):
-        seq = scaled_seq_B(n, m_max)
-        for a, b in zip(seq, seq[1:]):
-            yield "scaled_B_decreasing", a - b
+    for n in range(2, n_max + 1):  # read backwards, a decreasing sequence rises
+        yield from _rises("scaled_B_decreasing", scaled_seq_B(n, m_max)[::-1])
 
     for n in (2, 3, 5):
         if n > n_max:
@@ -238,22 +243,14 @@ def _monotone(m_max: int, n_max: int):
                     values.append(result.value)
             yield from _rises("line_restrictions", values)
 
-    segments = (
-        ((1.0, 1.5), (3.0, 2.0)),
-        ((0.8, 2.0), (2.5, 4.0)),
-        ((1.5, 1.0), (1.5, 6.0)),
-        ((1.0, 2.0), (4.0, 2.0)),
-        ((2.0, 0.6), (3.0, 5.0)),
-    )
-    for (p1, q1), (p2, q2) in segments:
+    for (p1, q1), (p2, q2) in _CONCAVITY_SEGMENTS:
         pm, qm = 0.5 * (p1 + p2), 0.5 * (q1 + q2)
-        assert p1 * q1 >= 1 and p2 * q2 >= 1 and pm * qm >= 1
         mid = solve_lambda(pm, qm).value
         avg = 0.5 * (solve_lambda(p1, q1).value + solve_lambda(p2, q2).value)
         yield "midpoint_concavity", mid - avg + 1e-12
 
 
-def suite_monotone(m_max: int = 50, n_max: int = 10, **_) -> list[CheckResult]:
+def suite_monotone(*, m_max: int, n_max: int, **_) -> list[CheckResult]:
     return _report("monotone", _monotone(m_max, n_max), m_max=m_max)
 
 
@@ -262,20 +259,15 @@ def suite_monotone(m_max: int = 50, n_max: int = 10, **_) -> list[CheckResult]:
 
 
 def _appendices(m_max: int, n_max: int):
+    # lhs, rhs = (m+1)/m phi(m), (m+2)/(m+1) phi(m+1); here, nxt = phi(m)/m, phi(m+1)/(m+1)
     for n in range(2, n_max + 1):
-        for m in range(1, m_max):
-            lhs = (m + 1) / m * anacci((m, n))
+        seq_a, seq_b = scaled_seq_A(n, m_max), scaled_seq_B(n, m_max)
+        for m, lhs, rhs, here, nxt in zip(range(1, m_max), seq_a, seq_a[1:], seq_b, seq_b[1:]):
             mid1 = (m + 1) ** 2 / m
             mid2 = (m + 2) / (m + 1) * (m + 2 - 1 / (m + 2))
-            rhs = (m + 2) / (m + 1) * anacci((m + 1, n))
             yield "A_chain", mid1 - lhs + _resolution(mid1)
             yield "A_chain", mid2 - mid1 + _resolution(mid2)  # non-strict link
             yield "A_chain", rhs - mid2
-
-    for n in range(2, n_max + 1):
-        for m in range(1, m_max):
-            here = anacci((m, n)) / m
-            nxt = anacci((m + 1, n)) / (m + 1)
             yield "B_chain", here - nxt
             yield "B_chain", 1.0 + 1.0 / m - here + _resolution(1.0 + 1.0 / m)
             yield "B_chain", nxt - ((m + 2) / (m + 1) - 1.0 / ((m + 2) * (m + 1)))
@@ -286,21 +278,12 @@ def _appendices(m_max: int, n_max: int):
             yield "C_nesting", margin
 
 
-def suite_appendices(m_max: int = 50, n_max: int = 10, **_) -> list[CheckResult]:
+def suite_appendices(*, m_max: int, n_max: int, **_) -> list[CheckResult]:
     return _report("appendices", _appendices(m_max, n_max))
 
 
 # ---------------------------------------------------------------------------
 # geometry
-
-
-def _canonical_scenes(n: int, lam: float) -> list[DilationScene]:
-    return [
-        DilationScene(ball(n, 1.0, center=1.0), 0.25, lam),
-        DilationScene(cube(n, 1.0, near_face=0.0), 0.2, lam),
-        DilationScene(cone(n, 1.0, apex=0.0), 0.3, lam),
-        DilationScene(pyramid(n, 1.0, apex=0.0), 0.3, lam),
-    ]
 
 
 # center_ordering's chain labels -> scene_points keys
@@ -310,7 +293,12 @@ _POINT_KEYS = {"O": "O", "A": "A", "L(A)": "LA", "B(1)": "B1", "B": "B"}
 def _geometry(n_max: int, seed: int, samples: int):
     for n in range(1, n_max + 1):
         for lam in (0.3, 0.8, 1.2, 2.0, 3.0):
-            for scene in _canonical_scenes(n, lam):
+            for scene in (
+                DilationScene(ball(n, 1.0, center=1.0), 0.25, lam),
+                DilationScene(cube(n, 1.0, near_face=0.0), 0.2, lam),
+                DilationScene(cone(n, 1.0, apex=0.0), 0.3, lam),
+                DilationScene(pyramid(n, 1.0, apex=0.0), 0.3, lam),
+            ):
                 pts = scene_points(scene)
                 d_ab = abs(pts["B"] - pts["A"])
                 residual = abs(abs(pts["B"] - pts["LA"]) * lam**n - d_ab)
@@ -374,9 +362,17 @@ def _geometry(n_max: int, seed: int, samples: int):
             yield "cone_representation", rep.image_centroid - 0.5 + _resolution(0.5)
             yield "cone_representation", 1.0 - rep.image_centroid + _resolution(m + 1)
 
-    for kind in (BodyKind.CONE, BodyKind.PYRAMID):
-        for n in range(1, n_max + 1):
-            yield "apex_centroid_ratio", centroid_ratio_theorem_check(kind, n)
+    # a unit cone or pyramid dilated about its apex: B(1) is the base-face
+    # centroid, the shell centroid near lam = 1 tends to it, and the
+    # centroid A splits O to B(1) as n:1
+    for body in [shape(n) for shape in (cone, pyramid) for n in range(1, n_max + 1)]:
+        a, limit = centroid(body), b_one(body, 0.0)
+        near = (DilationScene(body, 0.0, lam) for lam in (1.0 + 1e-5, 1.0 - 1e-5))
+        yield "apex_centroid_ratio", (
+            abs(limit - axis_interval(body)[1]) <= 1e-12
+            and all(abs(shell_centroid(scene) - limit) <= 1e-4 for scene in near)
+            and abs(a / (limit - a) - body.n) <= 1e-6
+        )
 
     for scene in (
         DilationScene(ball(2, 1.0, center=1.0), 0.0, 2.0),
@@ -387,9 +383,12 @@ def _geometry(n_max: int, seed: int, samples: int):
         yield "mc_cross_check", 4.0 * stderr - abs(estimate - shell_centroid(scene))
 
 
-def suite_geometry(
-    n_max: int = 8, seed: int = 42, samples: int = 200_000, **_
-) -> list[CheckResult]:
+def suite_geometry(*, n_max: int, seed: int, samples: int, **_) -> list[CheckResult]:
+    """The geometry families, to dimension n = min(n_max, 8).
+
+    From n = 9 the lever identity's absolute bound 1e-12*(1+d) fails: its
+    worst margin is -1.56e-12 at n = 9 and at n = 10.
+    """
     return _report("geometry", _geometry(min(n_max, 8), seed, samples))
 
 
@@ -411,7 +410,9 @@ def run_suite(
 ) -> list[CheckResult]:
     """Run one suite (or "all") with shared size parameters.
 
-    Both sizes must be at least 2, where every family has a check to make.
+    The sizes are defaulted here only; each suite takes them as required
+    keywords.  Both sizes must be at least 2, where every family has a
+    check to make.
     """
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(SUITES)} or 'all'")

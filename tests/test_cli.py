@@ -239,6 +239,13 @@ class TestAnacciCommand:
         assert out == ""
         assert err == "error: k must be a positive integer, got 0\n"
 
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_sequence_count_below_one_exits_two(self, capsys, count):
+        code, out, err = run_cli(capsys, "anacci", "--seq", "kn", "--count", count)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: count must be a positive integer, got {count}\n"
+
 
 class TestSceneCommand:
     def test_explicit_factor(self, capsys):
@@ -529,3 +536,18 @@ class TestColdStart:
         assert list(_choices("scene", "body")) == [kind.value for kind in BodyKind]
         assert list(_choices("fig", "which")) == sorted(figures.FIGURES)
         assert list(_choices("verify", "suite")) == [*verify.SUITES, "all"]
+
+    def test_verify_size_defaults_match_run_suite(self):
+        # the parser spells out run_suite's defaults so that --help imports no verify
+        import inspect
+
+        from anacci import verify
+
+        args = build_parser().parse_args(["verify"])
+        defaults = {
+            name: param.default
+            for name, param in inspect.signature(verify.run_suite).parameters.items()
+            if param.default is not inspect.Parameter.empty
+        }
+        assert sorted(defaults) == ["m_max", "n_max", "samples", "seed"]
+        assert {name: getattr(args, name) for name in defaults} == defaults

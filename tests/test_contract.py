@@ -33,7 +33,6 @@ from anacci import (
     bound_crossover,
     canonical_init,
     center_ordering,
-    centroid_ratio_theorem_check,
     classify,
     cone,
     cone_representation,
@@ -141,9 +140,6 @@ CASES = {
     ),
     "ball_representation": (ball_representation, dict(m=2, n=3), "", "m n", ""),
     "cone_representation": (cone_representation, dict(m=2, n=3), "", "m n", ""),
-    "centroid_ratio_theorem_check": (
-        lambda n: centroid_ratio_theorem_check(BodyKind.PYRAMID, n), dict(n=3), "", "n", "",
-    ),
     "height_interval_nesting": (height_interval_nesting, dict(n=2, m_max=3), "", "n", "m_max"),
     "mc_centroid": (
         lambda O, lam, seed, samples: mc_centroid(_unit_ball_scene(O, lam), seed, samples),

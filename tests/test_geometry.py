@@ -27,7 +27,6 @@ from anacci.geometry import (
     ball_representation,
     center_ordering,
     centroid,
-    centroid_ratio_theorem_check,
     cone,
     cone_representation,
     cube,
@@ -459,22 +458,6 @@ class TestHeightNesting:
     def test_m_max_precondition(self):
         with pytest.raises(ValueError):
             height_interval_nesting(2, 1)
-
-
-class TestCentroidRatioTheorem:
-    @pytest.mark.parametrize("kind,n", [
-        (BodyKind.CONE, 2),
-        (BodyKind.PYRAMID, 3),
-        (BodyKind.CONE, 7),
-        (BodyKind.PYRAMID, 1),
-    ])
-    def test_holds(self, kind, n):
-        assert centroid_ratio_theorem_check(kind, n)
-
-    def test_rejects_symmetric_bodies(self):
-        for kind in (BodyKind.BALL, BodyKind.CUBE, "cone"):
-            with pytest.raises(ValueError):
-                centroid_ratio_theorem_check(kind, 2)
 
 
 class TestMonteCarlo:

@@ -22,7 +22,7 @@ HOMES = {
     "geometry": (
         "BallRepresentation BodyKind CenterOrdering ConeRepresentation ConvexBody "
         "DilationScene NestingReport axis_interval b_one ball ball_representation "
-        "center_ordering centroid centroid_ratio_theorem_check cone cone_representation "
+        "center_ordering centroid cone cone_representation "
         "cube dilate height_interval_nesting lambda_from_p mc_centroid pyramid "
         "scene_points shell_centroid solve_scene_for_target unit_ball_volume volume"
     ),

@@ -1,10 +1,11 @@
+import inspect
 import math
 from fractions import Fraction
 
 import pytest
 
 from anacci import qkernel, solver, verify
-from anacci.geometry import CenterOrdering
+from anacci.geometry import CenterOrdering, axis_interval
 from anacci.verify import FAMILIES, SUITES, run_suite, suite_bounds, suite_geometry
 
 ROSTER = [
@@ -69,7 +70,7 @@ class TestSizes:
     def test_family_without_checks_fails(self):
         # called directly, a suite does not reject small sizes, but an
         # empty family must not pass
-        results = {r.name: r for r in suite_bounds(m_max=0, n_max=0)}
+        results = {r.name: r for r in suite_bounds(m_max=0, n_max=0, seed=42)}
         sandwich = results["bounds.sandwich_lattice"]
         assert sandwich.count == 0
         assert not sandwich.passed
@@ -77,6 +78,11 @@ class TestSizes:
     def test_rejects_unknown_suite(self):
         with pytest.raises(ValueError, match="unknown suite"):
             run_suite("nope")
+
+    def test_only_run_suite_defaults_the_sizes(self):
+        for suite in SUITES.values():
+            params = inspect.signature(suite).parameters.values()
+            assert all(p.default is inspect.Parameter.empty for p in params), suite
 
 
 class TestBoundsWork:
@@ -91,7 +97,7 @@ class TestBoundsWork:
         monkeypatch.setattr(solver, "_check_positive", counted_check)
         monkeypatch.setattr(qkernel, "_check_positive", counted_check)
         # sizes 0 leave only the random points and the exact crossover grid
-        results = {r.name: r for r in suite_bounds(m_max=0, n_max=0)}
+        results = {r.name: r for r in suite_bounds(m_max=0, n_max=0, seed=42)}
         assert results["bounds.random_regimes"].passed
         assert results["bounds.refined"].passed
         assert calls == {"float": 10_000, "exact": 20 * 64}
@@ -105,7 +111,7 @@ class TestBoundsWork:
             return lambda_min(p, q)
 
         monkeypatch.setattr(verify, "lambda_min", counted)
-        results = {r.name: r for r in suite_bounds(m_max=0, n_max=0)}
+        results = {r.name: r for r in suite_bounds(m_max=0, n_max=0, seed=42)}
         assert results["bounds.crossover_equivalence"].passed
         assert calls == [(Fraction, Fraction)] * 1280
 
@@ -131,13 +137,14 @@ BOUNDS_PINS = {
 
 
 class TestBoundsPinned:
-    # suite_bounds defaults to seed 20240801 and run_suite to seed 42
+    # both at run_suite's default sizes: seed 20240801 through suite_bounds,
+    # and run_suite's own defaults, seed 42 among them
     @pytest.mark.parametrize("seed, run", [
         (20240801, suite_bounds),
-        (42, lambda: run_suite("bounds")),
+        (42, lambda **_: run_suite("bounds")),
     ])
     def test_counts_and_worst_margins_at_the_defaults(self, seed, run):
-        results = run()
+        results = run(m_max=50, n_max=10, seed=seed)
         assert all(r.passed for r in results)
         assert [(r.name, r.count, repr(r.worst_margin)) for r in results] == BOUNDS_PINS[seed]
 
@@ -162,7 +169,7 @@ class TestReport:
 class TestCenterOrderings:
     def test_wrong_chain_fails(self, monkeypatch):
         monkeypatch.setattr(verify, "center_ordering", lambda scene: CenterOrdering.CONTRACTION)
-        results = {r.name: r for r in suite_geometry(n_max=2, samples=10_000)}
+        results = {r.name: r for r in suite_geometry(n_max=2, seed=42, samples=10_000)}
         failing = results.pop("geometry.center_orderings")
         assert not failing.passed
         assert failing.worst_margin < 0.0
@@ -172,3 +179,20 @@ class TestCenterOrderings:
         (orderings,) = [r for r in smallest_run if r.name == "geometry.center_orderings"]
         # five factors for each of n = 1 and n = 2, four links per chain
         assert orderings.count == 2 * 5 * 4
+
+
+class TestApexCentroidRatio:
+    def test_wrong_limit_fails(self, monkeypatch):
+        # B(1) at the apex instead of A + (A - O)/n: the apex split no longer holds
+        monkeypatch.setattr(verify, "b_one", lambda body, O: axis_interval(body)[0])
+        results = {r.name: r for r in suite_geometry(n_max=2, seed=42, samples=10_000)}
+        apex = results["geometry.apex_centroid_ratio"]
+        assert not apex.passed
+        assert apex.count == 2 * 2
+
+
+class TestMidpointConcavity:
+    def test_segments_lie_where_pq_is_at_least_one(self):
+        for (p1, q1), (p2, q2) in verify._CONCAVITY_SEGMENTS:
+            pm, qm = 0.5 * (p1 + p2), 0.5 * (q1 + q2)
+            assert min(p1 * q1, p2 * q2, pm * qm) >= 1
