@@ -4,9 +4,9 @@ Subcommands: solve, inverse, recurrence, anacci, scene, fig, verify.
 Single values print as JSON, grids as CSV.  Exit codes: 0 ok,
 1 verification failure, 2 usage or domain error, 3 I/O error.  Each command
 imports only the layers it runs, so ``--help`` and ``solve`` start without
-the geometry, figure and verify modules, ``--help`` also without the
-standard ``dataclasses`` and ``fractions`` modules, and ``solve``,
-``inverse`` and ``anacci`` without ``dataclasses``.
+the geometry, figure and verify modules, and ``--help`` also without the
+standard ``fractions`` module.  No command loads the standard library's
+data class module: every record type is a named tuple.
 """
 
 from __future__ import annotations
@@ -100,7 +100,6 @@ def _parse_init(text: str, exact: bool):
 
 
 def _cmd_recurrence(args) -> int:
-    import dataclasses
     from fractions import Fraction
 
     from .recurrence import RecurrenceSpec, canonical_init, generate, ratio_limit
@@ -125,7 +124,7 @@ def _cmd_recurrence(args) -> int:
     }
     try:
         estimate = ratio_limit(spec, args.tol, max(args.count, 2 * args.n, 64))
-        payload["ratio"] = dataclasses.asdict(estimate)
+        payload["ratio"] = estimate._asdict()
     except AnacciError as exc:
         payload["ratio"] = {"error": str(exc)}
     table = (("k", "term"), list(enumerate(payload["terms"])))
@@ -217,17 +216,15 @@ def _cmd_scene(args) -> int:
 
 
 def _cmd_fig(args) -> int:
-    import dataclasses
-
     from . import figures
 
     grid = None
-    fields = (f.name for f in dataclasses.fields(figures.GridSpec))
+    fields = figures.GridSpec._fields
     overrides = {f: getattr(args, f) for f in fields if getattr(args, f) is not None}
     if overrides:
         if args.which not in figures.DEFAULT_GRIDS:
             raise AnacciError(f"{args.which} has no sampling window to override")
-        grid = dataclasses.replace(figures.DEFAULT_GRIDS[args.which], **overrides)
+        grid = figures.DEFAULT_GRIDS[args.which]._replace(**overrides)
     _write_text(args, figures.emit(args.which, grid))
     return 0
 

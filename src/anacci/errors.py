@@ -125,3 +125,9 @@ def _weight(p, where: str, *args) -> float:
     if p == math.inf:
         raise WeightOverflow(f"weight for {where % args} is above the largest finite double")
     return p
+
+
+def _validated_make(cls, fields):
+    """``_make`` of a named tuple whose ``__new__`` checks its fields: it goes
+    through the constructor, so ``_replace`` checks the new fields too."""
+    return cls(*fields)

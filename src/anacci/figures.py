@@ -12,13 +12,12 @@ draws on, the solver and kernel (fig1-fig3) or geometry (fig5-fig7), so
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
+
+from .errors import _validated_make
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Sampling window for grid emitters."""
-
+class _GridFields(NamedTuple):
     p_min: float
     p_max: float
     p_steps: int
@@ -26,13 +25,23 @@ class GridSpec:
     q_max: float
     q_steps: int
 
-    def __post_init__(self):
-        if not self.p_min < self.p_max:
-            raise ValueError(f"p_min must be < p_max, got {self.p_min}, {self.p_max}")
-        if not self.q_min < self.q_max:
-            raise ValueError(f"q_min must be < q_max, got {self.q_min}, {self.q_max}")
-        if self.p_steps < 2 or self.q_steps < 2:
+
+class GridSpec(_GridFields):
+    """Sampling window for grid emitters."""
+
+    __slots__ = ()
+
+    def __new__(cls, p_min: float, p_max: float, p_steps: int,
+                q_min: float, q_max: float, q_steps: int):
+        if not p_min < p_max:
+            raise ValueError(f"p_min must be < p_max, got {p_min}, {p_max}")
+        if not q_min < q_max:
+            raise ValueError(f"q_min must be < q_max, got {q_min}, {q_max}")
+        if p_steps < 2 or q_steps < 2:
             raise ValueError("steps must be >= 2")
+        return tuple.__new__(cls, (p_min, p_max, p_steps, q_min, q_max, q_steps))
+
+    _make = classmethod(_validated_make)
 
     def p_values(self, closed: bool = True) -> list[float]:
         return _axis(self.p_min, self.p_max, self.p_steps, closed)
@@ -55,8 +64,22 @@ def format_value(x) -> str:
 
 
 def render_csv(header, rows) -> str:
+    """CSV text of the header and rows, one ``%`` operation per row.
+
+    Rows with the same tuple of cell types share a template, in which a
+    float cell is "%.17g" and any other "%s": each cell reads as
+    format_value renders it.
+    """
     lines = [",".join(header)]
-    lines.extend(",".join(format_value(v) for v in row) for row in rows)
+    templates = {}
+    for row in rows:
+        row = tuple(row)
+        types = tuple(map(type, row))
+        template = templates.get(types)
+        if template is None:
+            template = ",".join("%.17g" if issubclass(t, float) else "%s" for t in types)
+            templates[types] = template
+        lines.append(template % row)
     return "\n".join(lines) + "\n"
 
 

@@ -17,10 +17,9 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass, replace
 from enum import Enum
 from operator import imul, ipow
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (
     DegenerateShell,
@@ -31,7 +30,7 @@ from .errors import (
     TargetUnreachable,
     ZeroUnderflow,
 )
-from .errors import _check_nonnegative, _check_positive, _check_positive_int
+from .errors import _check_nonnegative, _check_positive, _check_positive_int, _validated_make
 from .lattice import anacci
 from .qkernel import RegionClass
 from .solver import solve_lambda
@@ -50,8 +49,15 @@ class BodyKind(Enum):
     PYRAMID = "pyramid"
 
 
-@dataclass(frozen=True)
-class ConvexBody:
+class _BodyFields(NamedTuple):
+    kind: BodyKind
+    n: int
+    size: float
+    base: float
+    axis_offset: float
+
+
+class ConvexBody(_BodyFields):
     """A compact convex body positioned on the first coordinate axis.
 
     ``size`` is the ball radius, cube side, or cone/pyramid height.
@@ -61,19 +67,19 @@ class ConvexBody:
     center, or the cone/pyramid apex (the body extends toward +e1).
     """
 
-    kind: BodyKind
-    n: int
-    size: float
-    base: float = 1.0
-    axis_offset: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.kind, BodyKind):
-            raise ValueError(f"kind must be a BodyKind, got {self.kind!r}")
-        _check_positive_int(self.n, "dimension n")
-        _check_positive(size=self.size, base=self.base)
-        if not math.isfinite(self.axis_offset):
-            raise ValueError(f"axis_offset must be finite, got {self.axis_offset!r}")
+    def __new__(cls, kind: BodyKind, n: int, size: float, base: float = 1.0,
+                axis_offset: float = 0.0):
+        if not isinstance(kind, BodyKind):
+            raise ValueError(f"kind must be a BodyKind, got {kind!r}")
+        _check_positive_int(n, "dimension n")
+        _check_positive(size=size, base=base)
+        if not math.isfinite(axis_offset):
+            raise ValueError(f"axis_offset must be finite, got {axis_offset!r}")
+        return tuple.__new__(cls, (kind, n, size, base, axis_offset))
+
+    _make = classmethod(_validated_make)
 
 
 def ball(n: int, radius: float = 1.0, center: float = 0.0) -> ConvexBody:
@@ -179,8 +185,7 @@ def _ball_bound(w, u):
     return u
 
 
-@dataclass(frozen=True)
-class _Shape:
+class _Shape(NamedTuple):
     """One body kind as an axis segment times a scaled cross-section.
 
     With c the axis offset, s the size and u = (x1 - c)/s, the section at u
@@ -275,29 +280,31 @@ def dilate(body: ConvexBody, O: float, lam: float) -> ConvexBody:
     """Image of the body under x -> O + lam*(x - O) about a center O inside it."""
     _check_positive(lam=lam)
     _check_inside(body, O)
-    return replace(
-        body,
-        size=lam * body.size,
-        base=lam * body.base,
-        axis_offset=O + lam * (body.axis_offset - O),
-    )
+    return ConvexBody(body.kind, body.n, lam * body.size, lam * body.base,
+                      O + lam * (body.axis_offset - O))
 
 
-@dataclass(frozen=True)
-class DilationScene:
+class _SceneFields(NamedTuple):
+    body: ConvexBody
+    O: float
+    lam: float
+
+
+class DilationScene(_SceneFields):
     """A body together with a homothetic center O inside it and a factor lam.
 
     O must differ from the body's center of mass (the construction needs a
     direction along which to order the derived centers).
     """
 
-    body: ConvexBody
-    O: float
-    lam: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_positive(lam=self.lam)
-        _centroid_apart_from(self.body, self.O)
+    def __new__(cls, body: ConvexBody, O: float, lam: float):
+        _check_positive(lam=lam)
+        _centroid_apart_from(body, O)
+        return tuple.__new__(cls, (body, O, lam))
+
+    _make = classmethod(_validated_make)
 
 
 class CenterOrdering(Enum):
@@ -426,8 +433,7 @@ def center_ordering(scene: DilationScene) -> CenterOrdering:
     return CenterOrdering.EXPANSION_NARROW
 
 
-@dataclass(frozen=True)
-class BallRepresentation:
+class BallRepresentation(NamedTuple):
     """Unit-ball realization of one lattice constant phi(m, n).
 
     The unit n-ball sits with center of mass at 1, the homothetic center at
@@ -469,8 +475,7 @@ def ball_representation(m: int, n: int) -> BallRepresentation:
     )
 
 
-@dataclass(frozen=True)
-class ConeRepresentation:
+class ConeRepresentation(NamedTuple):
     """Unit-height cone realization of one lattice constant phi(m, n).
 
     The cone has apex at the origin and centroid at n/(n+1); the homothetic
@@ -511,8 +516,7 @@ def cone_representation(m: int, n: int) -> ConeRepresentation:
     )
 
 
-@dataclass(frozen=True)
-class NestingReport:
+class NestingReport(NamedTuple):
     """Nesting of the dilated-cone height intervals at a fixed dimension.
 
     For m = 1..m_max the interval left ends must strictly decrease and the

@@ -18,41 +18,47 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
+from typing import NamedTuple
 
 from .errors import AllZeroInit, NoConvergence, TermOverflow
 from .errors import _check_nonnegative, _check_positive, _check_positive_int, _to_double, _weight
+from .errors import _validated_make
 
 # steps between renormalizations of the window during ratio estimation
 _RESYNC_EVERY = 64
 
 
-@dataclass(frozen=True)
-class RecurrenceSpec:
-    """Weight, order, and initial terms of one recurrence.
-
-    ``p`` must be finite and > 0; ``init`` must hold exactly ``n`` entries,
-    not all zero, and its float entries must be finite.
-    """
-
+class _SpecFields(NamedTuple):
     p: float | int | Fraction
     n: int
     init: tuple
 
-    def __post_init__(self):
-        _check_positive_int(self.n, "order n")
-        _check_positive(**{"weight p": self.p})
-        object.__setattr__(self, "init", tuple(self.init))
-        if len(self.init) != self.n:
-            raise ValueError(
-                f"init must have exactly n={self.n} entries, got {len(self.init)}"
-            )
-        if any(isinstance(t, float) and not math.isfinite(t) for t in self.init):
-            raise ValueError(f"float init terms must be finite, got {self.init!r}")
-        if all(term == 0 for term in self.init):
+
+class RecurrenceSpec(_SpecFields):
+    """Weight, order, and initial terms of one recurrence.
+
+    ``p`` must be finite and > 0; ``init`` must hold exactly ``n`` entries,
+    not all zero, and its float entries must be finite.  ``init`` is stored
+    as a tuple, whatever iterable it was given as.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, p: float | int | Fraction, n: int, init):
+        _check_positive_int(n, "order n")
+        _check_positive(**{"weight p": p})
+        init = tuple(init)
+        if len(init) != n:
+            raise ValueError(f"init must have exactly n={n} entries, got {len(init)}")
+        if any(isinstance(t, float) and not math.isfinite(t) for t in init):
+            raise ValueError(f"float init terms must be finite, got {init!r}")
+        if all(term == 0 for term in init):
             raise AllZeroInit("initial terms must not all be zero")
+        return tuple.__new__(cls, (p, n, init))
+
+    _make = classmethod(_validated_make)
 
     @property
     def exact(self) -> bool:
@@ -62,8 +68,7 @@ class RecurrenceSpec:
         )
 
 
-@dataclass(frozen=True)
-class RatioEstimate:
+class RatioEstimate(NamedTuple):
     """Result of estimating the ratio limit of a sequence.
 
     ``k0`` is the largest index at which a zero term was seen (-1 if none);

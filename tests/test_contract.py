@@ -14,7 +14,6 @@ The CLI sweep feeds the same values to each command's flags through
 traceback, and JSON output is strict (no NaN or Infinity).
 """
 
-import dataclasses
 import json
 import math
 
@@ -152,8 +151,8 @@ def _non_finite(value):
     """A path to the first non-finite float inside a result, or None."""
     if isinstance(value, float):
         return None if math.isfinite(value) else ()
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        value = dataclasses.asdict(value)
+    if isinstance(value, tuple) and hasattr(value, "_asdict"):  # a record
+        value = value._asdict()
     if isinstance(value, dict):
         items = value.items()
     elif isinstance(value, (list, tuple)):

@@ -29,6 +29,19 @@ class TestGridSpec:
         assert grid.p_values() == [0.0, 0.25, 0.5, 0.75, 1.0]
         assert grid.q_values(closed=False) == [0.5, 1.0, 1.5, 2.0]
 
+    def test_replace_checks_as_the_constructor_does(self):
+        grid = GridSpec(0.0, 1.0, 5, 0.0, 2.0, 4)
+        with pytest.raises(ValueError, match="steps"):
+            grid._replace(p_steps=1)
+        assert grid._replace(q_steps=3).q_values() == [0.0, 1.0, 2.0]
+
+    def test_is_immutable(self):
+        grid = GridSpec(0.0, 1.0, 5, 0.0, 2.0, 4)
+        with pytest.raises(AttributeError):
+            grid.colour = "red"
+        with pytest.raises(AttributeError):
+            grid.p_steps = 2
+
 
 class TestFormatting:
     def test_seventeen_significant_digits(self):
@@ -40,6 +53,32 @@ class TestFormatting:
     def test_render_csv_shape(self):
         text = render_csv(("a", "b"), [(1, 2.5), (3, 4.0)])
         assert text == "a,b\n1,2.5\n3,4\n"
+
+    @staticmethod
+    def per_cell_join(header, rows):
+        lines = [",".join(header)]
+        lines.extend(",".join(format_value(v) for v in row) for row in rows)
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("which", sorted(FIGURES))
+    def test_figure_csv_is_the_per_cell_join(self, which):
+        header, rows = FIGURES[which]()
+        assert render_csv(header, rows) == self.per_cell_join(header, rows)
+
+    def test_mixed_rows_are_the_per_cell_join(self):
+        rows = [
+            (1, 2.5, "x"),
+            ("x", 1, 2.5),
+            (True, -0.0, math.inf, math.nan, 1e-320, 10**30),
+            [3, 1.0 / 3.0, "list row"],
+            (),
+            ("a,b", 7),
+            (2.0,),
+        ]
+        header = ("a", "b", "c")
+        text = render_csv(header, rows)
+        assert text == self.per_cell_join(header, rows)
+        assert text.splitlines()[3] == "True,-0,inf,nan,9.9998886718268301e-321," + "1" + "0" * 30
 
 
 class TestEmitters:

@@ -657,3 +657,23 @@ class TestSceneValidation:
             ConvexBody(BodyKind.CONE, 2, 1.0, base=math.nan)
         with pytest.raises(ValueError):
             ConvexBody(BodyKind.BALL, 0, 1.0)
+
+    def test_replace_checks_as_the_constructor_does(self):
+        with pytest.raises(NonPositiveInput):
+            ball(2, 1.0)._replace(size=-1.0)
+        scene = DilationScene(ball(2, 1.0, center=1.0), 0.25, 2.0)
+        with pytest.raises(OOutsideBody):
+            scene._replace(O=3.0)
+        assert scene._replace(lam=3.0) == DilationScene(scene.body, 0.25, 3.0)
+
+    def test_records_are_immutable_tuples(self):
+        body = cone(3, 2.0, apex=-1.0)
+        scene = DilationScene(body, 0.0, 1.5)
+        for record in (body, scene):
+            with pytest.raises(AttributeError):
+                record.colour = "red"
+        with pytest.raises(AttributeError):
+            body.size = 1.0
+        assert body == (BodyKind.CONE, 3, 2.0, 1.0, -1.0)
+        b, O, lam = scene
+        assert (b, O, lam) == (body, 0.0, 1.5)

@@ -53,6 +53,26 @@ class TestSpec:
         assert RecurrenceSpec(p=Fraction(1, 2), n=1, init=(1,)).exact
         assert not RecurrenceSpec(p=1.5, n=1, init=(1,)).exact
 
+    def test_init_is_stored_as_a_tuple(self):
+        spec = RecurrenceSpec(p=1, n=2, init=[0, 1])
+        assert spec.init == (0, 1)
+        assert type(spec.init) is tuple
+        assert spec._replace(init=[1, 1]).init == (1, 1)
+
+    def test_replace_checks_as_the_constructor_does(self):
+        spec = RecurrenceSpec(p=1, n=2, init=(0, 1))
+        with pytest.raises(AllZeroInit):
+            spec._replace(init=(0, 0))
+        with pytest.raises(ValueError, match="exactly n=3"):
+            spec._replace(n=3)
+
+    def test_is_immutable(self):
+        spec = RecurrenceSpec(p=1, n=2, init=(0, 1))
+        with pytest.raises(AttributeError):
+            spec.colour = "red"
+        with pytest.raises(AttributeError):
+            spec.p = 2
+
 
 class TestCanonicalInit:
     def test_shapes(self):

@@ -181,6 +181,20 @@ class TestCenterOrderings:
         assert orderings.count == 2 * 5 * 4
 
 
+class TestLeverIdentity:
+    def test_geometry_suite_passes_above_dimension_eight(self):
+        results = run_suite("geometry", n_max=12, samples=10_000)
+        assert all(r.passed for r in results), [r for r in results if not r.passed]
+
+    def test_dimension_is_not_capped(self):
+        counts = []
+        for n_max in (8, 10, 12):
+            results = {r.name: r for r in run_suite("geometry", n_max=n_max, samples=10_000)}
+            counts.append(results["geometry.lever_identity"].count)
+        # five factors and four body kinds per dimension
+        assert counts == [8 * 20, 10 * 20, 12 * 20]
+
+
 class TestApexCentroidRatio:
     def test_wrong_limit_fails(self, monkeypatch):
         # B(1) at the apex instead of A + (A - O)/n: the apex split no longer holds
