@@ -34,27 +34,25 @@ _PUBLIC = {
         "ZeroUnderflow",
     ),
     "geometry": (
-        "BallRepresentation",
         "BodyKind",
         "CenterOrdering",
-        "ConeRepresentation",
         "ConvexBody",
         "DilationScene",
         "NestingReport",
+        "Representation",
         "axis_interval",
         "b_one",
         "ball",
-        "ball_representation",
         "center_ordering",
         "centroid",
         "cone",
-        "cone_representation",
         "cube",
         "dilate",
         "height_interval_nesting",
         "lambda_from_p",
         "mc_centroid",
         "pyramid",
+        "representation",
         "scene_points",
         "shell_centroid",
         "solve_scene_for_target",

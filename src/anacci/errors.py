@@ -29,7 +29,7 @@ class ZeroUnderflow(AnacciError):
 class InputOutOfRange(AnacciError):
     """An input that is not a float, or a closed-form bound, is positive but
     has no positive finite double; or a derivative lies above the largest
-    double."""
+    double; or a dilated body's size, base or axis offset has no double."""
 
 
 class WeightUnderflow(AnacciError):

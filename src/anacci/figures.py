@@ -174,7 +174,7 @@ def fig5(grid: GridSpec | None = None):
     """Unit-ball representation data for m <= 3, n <= 5: unit and dilated
     sphere parameters and the doubled constants where the dilated spheres
     cross the first axis."""
-    from .geometry import ball_representation
+    from .geometry import BodyKind, representation
 
     header = (
         "m",
@@ -188,19 +188,18 @@ def fig5(grid: GridSpec | None = None):
     rows = []
     for m in range(1, 4):
         for n in range(1, 6):
-            rep = ball_representation(m, n)
+            rep = representation(BodyKind.BALL, m, n)
             rows.append(
-                (m, n, 1.0, 1.0, rep.dilated_center, rep.dilated_radius,
-                 rep.intersection)
+                (m, n, 1.0, 1.0, rep.image_centroid, rep.lam, rep.image_interval[1])
             )
     return header, rows
 
 
 def fig6(grid: GridSpec | None = None):
     """The unit-height cone scene realizing the golden ratio (m=1, n=2)."""
-    from .geometry import cone_representation, scene_points
+    from .geometry import BodyKind, representation, scene_points
 
-    rep = cone_representation(1, 2)
+    rep = representation(BodyKind.CONE, 1, 2)
     points = scene_points(rep.scene)
     header = ("quantity", "value")
     rows = [
@@ -211,8 +210,8 @@ def fig6(grid: GridSpec | None = None):
         ("A", points["A"]),
         ("image_centroid", rep.image_centroid),
         ("shell_b", rep.shell_b),
-        ("height_left", rep.height_interval[0]),
-        ("height_right", rep.height_interval[1]),
+        ("height_left", rep.image_interval[0]),
+        ("height_right", rep.image_interval[1]),
     ]
     return header, rows
 

@@ -23,6 +23,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (
     DegenerateShell,
+    InputOutOfRange,
     LambdaOne,
     OEqualsA,
     OOutsideBody,
@@ -43,6 +44,9 @@ _BOUNDARY_TOL = 1e-12
 
 
 class BodyKind(Enum):
+    """A body kind; each member carries its ``_Shape`` as ``shape``, set once
+    the shapes are built, so a lookup does not hash the member."""
+
     BALL = "ball"
     CUBE = "cube"
     CONE = "cone"
@@ -195,6 +199,9 @@ class _Shape(NamedTuple):
     array u with the bound.
     ``draw(streams, n, u, lateral, scratch)`` fills u and that power of the
     lateral norm for uniform points of the body with c = 0, s = 1 and w = 1.
+    ``placement(m, n)`` gives the axis offset of the unit body and the
+    homothetic center O that make the dilation factor phi(m, n) (see
+    representation).
     """
 
     axis_start: float  # the body spans [c + axis_start*s, c + s]
@@ -205,25 +212,32 @@ class _Shape(NamedTuple):
     section_bound: Callable  # (w, u) -> bound on the lateral norm of the section at u
     bound_power: int
     draw: Callable  # (streams, n, u, lateral, scratch): u and lateral norm at w = 1
+    placement: Callable[[int, int], tuple[float, float]]  # (m, n) -> (c, O)
 
 
-_SHAPES = {
-    BodyKind.BALL: _Shape(-1.0, lambda n: 0.0, lambda b: (b.n, b.size, 1), lambda b: b.size,
-                          _ball_bound, 2, _ball_draw),
-    BodyKind.CUBE: _Shape(0.0, lambda n: 0.5, lambda b: (0, b.size, 1), lambda b: 0.5 * b.size,
-                          lambda w, u: w, 1, _cube_draw),
-    BodyKind.CONE: _Shape(0.0, lambda n: n / (n + 1), lambda b: (b.n - 1, b.base, b.n),
-                          lambda b: b.base, lambda w, u: ipow(imul(u, w), 2), 2, _apex_draw(2)),
-    BodyKind.PYRAMID: _Shape(0.0, lambda n: n / (n + 1), lambda b: (0, b.base, b.n),
-                             lambda b: 0.5 * b.base, lambda w, u: imul(u, w), 1, _apex_draw(1)),
-}
+def _apex_placement(m: int, n: int) -> tuple[float, float]:
+    """Apex at 0 and O = A - 1/(m(n+1)), so that B = A + m(A - O) = 1."""
+    return 0.0, (m * n - 1) / (m * (n + 1))
+
+
+BodyKind.BALL.shape = _Shape(-1.0, lambda n: 0.0, lambda b: (b.n, b.size, 1), lambda b: b.size,
+                             _ball_bound, 2, _ball_draw, lambda m, n: (1.0, 0.0))
+BodyKind.CUBE.shape = _Shape(0.0, lambda n: 0.5, lambda b: (0, b.size, 1),
+                             lambda b: 0.5 * b.size, lambda w, u: w, 1, _cube_draw,
+                             lambda m, n: (0.0, 0.0))
+BodyKind.CONE.shape = _Shape(0.0, lambda n: n / (n + 1), lambda b: (b.n - 1, b.base, b.n),
+                             lambda b: b.base, lambda w, u: ipow(imul(u, w), 2), 2,
+                             _apex_draw(2), _apex_placement)
+BodyKind.PYRAMID.shape = _Shape(0.0, lambda n: n / (n + 1), lambda b: (0, b.base, b.n),
+                                lambda b: 0.5 * b.base, lambda w, u: imul(u, w), 1,
+                                _apex_draw(1), _apex_placement)
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 def axis_interval(body: ConvexBody) -> tuple[float, float]:
     """The closed extent of the body along e1."""
-    lo = body.axis_offset + _SHAPES[body.kind].axis_start * body.size
+    lo = body.axis_offset + body.kind.shape.axis_start * body.size
     return lo, body.axis_offset + body.size
 
 
@@ -234,7 +248,7 @@ def centroid(body: ConvexBody) -> float:
     cones and pyramids split apex-to-base as n:1, i.e. the centroid sits at
     n/(n+1) of the height from the apex.
     """
-    return body.axis_offset + body.size * _SHAPES[body.kind].centroid_fraction(body.n)
+    return body.axis_offset + body.size * body.kind.shape.centroid_fraction(body.n)
 
 
 def unit_ball_volume(n: int) -> float:
@@ -252,7 +266,7 @@ def _log_unit_ball_volume(n: int) -> float:
 
 def volume(body: ConvexBody) -> float:
     """n-volume of the body; +inf once it exceeds the double range."""
-    k, length, d = _SHAPES[body.kind].volume_terms(body)
+    k, length, d = body.kind.shape.volume_terms(body)
     try:
         return unit_ball_volume(k) * length ** (body.n - 1) * body.size / d
     except OverflowError:  # the power overflowed; the volume may not
@@ -277,11 +291,20 @@ def _centroid_apart_from(body: ConvexBody, O: float) -> float:
 
 
 def dilate(body: ConvexBody, O: float, lam: float) -> ConvexBody:
-    """Image of the body under x -> O + lam*(x - O) about a center O inside it."""
+    """Image of the body under x -> O + lam*(x - O) about a center O inside it.
+
+    Raises InputOutOfRange when the image has no doubles: its size or base
+    rounds to 0 or past the largest double, or its axis offset overflows.
+    """
     _check_positive(lam=lam)
     _check_inside(body, O)
-    return ConvexBody(body.kind, body.n, lam * body.size, lam * body.base,
-                      O + lam * (body.axis_offset - O))
+    size, base, offset = lam * body.size, lam * body.base, O + lam * (body.axis_offset - O)
+    if not (0.0 < size < math.inf and 0.0 < base < math.inf and math.isfinite(offset)):
+        raise InputOutOfRange(
+            f"the {body.kind.value} dilated by lam = {lam!r} lies outside the double range "
+            f"(size {size!r}, base {base!r}, axis offset {offset!r})"
+        )
+    return ConvexBody(body.kind, body.n, size, base, offset)
 
 
 class _SceneFields(NamedTuple):
@@ -324,6 +347,23 @@ class CenterOrdering(Enum):
     CONTRACTION = "O<L(A)<A<B<B(1)"         # 0 < lam < 1
 
 
+def _points(scene: DilationScene) -> tuple[float, float, float, float]:
+    """A, L(A), B(1) and B of a checked scene, each formed once; B = B(1) at
+    lam = 1.  Every reading of a scene goes through here, so none redoes the
+    constructor's checks."""
+    body, O, lam = scene
+    a = body.axis_offset + body.size * body.kind.shape.centroid_fraction(body.n)
+    image_a = O + lam * (a - O)
+    limit_b = a + (a - O) / body.n
+    if lam == 1.0:
+        return a, image_a, limit_b, limit_b
+    try:
+        denom = math.expm1(body.n * math.log(lam))
+    except OverflowError:
+        denom = math.inf
+    return a, image_a, limit_b, image_a + (image_a - a) / denom
+
+
 def shell_centroid(scene: DilationScene) -> float:
     """Center of mass of the shell between the body and its dilation.
 
@@ -333,16 +373,9 @@ def shell_centroid(scene: DilationScene) -> float:
     The denominator comes from expm1(n*log(lam)), and is +inf once lam^n
     overflows, where B = L(A).  Undefined at lam = 1 (see b_one).
     """
-    lam = scene.lam
-    if lam == 1.0:
+    if scene.lam == 1.0:
         raise LambdaOne("shell is empty at lam = 1; use b_one for the limit")
-    a = centroid(scene.body)
-    image_a = scene.O + lam * (a - scene.O)
-    try:
-        denom = math.expm1(scene.body.n * math.log(lam))
-    except OverflowError:
-        denom = math.inf
-    return image_a + (image_a - a) / denom
+    return _points(scene)[3]
 
 
 def b_one(body: ConvexBody, O: float) -> float:
@@ -352,8 +385,7 @@ def b_one(body: ConvexBody, O: float) -> float:
     for a cone or pyramid dilated about its apex this is exactly the
     centroid of the base face.
     """
-    a = _centroid_apart_from(body, O)
-    return a + (a - O) / body.n
+    return _points(DilationScene(body, O, 1.0))[2]
 
 
 def lambda_from_p(n: int, p: float) -> float:
@@ -406,10 +438,7 @@ def solve_scene_for_target(body: ConvexBody, O: float, target_b: float) -> Dilat
 
 def scene_points(scene: DilationScene) -> dict[str, float]:
     """All derived centers of a scene keyed O, A, LA, B1, B (B = B1 at lam = 1)."""
-    a = centroid(scene.body)
-    image_a = scene.O + scene.lam * (a - scene.O)
-    limit_b = b_one(scene.body, scene.O)
-    b = limit_b if scene.lam == 1.0 else shell_centroid(scene)
+    a, image_a, limit_b, b = _points(scene)
     return {"O": scene.O, "A": a, "LA": image_a, "B1": limit_b, "B": b}
 
 
@@ -433,56 +462,24 @@ def center_ordering(scene: DilationScene) -> CenterOrdering:
     return CenterOrdering.EXPANSION_NARROW
 
 
-class BallRepresentation(NamedTuple):
-    """Unit-ball realization of one lattice constant phi(m, n).
+class Representation(NamedTuple):
+    """A unit body realizing one lattice constant phi(m, n) as a dilation
+    factor.
 
-    The unit n-ball sits with center of mass at 1, the homothetic center at
-    the origin, and the shell centroid is required at m+1; the dilation
-    factor is then phi(m, n), the dilated ball has center and radius
-    phi(m, n), and its far axis intersection is 2*phi(m, n), landing inside
-    [2m, 2(m+1)).
-    """
+    Each kind places its body and homothetic center O so that the shell
+    centroid is required at B = A + m(A - O); by lambda_from_p the factor
+    is then phi(m, n).  ``image_centroid`` is the dilated centroid L(A) and
+    ``image_interval`` the image's extent on the axis.  The readings:
 
-    m: int
-    n: int
-    scene: DilationScene
-    lam: float
-    shell_b: float
-    dilated_center: float
-    dilated_radius: float
-    intersection: float
+    - ball: center 1, O = 0, B = m+1; the image has center and radius
+      phi(m, n) and crosses the axis at 2*phi(m, n), inside [2m, 2(m+1));
+    - cube: near face 0, O = 0, B = (m+1)/2; the image's far face is
+      phi(m, n), inside [m, m+1);
+    - cone and pyramid: apex 0, O = (mn - 1)/(m(n+1)), B = 1, the base
+      center; the image centroid (phi + mn - 1)/(m(n+1)) lies in [1/2, 1).
 
-
-def ball_representation(m: int, n: int) -> BallRepresentation:
-    """Build the unit-ball scene whose shell centroid sits at m+1.
-
-    The (1, 1) corner degenerates to the lam = 1 limit with B(1) = 2 and a
+    The (1, 1) corner degenerates to the lam = 1 limit, with B = B(1) and a
     point shell.
-    """
-    body = ball(n, 1.0, center=1.0)
-    lam = anacci((m, n))
-    scene = DilationScene(body, 0.0, lam)
-    image = dilate(body, 0.0, lam)
-    return BallRepresentation(
-        m=m,
-        n=n,
-        scene=scene,
-        lam=lam,
-        shell_b=scene_points(scene)["B"],
-        dilated_center=image.axis_offset,
-        dilated_radius=image.size,
-        intersection=image.axis_offset + image.size,
-    )
-
-
-class ConeRepresentation(NamedTuple):
-    """Unit-height cone realization of one lattice constant phi(m, n).
-
-    The cone has apex at the origin and centroid at n/(n+1); the homothetic
-    center sits at (m*n - 1)/(m*(n+1)) and the shell centroid is required
-    at the base center 1.  The dilated cone then has height phi(m, n) and
-    occupies ``height_interval`` on the axis; its centroid lands at
-    (phi + m*n - 1)/(m*(n+1)), always inside [1/2, 1).
     """
 
     m: int
@@ -491,29 +488,19 @@ class ConeRepresentation(NamedTuple):
     lam: float
     shell_b: float
     image_centroid: float
-    height_interval: tuple[float, float]
+    image_interval: tuple[float, float]
 
 
-def cone_representation(m: int, n: int) -> ConeRepresentation:
-    """Build the unit-height cone scene whose shell centroid sits at 1.
-
-    The (1, 1) corner degenerates to the lam = 1 limit with B(1) = 1 and a
-    point shell.
-    """
-    lam = anacci((m, n))  # checks m and n before they divide
-    body = cone(n, 1.0, apex=0.0)
-    O = (m * n - 1) / (m * (n + 1))
-    scene = DilationScene(body, O, lam)
-    points = scene_points(scene)
-    return ConeRepresentation(
-        m=m,
-        n=n,
-        scene=scene,
-        lam=lam,
-        shell_b=points["B"],
-        image_centroid=points["LA"],
-        height_interval=axis_interval(dilate(body, O, lam)),
-    )
+def representation(kind: BodyKind, m: int, n: int) -> Representation:
+    """The unit body of ``kind`` whose dilation factor is phi(m, n)."""
+    lam = anacci((m, n))  # checks m and n before a placement divides by them
+    shape = kind.shape
+    offset, O = shape.placement(m, n)
+    scene = DilationScene(ConvexBody(kind, n, 1.0, 1.0, offset), O, lam)
+    _, image_a, _, b = _points(scene)
+    image_offset = O + lam * (offset - O)  # the unit body's image has size lam
+    return Representation(m, n, scene, lam, b, image_a,
+                          (image_offset + shape.axis_start * lam, image_offset + lam))
 
 
 class NestingReport(NamedTuple):
@@ -536,9 +523,9 @@ def height_interval_nesting(n: int, m_max: int) -> NestingReport:
     """Check the ordered nesting of cone height intervals for m <= m_max."""
     if m_max < 2:
         raise ValueError(f"m_max must be >= 2, got {m_max}")
-    reps = [cone_representation(m, n) for m in range(1, m_max + 1)]
-    lefts = [r.height_interval[0] for r in reps]
-    rights = [r.height_interval[1] for r in reps]
+    reps = [representation(BodyKind.CONE, m, n) for m in range(1, m_max + 1)]
+    lefts = [r.image_interval[0] for r in reps]
+    rights = [r.image_interval[1] for r in reps]
     left_margins = [lefts[i] - lefts[i + 1] for i in range(m_max - 1)]
     right_margins = [rights[i + 1] - rights[i] for i in range(m_max - 1)]
     ok = all(d > 0 for d in left_margins) and all(d > 0 for d in right_margins)
@@ -599,7 +586,7 @@ def _membership(body: ConvexBody) -> Callable:
     import numpy as np
 
     lo, hi = axis_interval(body)
-    shape = _SHAPES[body.kind]
+    shape = body.kind.shape
     w = shape.half_width(body)
 
     def contains(x1, radial, inside, flag, scratch):
@@ -650,7 +637,7 @@ def mc_centroid(scene: DilationScene, seed: int, samples: int) -> tuple[float, f
     image = dilate(body, scene.O, scene.lam)
     big, small = (image, body) if scene.lam > 1.0 else (body, image)
 
-    shape = _SHAPES[big.kind]
+    shape = big.kind.shape
     scale = shape.half_width(big) ** shape.bound_power
     in_small = _membership(small)
     work = np.empty((4, _MC_CHUNK))  # x1, lateral norm and two scratch rows

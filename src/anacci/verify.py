@@ -18,20 +18,20 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .geometry import (
+    BodyKind,
     DilationScene,
     axis_interval,
     ball,
-    ball_representation,
     b_one,
     center_ordering,
     centroid,
     cone,
-    cone_representation,
     cube,
     height_interval_nesting,
     lambda_from_p,
     mc_centroid,
     pyramid,
+    representation,
     scene_points,
     shell_centroid,
 )
@@ -71,7 +71,9 @@ FAMILIES = {
         "b_one_limit": "shell centroid at lam = 1 +- 1e-5",
         "center_orderings": "the five orderings of O, A, B(1), L(A), B by dilation factor",
         "ball_representation": "2*phi(m, n) in [2m, 2m+2), increasing in n",
+        "cube_representation": "image far face phi(m, n) in [m, m+1), increasing in n",
         "cone_representation": "image centroid in [1/2, 1)",
+        "pyramid_representation": "image centroid in [1/2, 1), shell centroid at 1",
         "apex_centroid_ratio": "apex dilation limit hits the base-face centroid, split n:1",
         "mc_cross_check": "shell centroid within 4*stderr of the Monte Carlo estimate",
     },
@@ -271,7 +273,7 @@ def _appendices(m_max: int, n_max: int):
             yield "B_chain", 1.0 + 1.0 / m - here + _resolution(1.0 + 1.0 / m)
             yield "B_chain", nxt - ((m + 2) / (m + 1) - 1.0 / ((m + 2) * (m + 1)))
 
-    for n in range(1, min(n_max, 10) + 1):
+    for n in range(1, n_max + 1):
         report = height_interval_nesting(n, m_max)
         for margin in report.left_margins + report.right_margins:
             yield "C_nesting", margin
@@ -344,23 +346,32 @@ def _geometry(n_max: int, seed: int, samples: int):
                 gap = far - near
                 yield "center_orderings", gap if link == "<" else 1e-12 - abs(gap)
 
-    for m in range(1, 4):
-        per_m = []
-        for n in range(1, 6):
-            rep = ball_representation(m, n)
-            # left edge of [2m, 2m+2) is attained at n = 1
-            yield "ball_representation", rep.intersection - 2 * m + _resolution(2 * m)
-            yield "ball_representation", 2 * (m + 1) - rep.intersection
-            per_m.append(rep.intersection)
-        yield from _rises("ball_representation", per_m)
+    # the image's far end: 2*phi for the ball, phi for the cube, at fig5's
+    # sizes.  The left edge is attained at n = 1; deep in the lattice phi
+    # rounds onto m+1 (at n = 10 from m = 40 on), where the strict right
+    # edge fails.
+    for family, kind, scale in (("ball_representation", BodyKind.BALL, 2),
+                                ("cube_representation", BodyKind.CUBE, 1)):
+        for m in range(1, 4):
+            per_m = []
+            for n in range(1, 6):
+                far = representation(kind, m, n).image_interval[1]
+                yield family, far - scale * m + _resolution(scale * m)
+                yield family, scale * (m + 1) - far
+                per_m.append(far)
+            yield from _rises(family, per_m)
 
     for m in range(1, 13):
         for n in range(1, 13):
-            rep = cone_representation(m, n)
             # left edge of [1/2, 1) is attained at m = n = 1; the right
             # edge is strict but the centroid rounding scales with m+1
+            rep = representation(BodyKind.CONE, m, n)
             yield "cone_representation", rep.image_centroid - 0.5 + _resolution(0.5)
             yield "cone_representation", 1.0 - rep.image_centroid + _resolution(m + 1)
+            rep = representation(BodyKind.PYRAMID, m, n)
+            yield "pyramid_representation", rep.image_centroid - 0.5 + _resolution(0.5)
+            yield "pyramid_representation", 1.0 - rep.image_centroid + _resolution(m + 1)
+            yield "pyramid_representation", _resolution(m + 1) - abs(rep.shell_b - 1.0)
 
     # a unit cone or pyramid dilated about its apex: B(1) is the base-face
     # centroid, the shell centroid near lam = 1 tends to it, and the

@@ -13,15 +13,15 @@ from fractions import Fraction
 
 from anacci.figures import emit, fig2, fig3
 from anacci.geometry import (
+    BodyKind,
     DilationScene,
     ball,
-    ball_representation,
     cone,
-    cone_representation,
     cube,
     height_interval_nesting,
     mc_centroid,
     pyramid,
+    representation,
     scene_points,
     shell_centroid,
 )
@@ -334,14 +334,14 @@ def test_criterion_11_representations():
     for m in range(1, 4):
         previous = None
         for n in range(1, 6):
-            rep = ball_representation(m, n)
-            ok &= 2 * m - 8.0 * EPS * 2 * m <= rep.intersection < 2 * (m + 1)
+            rep = representation(BodyKind.BALL, m, n)
+            ok &= 2 * m - 8.0 * EPS * 2 * m <= rep.image_interval[1] < 2 * (m + 1)
             if previous is not None:
-                ok &= rep.intersection > previous
-            previous = rep.intersection
+                ok &= rep.image_interval[1] > previous
+            previous = rep.image_interval[1]
     for m in range(1, 51):
         for n in range(1, 11):
-            rep = cone_representation(m, n)
+            rep = representation(BodyKind.CONE, m, n)
             ok &= 0.5 - 8.0 * EPS <= rep.image_centroid < 1.0 + 8.0 * EPS * (m + 1)
     nested = all(height_interval_nesting(n, 50).ok for n in range(1, 11))
     ok &= nested

@@ -335,6 +335,21 @@ class TestSceneCommand:
         assert out == ""
         assert err == "error: seed must be an int in [0, 2**128), got -1\n"
 
+    def test_monte_carlo_image_beyond_the_double_range_exits_two(self, capsys):
+        # the dilated ball's radius 1e310 has no double: the error names the
+        # image and lam, not a size the user never passed
+        code, out, err = run_cli(
+            capsys,
+            "scene", "--body", "ball", "--n", "2", "--size", "1e10", "--center", "0.5",
+            "--lam", "1e300", "--mc", "--samples", "10000",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith(
+            "error: the ball dilated by lam = 1e+300 lies outside the double range"
+        )
+        assert "Traceback" not in err
+
 
 class TestFigCommand:
     def test_writes_file(self, capsys, tmp_path):

@@ -28,13 +28,11 @@ from anacci import (
     anacci,
     b_one,
     ball,
-    ball_representation,
     bound_crossover,
     canonical_init,
     center_ordering,
     classify,
     cone,
-    cone_representation,
     cube,
     dilate,
     dlambda_dp,
@@ -53,6 +51,7 @@ from anacci import (
     pyramid,
     q_value,
     ratio_limit,
+    representation,
     scaled_seq_A,
     scaled_seq_B,
     scene_points,
@@ -137,8 +136,8 @@ CASES = {
         lambda O, target: solve_scene_for_target(ball(2, 1.0, 1.0), O, target),
         dict(O=0.0, target=2.0), "O target", "", "",
     ),
-    "ball_representation": (ball_representation, dict(m=2, n=3), "", "m n", ""),
-    "cone_representation": (cone_representation, dict(m=2, n=3), "", "m n", ""),
+    "representation": (lambda m, n: [representation(kind, m, n) for kind in BodyKind],
+                       dict(m=2, n=3), "", "m n", ""),
     "height_interval_nesting": (height_interval_nesting, dict(n=2, m_max=3), "", "n", "m_max"),
     "mc_centroid": (
         lambda O, lam, seed, samples: mc_centroid(_unit_ball_scene(O, lam), seed, samples),

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -89,6 +90,16 @@ class TestEmitters:
     @pytest.mark.parametrize("which", sorted(FIGURES))
     def test_byte_stable(self, which):
         assert emit(which) == emit(which)
+
+    @pytest.mark.parametrize("which, digest", [
+        ("fig5", "db6a5891753ff9785ca9998eed657187a78b9767f4ab73c397b9f0ae290861a0"),
+        ("fig6", "ec4b6a8896d4bce45cad40df24d3a2513a1122888e15f729f59a8cd701017f3c"),
+        ("fig7", "0fc7affd15335f9432c1804390e72963aa2f0f5aa0ec867ed2302cd191fd2f1b"),
+    ])
+    def test_geometry_figures_keep_their_bytes(self, which, digest):
+        # fig5 and fig6 read from representation, fig7 from scene_points;
+        # a moved bit in any of their doubles changes a digest
+        assert hashlib.sha256(emit(which).encode()).hexdigest() == digest
 
     def test_fig1_surface_matches_kernel(self):
         header, rows = fig1(GridSpec(0.0, 2.0, 8, 0.0, 4.0, 8))

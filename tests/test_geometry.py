@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import mpmath
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from anacci.errors import (
     DegenerateShell,
+    InputOutOfRange,
     LambdaOne,
     NonPositiveInput,
     OEqualsA,
@@ -24,17 +26,16 @@ from anacci.geometry import (
     axis_interval,
     b_one,
     ball,
-    ball_representation,
     center_ordering,
     centroid,
     cone,
-    cone_representation,
     cube,
     dilate,
     height_interval_nesting,
     lambda_from_p,
     mc_centroid,
     pyramid,
+    representation,
     scene_points,
     shell_centroid,
     solve_scene_for_target,
@@ -43,6 +44,7 @@ from anacci.geometry import (
     _BlockStreams,
     _MC_CHUNK,
 )
+from anacci.lattice import anacci
 from anacci.solver import solve_lambda
 
 from oracles import cone_centroid_quadrature
@@ -150,6 +152,16 @@ class TestDilate:
         for lam in (math.inf, math.nan):
             with pytest.raises(NonPositiveInput, match="finite"):
                 dilate(ball(2, 1.0), 0.0, lam)
+
+    @pytest.mark.parametrize("body, O, lam", [
+        (ball(2, 1e10), 0.5, 1e300),  # the size overflows
+        (ball(2, 1e298, center=1.5e308), 1.4999999999e308, 1e10),  # the offset overflows
+        (ball(2, 1e-300), 0.0, 1e-300),  # the size underflows
+    ])
+    def test_image_outside_the_double_range_is_named(self, body, O, lam):
+        message = f"the ball dilated by lam = {lam!r} lies outside the double range"
+        with pytest.raises(InputOutOfRange, match="^" + re.escape(message)):
+            dilate(body, O, lam)
 
 
 class TestShellCentroid:
@@ -366,59 +378,58 @@ class TestCenterOrdering:
 
 class TestBallRepresentation:
     def test_golden_case(self):
-        rep = ball_representation(1, 2)
+        rep = representation(BodyKind.BALL, 1, 2)
         assert rep.lam == pytest.approx(PHI, abs=1e-14)
-        assert rep.dilated_center == pytest.approx(PHI, abs=1e-14)
-        assert rep.dilated_radius == pytest.approx(PHI, abs=1e-14)
-        assert rep.intersection == pytest.approx(2.0 * PHI, abs=1e-13)
-        assert 2.0 <= rep.intersection < 4.0
+        assert rep.image_centroid == pytest.approx(PHI, abs=1e-14)
+        assert rep.image_interval[1] == pytest.approx(2.0 * PHI, abs=1e-13)
+        assert 2.0 <= rep.image_interval[1] < 4.0
         assert rep.shell_b == pytest.approx(2.0, abs=1e-12)
 
     def test_degenerate_corner(self):
-        rep = ball_representation(1, 1)
+        rep = representation(BodyKind.BALL, 1, 1)
         assert rep.lam == 1.0
         assert rep.shell_b == pytest.approx(2.0, rel=1e-15)
-        assert rep.intersection == pytest.approx(2.0, rel=1e-15)
+        assert rep.image_interval[1] == pytest.approx(2.0, rel=1e-15)
 
     def test_weight_two(self):
-        rep = ball_representation(2, 2)
-        assert rep.intersection == pytest.approx(2.0 * (1.0 + math.sqrt(3.0)), abs=1e-12)
-        assert 4.0 <= rep.intersection < 6.0
+        rep = representation(BodyKind.BALL, 2, 2)
+        assert rep.image_interval[1] == pytest.approx(2.0 * (1.0 + math.sqrt(3.0)), abs=1e-12)
+        assert 4.0 <= rep.image_interval[1] < 6.0
 
     def test_shell_centroid_lands_at_weight_plus_one(self):
         for m in range(1, 4):
             for n in range(1, 6):
-                rep = ball_representation(m, n)
+                rep = representation(BodyKind.BALL, m, n)
                 assert rep.shell_b == pytest.approx(m + 1.0, abs=1e-10)
 
     def test_interval_and_growth(self):
         for m in range(1, 4):
             previous = None
             for n in range(1, 6):
-                rep = ball_representation(m, n)
-                assert 2 * m - 1e-12 <= rep.intersection < 2 * (m + 1)
+                rep = representation(BodyKind.BALL, m, n)
+                assert 2 * m - 1e-12 <= rep.image_interval[1] < 2 * (m + 1)
                 if previous is not None:
-                    assert rep.intersection > previous
-                previous = rep.intersection
+                    assert rep.image_interval[1] > previous
+                previous = rep.image_interval[1]
 
 
 class TestConeRepresentation:
     def test_golden_case(self):
-        rep = cone_representation(1, 2)
+        rep = representation(BodyKind.CONE, 1, 2)
         assert rep.scene.O == pytest.approx(1.0 / 3.0, rel=1e-15)
         assert rep.lam == pytest.approx(PHI, abs=1e-14)
         assert rep.image_centroid == pytest.approx((PHI + 1.0) / 3.0, abs=1e-13)
-        assert rep.height_interval[0] == pytest.approx(-0.20601132958, abs=1e-9)
-        assert rep.height_interval[1] == pytest.approx(1.41202265917, abs=1e-9)
+        assert rep.image_interval[0] == pytest.approx(-0.20601132958, abs=1e-9)
+        assert rep.image_interval[1] == pytest.approx(1.41202265917, abs=1e-9)
         assert rep.shell_b == pytest.approx(1.0, abs=1e-12)
 
     def test_degenerate_corner(self):
-        rep = cone_representation(1, 1)
+        rep = representation(BodyKind.CONE, 1, 1)
         assert rep.lam == 1.0
         assert rep.shell_b == pytest.approx(1.0, rel=1e-15)
 
     def test_weight_two_plane(self):
-        rep = cone_representation(2, 2)
+        rep = representation(BodyKind.CONE, 2, 2)
         assert rep.scene.O == pytest.approx(0.5, rel=1e-15)
         assert rep.lam == pytest.approx(1.0 + math.sqrt(3.0), abs=1e-13)
 
@@ -428,9 +439,61 @@ class TestConeRepresentation:
         # O + lam*(A - O) scales with lam ~ m+1
         for m in range(1, 51):
             for n in range(1, 11):
-                rep = cone_representation(m, n)
+                rep = representation(BodyKind.CONE, m, n)
                 slack = 8.0 * 2.220446049250313e-16 * (m + 1)
                 assert 0.5 - 1e-12 <= rep.image_centroid < 1.0 + slack
+
+
+# kind -> (m, n) -> (body, O): each reading's placement, stated apart from the library
+PLACEMENTS = {
+    BodyKind.BALL: lambda m, n: (ball(n, 1.0, center=1.0), 0.0),
+    BodyKind.CUBE: lambda m, n: (cube(n, 1.0, near_face=0.0), 0.0),
+    BodyKind.CONE: lambda m, n: (cone(n, 1.0, apex=0.0), (m * n - 1) / (m * (n + 1))),
+    BodyKind.PYRAMID: lambda m, n: (pyramid(n, 1.0, apex=0.0), (m * n - 1) / (m * (n + 1))),
+}
+
+
+class TestRepresentation:
+    @pytest.mark.parametrize("kind", list(BodyKind))
+    def test_bits_match_the_public_primitives(self, kind):
+        # repr round-trips a double, so equal reprs are equal bits
+        for m in range(1, 51):
+            for n in range(1, 11):
+                body, O = PLACEMENTS[kind](m, n)
+                lam = anacci((m, n))
+                scene = DilationScene(body, O, lam)
+                points = scene_points(scene)
+                expected = (m, n, scene, lam, points["B"], points["LA"],
+                            axis_interval(dilate(body, O, lam)))
+                assert repr(tuple(representation(kind, m, n))) == repr(expected), (m, n)
+
+    def test_cube_far_face_is_the_constant(self):
+        for m in range(1, 4):
+            previous = None
+            for n in range(1, 6):
+                rep = representation(BodyKind.CUBE, m, n)
+                assert rep.image_interval == (0.0, rep.lam)
+                assert rep.shell_b == pytest.approx((m + 1) / 2, abs=1e-12)
+                # phi(3, 1) rounds to 1 ulp below 3
+                assert m - 1e-12 <= rep.image_interval[1] < m + 1
+                if previous is not None:
+                    assert rep.image_interval[1] > previous
+                previous = rep.image_interval[1]
+
+    def test_pyramid_reads_as_the_cone(self):
+        # the same centroid split and placement: only the kind differs
+        for m, n in ((1, 1), (1, 2), (3, 7), (12, 12)):
+            cone_rep = representation(BodyKind.CONE, m, n)
+            pyramid_rep = representation(BodyKind.PYRAMID, m, n)
+            assert pyramid_rep.scene.body.kind is BodyKind.PYRAMID
+            assert pyramid_rep[3:] == cone_rep[3:]
+            assert abs(pyramid_rep.shell_b - 1.0) <= 2.220446049250313e-16 * (m + 1)
+
+    def test_each_kind_carries_its_shape(self):
+        assert [kind.value for kind in BodyKind] == ["ball", "cube", "cone", "pyramid"]
+        shapes = [kind.shape for kind in BodyKind]
+        assert len({id(shape) for shape in shapes}) == 4
+        assert BodyKind("cone").shape is BodyKind.CONE.shape
 
 
 class TestHeightNesting:

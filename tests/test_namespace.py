@@ -20,11 +20,11 @@ HOMES = {
         "TargetUnreachable TermOverflow WeightOverflow WeightUnderflow ZeroUnderflow"
     ),
     "geometry": (
-        "BallRepresentation BodyKind CenterOrdering ConeRepresentation ConvexBody "
-        "DilationScene NestingReport axis_interval b_one ball ball_representation "
-        "center_ordering centroid cone cone_representation "
+        "BodyKind CenterOrdering ConvexBody DilationScene NestingReport Representation "
+        "axis_interval b_one ball center_ordering centroid cone "
         "cube dilate height_interval_nesting lambda_from_p mc_centroid pyramid "
-        "scene_points shell_centroid solve_scene_for_target unit_ball_volume volume"
+        "representation scene_points shell_centroid solve_scene_for_target "
+        "unit_ball_volume volume"
     ),
     "lattice": (
         "anacci scaled_seq_A scaled_seq_B seq_diagonal seq_fixed_m seq_fixed_n"

@@ -30,7 +30,9 @@ ROSTER = [
     "geometry.b_one_limit",
     "geometry.center_orderings",
     "geometry.ball_representation",
+    "geometry.cube_representation",
     "geometry.cone_representation",
+    "geometry.pyramid_representation",
     "geometry.apex_centroid_ratio",
     "geometry.mc_cross_check",
 ]
