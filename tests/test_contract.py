@@ -136,6 +136,10 @@ CASES = {
         lambda O, target: solve_scene_for_target(ball(2, 1.0, 1.0), O, target),
         dict(O=0.0, target=2.0), "O target", "", "",
     ),
+    "ball_representation": (lambda m, n: representation(BodyKind.BALL, m, n),
+                            dict(m=2, n=3), "", "m n", ""),
+    "cone_representation": (lambda m, n: representation(BodyKind.CONE, m, n),
+                            dict(m=2, n=3), "", "m n", ""),
     "representation": (lambda m, n: [representation(kind, m, n) for kind in BodyKind],
                        dict(m=2, n=3), "", "m n", ""),
     "height_interval_nesting": (height_interval_nesting, dict(n=2, m_max=3), "", "n", "m_max"),
