@@ -38,7 +38,6 @@ _PUBLIC = {
         "CenterOrdering",
         "ConvexBody",
         "DilationScene",
-        "NestingReport",
         "Representation",
         "axis_interval",
         "b_one",
@@ -48,7 +47,6 @@ _PUBLIC = {
         "cone",
         "cube",
         "dilate",
-        "height_interval_nesting",
         "lambda_from_p",
         "mc_centroid",
         "pyramid",

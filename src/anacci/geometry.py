@@ -53,6 +53,11 @@ class BodyKind(Enum):
     PYRAMID = "pyramid"
 
 
+def _check_kind(kind) -> None:
+    if not isinstance(kind, BodyKind):
+        raise ValueError(f"kind must be a BodyKind, got {kind!r}")
+
+
 class _BodyFields(NamedTuple):
     kind: BodyKind
     n: int
@@ -75,8 +80,7 @@ class ConvexBody(_BodyFields):
 
     def __new__(cls, kind: BodyKind, n: int, size: float, base: float = 1.0,
                 axis_offset: float = 0.0):
-        if not isinstance(kind, BodyKind):
-            raise ValueError(f"kind must be a BodyKind, got {kind!r}")
+        _check_kind(kind)
         _check_positive_int(n, "dimension n")
         _check_positive(size=size, base=base)
         if not math.isfinite(axis_offset):
@@ -493,6 +497,7 @@ class Representation(NamedTuple):
 
 def representation(kind: BodyKind, m: int, n: int) -> Representation:
     """The unit body of ``kind`` whose dilation factor is phi(m, n)."""
+    _check_kind(kind)  # before its shape is read
     lam = anacci((m, n))  # checks m and n before a placement divides by them
     shape = kind.shape
     offset, O = shape.placement(m, n)
@@ -501,35 +506,6 @@ def representation(kind: BodyKind, m: int, n: int) -> Representation:
     image_offset = O + lam * (offset - O)  # the unit body's image has size lam
     return Representation(m, n, scene, lam, b, image_a,
                           (image_offset + shape.axis_start * lam, image_offset + lam))
-
-
-class NestingReport(NamedTuple):
-    """Nesting of the dilated-cone height intervals at a fixed dimension.
-
-    For m = 1..m_max the interval left ends must strictly decrease and the
-    right ends strictly increase; margins hold the m -> m+1 differences
-    (positive means the nesting holds there).
-    """
-
-    n: int
-    lefts: list[float]
-    rights: list[float]
-    left_margins: list[float]
-    right_margins: list[float]
-    ok: bool
-
-
-def height_interval_nesting(n: int, m_max: int) -> NestingReport:
-    """Check the ordered nesting of cone height intervals for m <= m_max."""
-    if m_max < 2:
-        raise ValueError(f"m_max must be >= 2, got {m_max}")
-    reps = [representation(BodyKind.CONE, m, n) for m in range(1, m_max + 1)]
-    lefts = [r.image_interval[0] for r in reps]
-    rights = [r.image_interval[1] for r in reps]
-    left_margins = [lefts[i] - lefts[i + 1] for i in range(m_max - 1)]
-    right_margins = [rights[i + 1] - rights[i] for i in range(m_max - 1)]
-    ok = all(d > 0 for d in left_margins) and all(d > 0 for d in right_margins)
-    return NestingReport(n, lefts, rights, left_margins, right_margins, ok)
 
 
 # ---------------------------------------------------------------------------

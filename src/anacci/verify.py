@@ -27,7 +27,6 @@ from .geometry import (
     centroid,
     cone,
     cube,
-    height_interval_nesting,
     lambda_from_p,
     mc_centroid,
     pyramid,
@@ -37,7 +36,7 @@ from .geometry import (
 )
 from .lattice import anacci, scaled_seq_A, scaled_seq_B, seq_diagonal, seq_fixed_m, seq_fixed_n
 from .qkernel import RegionClass, lambda_min
-from .solver import lower_bound_basic, solve_lambda
+from .solver import solve_lambda
 
 _INV_PHI = 2.0 / (1.0 + math.sqrt(5.0))  # 1/phi = phi - 1
 
@@ -144,7 +143,7 @@ def _bounds(m_max: int, n_max: int, seed: int):
             if n > 1:
                 yield "sandwich_lattice", value - (m + 1 - 1 / (m + 1))
                 yield "sandwich_lattice", below_ceiling
-            lmin = lower_bound_basic(m, n)
+            lmin = (m + 1) * n / (n + 1)  # lower_bound_basic(m, n): int division rounds once
             yield "basic_lattice", lmin - 1.0
             yield "basic_lattice", value - lmin
             yield "basic_lattice", below_ceiling
@@ -273,10 +272,13 @@ def _appendices(m_max: int, n_max: int):
             yield "B_chain", 1.0 + 1.0 / m - here + _resolution(1.0 + 1.0 / m)
             yield "B_chain", nxt - ((m + 2) / (m + 1) - 1.0 / ((m + 2) * (m + 1)))
 
+    # the dilated unit cones of representation, m = 1..m_max at each n: the
+    # left ends fall, then the right ends rise
     for n in range(1, n_max + 1):
-        report = height_interval_nesting(n, m_max)
-        for margin in report.left_margins + report.right_margins:
-            yield "C_nesting", margin
+        reps = [representation(BodyKind.CONE, m, n) for m in range(1, m_max + 1)]
+        lefts, rights = zip(*(rep.image_interval for rep in reps))
+        yield from (("C_nesting", a - b) for a, b in zip(lefts, lefts[1:]))
+        yield from _rises("C_nesting", rights)
 
 
 def suite_appendices(*, m_max: int, n_max: int, **_) -> list[CheckResult]:

@@ -7,7 +7,8 @@ order (an integer the recurrence, lattice or body is built on) through 0,
 either raise an ``AnacciError`` or a ``ValueError``, or return a result
 whose floats are all finite.  Counts and sizes (``count``, ``m_max``,
 ``max_terms``, ...) run through 0 and -1; a non-integer count is a type
-error, as for ``range``, and is not swept.
+error, as for ``range``, and is not swept.  A body kind that is not a
+``BodyKind`` gets one ``ValueError``, from every function that takes a kind.
 
 The CLI sweep feeds the same values to each command's flags through
 ``cli.main`` in-process: the exit code is 0 or 2, nothing escapes as a
@@ -16,6 +17,7 @@ traceback, and JSON output is strict (no NaN or Infinity).
 
 import json
 import math
+import re
 
 import pytest
 
@@ -40,7 +42,6 @@ from anacci import (
     dq_value,
     eval_P,
     generate,
-    height_interval_nesting,
     inverse_p,
     inverse_p_integer,
     lambda_from_p,
@@ -69,6 +70,7 @@ from anacci.cli import main
 REALS = (math.nan, math.inf, -math.inf, 0.0, -1.0)
 ORDERS = (0, 1.5, -1)
 COUNTS = (0, -1)
+KINDS = ("ball", None, 0, math.nan)
 
 
 def _unit_ball_scene(O, lam):
@@ -142,7 +144,6 @@ CASES = {
                             dict(m=2, n=3), "", "m n", ""),
     "representation": (lambda m, n: [representation(kind, m, n) for kind in BodyKind],
                        dict(m=2, n=3), "", "m n", ""),
-    "height_interval_nesting": (height_interval_nesting, dict(n=2, m_max=3), "", "n", "m_max"),
     "mc_centroid": (
         lambda O, lam, seed, samples: mc_centroid(_unit_ball_scene(O, lam), seed, samples),
         dict(O=0.0, lam=2.0, seed=7, samples=10_000), "O lam", "seed samples", "",
@@ -187,6 +188,16 @@ def test_bad_argument_is_named_or_the_result_is_finite(name):
                 if _non_finite(result) is not None:
                     broken.append(f"{arg}={bad!r}: non-finite result {result!r}")
     assert not broken, "\n".join(broken)
+
+
+@pytest.mark.parametrize("make", [
+    lambda kind: ConvexBody(kind, 2, 1.0),
+    lambda kind: representation(kind, 2, 3),
+], ids=["ConvexBody", "representation"])
+def test_bad_kind_is_named(make):
+    for kind in KINDS:
+        with pytest.raises(ValueError, match=re.escape(f"kind must be a BodyKind, got {kind!r}")):
+            make(kind)
 
 
 # command -> (valid argv, float flags, integer flags)

@@ -31,7 +31,6 @@ from anacci.geometry import (
     cone,
     cube,
     dilate,
-    height_interval_nesting,
     lambda_from_p,
     mc_centroid,
     pyramid,
@@ -46,6 +45,7 @@ from anacci.geometry import (
 )
 from anacci.lattice import anacci
 from anacci.solver import solve_lambda
+from anacci.verify import run_suite
 
 from oracles import cone_centroid_quadrature
 
@@ -496,31 +496,43 @@ class TestRepresentation:
         assert BodyKind("cone").shape is BodyKind.CONE.shape
 
 
+def _cone_ends(n, m_max):
+    """The left and right ends of the dilated unit cones of representation,
+    m = 1..m_max."""
+    return zip(*(representation(BodyKind.CONE, m, n).image_interval for m in range(1, m_max + 1)))
+
+
+def _c_nesting(m_max, n_max):
+    results = run_suite("appendices", m_max=m_max, n_max=n_max)
+    (nesting,) = [r for r in results if r.name == "appendices.C_nesting"]
+    return nesting
+
+
 class TestHeightNesting:
     def test_two_dimensional_values(self):
-        report = height_interval_nesting(2, 2)
-        assert report.ok
-        assert report.lefts[0] == pytest.approx(-0.20601132958, abs=1e-9)
-        assert report.lefts[1] == pytest.approx(-0.86602540378, abs=1e-9)
-        assert report.rights[0] < report.rights[1]
+        lefts, rights = _cone_ends(2, 2)
+        assert lefts[0] == pytest.approx(-0.20601132958, abs=1e-9)
+        assert lefts[1] == pytest.approx(-0.86602540378, abs=1e-9)
+        assert rights[0] < rights[1]
 
     def test_one_dimensional_closed_form(self):
         # with phi(m, 1) = m the left ends are -(m-1)^2/(2m)
-        report = height_interval_nesting(1, 3)
-        for m, left in zip((1, 2, 3), report.lefts):
+        lefts, rights = _cone_ends(1, 3)
+        for m, left in zip((1, 2, 3), lefts):
             assert left == pytest.approx(-((m - 1) ** 2) / (2.0 * m), abs=1e-12)
-        assert report.ok
+        assert lefts[0] > lefts[1] > lefts[2]
+        assert rights[0] < rights[1] < rights[2]
 
     def test_nesting_across_dimensions(self):
-        for n in range(1, 11):
-            assert height_interval_nesting(n, 50).ok
+        nesting = _c_nesting(50, 10)
+        assert nesting.passed
+        assert nesting.count == 10 * 2 * 49
 
     def test_minimal_case(self):
-        assert height_interval_nesting(5, 2).ok
-
-    def test_m_max_precondition(self):
-        with pytest.raises(ValueError):
-            height_interval_nesting(2, 1)
+        # m_max = 2 at n = 1..5, the smallest sizes run_suite takes
+        nesting = _c_nesting(2, 5)
+        assert nesting.passed
+        assert nesting.count == 5 * 2
 
 
 class TestMonteCarlo:
@@ -707,9 +719,13 @@ class TestSceneValidation:
         assert axis_interval(cone(3, 2.0, apex=-1.0)) == (-1.0, 1.0)
 
     def test_kind_must_be_a_body_kind(self):
+        # representation makes the body's own check before it reads the shape
         for kind in ("ball", None):
-            with pytest.raises(ValueError, match="kind"):
+            message = re.escape(f"kind must be a BodyKind, got {kind!r}")
+            with pytest.raises(ValueError, match=message):
                 ConvexBody(kind, 2, 1.0)
+            with pytest.raises(ValueError, match=message):
+                representation(kind, 2, 3)
 
     def test_body_field_validation(self):
         with pytest.raises(NonPositiveInput):

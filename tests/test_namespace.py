@@ -20,9 +20,9 @@ HOMES = {
         "TargetUnreachable TermOverflow WeightOverflow WeightUnderflow ZeroUnderflow"
     ),
     "geometry": (
-        "BodyKind CenterOrdering ConvexBody DilationScene NestingReport Representation "
+        "BodyKind CenterOrdering ConvexBody DilationScene Representation "
         "axis_interval b_one ball center_ordering centroid cone "
-        "cube dilate height_interval_nesting lambda_from_p mc_centroid pyramid "
+        "cube dilate lambda_from_p mc_centroid pyramid "
         "representation scene_points shell_centroid solve_scene_for_target "
         "unit_ball_volume volume"
     ),

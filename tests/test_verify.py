@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from anacci import qkernel, solver, verify
-from anacci.geometry import CenterOrdering, axis_interval
+from anacci.geometry import BodyKind, CenterOrdering, axis_interval, representation
 from anacci.verify import FAMILIES, SUITES, run_suite, suite_bounds, suite_geometry
 
 ROSTER = [
@@ -85,6 +85,12 @@ class TestSizes:
         for suite in SUITES.values():
             params = inspect.signature(suite).parameters.values()
             assert all(p.default is inspect.Parameter.empty for p in params), suite
+
+    @pytest.mark.parametrize("m_max, n_max", [(50, 60), (200, 10)])
+    def test_every_family_passes_at_larger_sizes(self, m_max, n_max):
+        results = run_suite("all", m_max, n_max, samples=10_000)
+        assert [r.name for r in results] == ROSTER
+        assert [r for r in results if not r.passed] == []
 
 
 class TestBoundsWork:
@@ -195,6 +201,25 @@ class TestLeverIdentity:
             counts.append(results["geometry.lever_identity"].count)
         # five factors and four body kinds per dimension
         assert counts == [8 * 20, 10 * 20, 12 * 20]
+
+
+class TestConeNesting:
+    def test_a_falling_right_end_fails(self, monkeypatch):
+        # the m = 2 cone's image ends 10 below where it should: its right
+        # end falls below the m = 1 cone's
+        def lowered(kind, m, n):
+            rep = representation(kind, m, n)
+            if kind is BodyKind.CONE and m == 2:
+                lo, hi = rep.image_interval
+                rep = rep._replace(image_interval=(lo, hi - 10.0))
+            return rep
+
+        monkeypatch.setattr(verify, "representation", lowered)
+        results = {r.name: r for r in run_suite("appendices", m_max=4, n_max=3)}
+        nesting = results.pop("appendices.C_nesting")
+        assert not nesting.passed
+        assert nesting.worst_margin < 0.0
+        assert all(r.passed for r in results.values())
 
 
 class TestApexCentroidRatio:
