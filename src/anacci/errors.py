@@ -89,9 +89,9 @@ def _check_positive(**named):
 
 # The two checks below take one value each, positionally: a keyword call
 # costs several times as much, and every lattice lookup checks its m and n.
-def _check_positive_int(value, name: str, error=ValueError):
+def _check_positive_int(value, name: str):
     if not isinstance(value, int) or value < 1:
-        raise error(f"{name} must be a positive integer, got {value!r}")
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 def _check_nonnegative(value, name: str, error=ValueError):

@@ -197,12 +197,13 @@ class _Shape(NamedTuple):
     """One body kind as an axis segment times a scaled cross-section.
 
     With c the axis offset, s the size and u = (x1 - c)/s, the section at u
-    holds the lateral points whose norm, raised to ``bound_power``, is at
-    most section_bound(w, u): 2 for the l2 norm, so membership takes no
-    square root, and 1 for the l-inf norm.  section_bound overwrites the
-    array u with the bound.
+    of a body of half-width w (across its widest section) holds the lateral
+    points whose norm, squared for the l2 norm, so membership takes no
+    square root, and plain for the l-inf norm, is at most section_bound(w, u).
+    section_bound overwrites the array u with the bound.
     ``draw(streams, n, u, lateral, scratch)`` fills u and that power of the
-    lateral norm for uniform points of the body with c = 0, s = 1 and w = 1.
+    lateral norm, in units of the half-width, for uniform points of the body
+    with c = 0 and s = 1.
     ``placement(m, n)`` gives the axis offset of the unit body and the
     homothetic center O that make the dilation factor phi(m, n) (see
     representation).
@@ -212,9 +213,7 @@ class _Shape(NamedTuple):
     centroid_fraction: Callable[[int], float]  # of s, from c
     # (k, L, d): the volume is V_k * L**(n-1) * s / d, with L the size or base
     volume_terms: Callable[[ConvexBody], tuple[int, float, int]]
-    half_width: Callable[[ConvexBody], float]  # w, across the widest section
     section_bound: Callable  # (w, u) -> bound on the lateral norm of the section at u
-    bound_power: int
     draw: Callable  # (streams, n, u, lateral, scratch): u and lateral norm at w = 1
     placement: Callable[[int, int], tuple[float, float]]  # (m, n) -> (c, O)
 
@@ -224,17 +223,14 @@ def _apex_placement(m: int, n: int) -> tuple[float, float]:
     return 0.0, (m * n - 1) / (m * (n + 1))
 
 
-BodyKind.BALL.shape = _Shape(-1.0, lambda n: 0.0, lambda b: (b.n, b.size, 1), lambda b: b.size,
-                             _ball_bound, 2, _ball_draw, lambda m, n: (1.0, 0.0))
-BodyKind.CUBE.shape = _Shape(0.0, lambda n: 0.5, lambda b: (0, b.size, 1),
-                             lambda b: 0.5 * b.size, lambda w, u: w, 1, _cube_draw,
-                             lambda m, n: (0.0, 0.0))
+BodyKind.BALL.shape = _Shape(-1.0, lambda n: 0.0, lambda b: (b.n, b.size, 1), _ball_bound,
+                             _ball_draw, lambda m, n: (1.0, 0.0))
+BodyKind.CUBE.shape = _Shape(0.0, lambda n: 0.5, lambda b: (0, b.size, 1), lambda w, u: w,
+                             _cube_draw, lambda m, n: (0.0, 0.0))
 BodyKind.CONE.shape = _Shape(0.0, lambda n: n / (n + 1), lambda b: (b.n - 1, b.base, b.n),
-                             lambda b: b.base, lambda w, u: ipow(imul(u, w), 2), 2,
-                             _apex_draw(2), _apex_placement)
+                             lambda w, u: ipow(imul(u, w), 2), _apex_draw(2), _apex_placement)
 BodyKind.PYRAMID.shape = _Shape(0.0, lambda n: n / (n + 1), lambda b: (0, b.base, b.n),
-                                lambda b: 0.5 * b.base, lambda w, u: imul(u, w), 1,
-                                _apex_draw(1), _apex_placement)
+                                lambda w, u: imul(u, w), _apex_draw(1), _apex_placement)
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
@@ -552,31 +548,6 @@ class _BlockStreams(dict):
         return stream
 
 
-def _membership(body: ConvexBody) -> Callable:
-    """The vectorized membership test of ``body``, its constants taken once.
-
-    ``contains(x1, radial, inside, flag, scratch)`` writes to ``inside``
-    whether each point (x1, lateral norm to ``bound_power``) lies in the
-    body; ``flag`` and ``scratch`` are overwritten.
-    """
-    import numpy as np
-
-    lo, hi = axis_interval(body)
-    shape = body.kind.shape
-    w = shape.half_width(body)
-
-    def contains(x1, radial, inside, flag, scratch):
-        np.greater_equal(x1, lo, out=inside)
-        inside &= np.less_equal(x1, hi, out=flag)
-        if body.n > 1:
-            np.subtract(x1, body.axis_offset, out=scratch)
-            scratch /= body.size
-            inside &= np.less_equal(radial, shape.section_bound(w, scratch), out=flag)
-        return inside
-
-    return contains
-
-
 def mc_centroid(scene: DilationScene, seed: int, samples: int) -> tuple[float, float]:
     """Monte Carlo estimate (mean, standard error) of the shell centroid.
 
@@ -584,18 +555,23 @@ def mc_centroid(scene: DilationScene, seed: int, samples: int) -> tuple[float, f
     seeded with ``seed``, each fixed-size block from its own stretch of it,
     reached by ``advance`` (see _BlockStreams); results are bit-reproducible
     for a fixed seed regardless of how the blocks would be scheduled or
-    chunked.  Membership reads only a point's first coordinate x1 and the
-    norm of its lateral part, so only those two are drawn: x1 from the
-    body's axial law (U for a cube, U^(1/n) for a cone or pyramid, the
-    first coordinate of a uniform point of the n-ball for a ball), and the
-    norm as bound(x1) * V^(1/(n-1)), the law of a uniform point in an
-    (n-1)-ball or (n-1)-cube section.  The cost per point does not grow
-    with n.  Points outside the smaller body belong to the shell; the
-    estimate is the mean of their first coordinates.  Each block is drawn
-    and tested in chunks that reuse one small workspace, so no block-sized
-    array is allocated.  Chunk moments are taken relative to O and merged
-    as in Chan, Golub & LeVeque (1979), so offsets far from 0 keep the
-    stderr.
+    chunked.  Membership reads only a point's axial coordinate and the norm
+    of its lateral part, so only those two are drawn, in the larger body's
+    unit frame (see _Shape): u = (x1 - c)/s from the body's axial law (U
+    for a cube, U^(1/n) for a cone or pyramid, the first coordinate of a
+    uniform point of the n-ball for a ball), and the norm, at half-width 1,
+    as bound(u) * V^(1/(n-1)), the law of a uniform point in an (n-1)-ball
+    or (n-1)-cube section.  The cost per point does not grow with n.  In
+    that frame the smaller body is the homothetic image with axis offset c0
+    and scale r, which is also its half-width, so a point lies in it where
+    u' = (u - c0)/r is in [axis_start, 1] and its lateral norm within
+    section_bound(r, u').  Points outside the smaller body belong to the
+    shell; the estimate is the mean of their first coordinates, scaled
+    back by s once at the end, so no coordinate leaves the unit frame.
+    Each block is drawn and tested in chunks that reuse one small
+    workspace, so no block-sized array is allocated.  Chunk moments are
+    taken relative to O and merged as in Chan, Golub & LeVeque (1979), so
+    offsets far from 0 keep the stderr.
 
     ``seed`` must be an int in [0, 2**128) and ``samples`` an int of at
     least 10**4; ValueError otherwise.  Raises DegenerateShell below a 1e-4
@@ -614,43 +590,50 @@ def mc_centroid(scene: DilationScene, seed: int, samples: int) -> tuple[float, f
     big, small = (image, body) if scene.lam > 1.0 else (body, image)
 
     shape = big.kind.shape
-    scale = shape.half_width(big) ** shape.bound_power
-    in_small = _membership(small)
-    work = np.empty((4, _MC_CHUNK))  # x1, lateral norm and two scratch rows
+    c0 = (small.axis_offset - big.axis_offset) / big.size
+    r = small.size / big.size
+    o_u = (scene.O - big.axis_offset) / big.size
+    work = np.empty((4, _MC_CHUNK))  # u, lateral norm and two scratch rows
     flags = np.empty((2, _MC_CHUNK), dtype=bool)
 
     streams = _BlockStreams(seed)
     accepted = 0
-    mean = 0.0  # of x1 - O over the accepted points
+    mean = 0.0  # of u - o_u over the accepted points
     m2 = 0.0  # their sum of squared deviations from the mean
-    for first in range(0, samples, _MC_BLOCK):
-        count = min(_MC_BLOCK, samples - first)
-        streams.start(first // _MC_BLOCK, count)
-        for done in range(0, count, _MC_CHUNK):
-            size = min(_MC_CHUNK, count - done)
-            x1, lateral, scratch, rest = work[:, :size]
-            inside, flag = flags[:, :size]
-            shape.draw(streams, body.n, x1, lateral, (scratch, rest))  # x1 holds u
-            x1 *= big.size
-            x1 += big.axis_offset
-            lateral *= scale
-            shell = np.logical_not(in_small(x1, lateral, inside, flag, scratch), out=inside)
-            k = int(np.count_nonzero(shell))
-            if not k:
-                continue
-            xs = np.compress(shell, x1, out=scratch[:k])
-            xs -= scene.O
-            chunk_mean = float(xs.mean())
-            xs -= chunk_mean
-            total = accepted + k
-            delta = chunk_mean - mean
-            mean += delta * k / total
-            m2 += float(xs @ xs) + delta * delta * accepted * k / total
-            accepted = total
+    # a section bound overflows, or turns nan, only where u' lies far outside
+    # [axis_start, 1], and the axial test has already put such points in the shell
+    with np.errstate(over="ignore", invalid="ignore"):
+        for first in range(0, samples, _MC_BLOCK):
+            count = min(_MC_BLOCK, samples - first)
+            streams.start(first // _MC_BLOCK, count)
+            for done in range(0, count, _MC_CHUNK):
+                size = min(_MC_CHUNK, count - done)
+                u, lateral, scratch, rest = work[:, :size]
+                inside, flag = flags[:, :size]
+                shape.draw(streams, body.n, u, lateral, (scratch, rest))
+                np.subtract(u, c0, out=scratch)
+                scratch /= r  # u'
+                np.greater_equal(scratch, shape.axis_start, out=inside)
+                inside &= np.less_equal(scratch, 1.0, out=flag)
+                if body.n > 1:
+                    inside &= np.less_equal(lateral, shape.section_bound(r, scratch), out=flag)
+                shell = np.logical_not(inside, out=inside)
+                k = int(np.count_nonzero(shell))
+                if not k:
+                    continue
+                us = np.compress(shell, u, out=scratch[:k])
+                us -= o_u
+                chunk_mean = float(us.mean())
+                us -= chunk_mean
+                total = accepted + k
+                delta = chunk_mean - mean
+                mean += delta * k / total
+                m2 += float(us @ us) + delta * delta * accepted * k / total
+                accepted = total
 
     if accepted < max(2, 1e-4 * samples):
         raise DegenerateShell(
             f"{accepted} of {samples} points accepted; "
             "shell too thin to estimate its centroid"
         )
-    return scene.O + mean, math.sqrt(m2 / (accepted - 1) / accepted)
+    return scene.O + big.size * mean, big.size * math.sqrt(m2 / (accepted - 1) / accepted)

@@ -351,6 +351,25 @@ class TestSceneCommand:
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize("body", ["ball", "cone"])
+    def test_monte_carlo_on_a_huge_image_prints_strict_json(self, capsys, body):
+        # the image's radius 1e200 squared has no double; the estimate is
+        # formed in the larger body's unit frame and needs none
+        code, out, err = run_cli(
+            capsys,
+            "scene", "--body", body, "--n", "3", "--center", "0.5", "--lam", "1e200",
+            "--mc", "--samples", "10000",
+        )
+        assert (code, err) == (0, "")
+
+        def reject(constant):
+            raise ValueError(f"non-finite {constant} in JSON output")
+
+        payload = json.loads(out, parse_constant=reject)
+        assert abs(payload["mc_estimate"] - payload["points"]["B"]) <= (
+            4.0 * payload["mc_stderr"]
+        )
+
 class TestFigCommand:
     def test_writes_file(self, capsys, tmp_path):
         out_path = tmp_path / "fig5.csv"

@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -584,6 +585,26 @@ class TestMonteCarlo:
         assert stderr == pytest.approx(near_stderr, rel=1e-3)
         assert abs(estimate - shell_centroid(far)) <= 4.0 * stderr
 
+    @pytest.mark.parametrize("lam", (1e200, 1e300))
+    @pytest.mark.parametrize("maker", KIND_MAKERS, ids=lambda maker: maker.__name__)
+    def test_huge_factor_keeps_a_finite_estimate(self, maker, lam):
+        # the image's coordinates reach 1e300: neither the square of its
+        # half-width nor a sum of squared offsets from O may be formed
+        scene = make_scene(maker, 3, lam)
+        estimate, stderr = mc_centroid(scene, 42, 10**5)
+        assert 0.0 < stderr < math.inf
+        assert abs(estimate - shell_centroid(scene)) <= 4.0 * stderr
+
+    @pytest.mark.parametrize("lam", (1e-300, 1e-200, 1e300))
+    @pytest.mark.parametrize("maker", KIND_MAKERS, ids=lambda maker: maker.__name__)
+    def test_extreme_factor_raises_no_warning(self, maker, lam):
+        # the smaller body's section bound overflows far outside its axis
+        # segment, where the axial test has already decided
+        scene = make_scene(maker, 3, lam)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mc_centroid(scene, 42, 10**4)
+
     def test_thin_shell_raises(self):
         # at either factor exactly one of the 10**4 points lands in the
         # shell, which meets the 1e-4 rate but leaves no spread to estimate;
@@ -636,6 +657,30 @@ MC_GOLDEN = [
     ("pyramid", 8, 0.7, 57, 10000, 0.9024053603098225, 0.000886344751787853),
 ]
 
+# (kind, lam, estimate, stderr) for ConvexBody(kind, 5, 2.5, 0.4, -3.0), O at
+# 0.3 of its axis extent, seed 11 and 10**5 samples, recorded with the
+# sampler that tested membership in absolute coordinates: the size, base and
+# offset differ from one another and from a unit body's, so a point put in
+# the wrong frame, or a size read for a base, moves the estimate
+MC_GOLDEN_OFF_UNIT = [
+    ("ball", 0.001, -2.9983530713617528, 0.0029731837862482084),
+    ("ball", 0.6, -2.9642668573616824, 0.0031548691633504302),
+    ("ball", 1.7, -2.2433091131080234, 0.00533179642892473),
+    ("ball", 40.0, 36.06587714552989, 0.11892735144992833),
+    ("cube", 0.001, -1.7460308993654725, 0.0022822413935247145),
+    ("cube", 0.6, -1.7293024471138534, 0.0024299750992019045),
+    ("cube", 1.7, -1.3671351336397075, 0.004104804955323511),
+    ("cube", 40.0, 17.908764025381103, 0.0912896557409886),
+    ("cone", 0.001, -0.9147417822011141, 0.0011101260177770855),
+    ("cone", 0.6, -0.8697461087264207, 0.0010607266049232457),
+    ("cone", 1.7, 0.09042119896772238, 0.0018041499730200852),
+    ("cone", 40.0, 51.16032871195543, 0.044405040711083414),
+    ("pyramid", 0.001, -0.9147417822011141, 0.0011101260177770855),
+    ("pyramid", 0.6, -0.8697461087264207, 0.0010607266049232457),
+    ("pyramid", 1.7, 0.09042119896772238, 0.0018041499730200852),
+    ("pyramid", 40.0, 51.16032871195543, 0.044405040711083414),
+]
+
 
 class TestMonteCarloDraws:
     @pytest.mark.parametrize("kind, n, lam, seed, samples, estimate, stderr", MC_GOLDEN)
@@ -643,6 +688,15 @@ class TestMonteCarloDraws:
                                               estimate, stderr):
         maker = dict(zip(("ball", "cube", "cone", "pyramid"), KIND_MAKERS))[kind]
         got, got_stderr = mc_centroid(make_scene(maker, n, lam), seed, samples)
+        assert abs(got - estimate) <= 1e-9 * stderr
+        assert abs(got_stderr - stderr) <= 1e-9 * stderr
+
+    @pytest.mark.parametrize("kind, lam, estimate, stderr", MC_GOLDEN_OFF_UNIT)
+    def test_same_points_on_an_off_unit_body(self, kind, lam, estimate, stderr):
+        body = ConvexBody(BodyKind(kind), 5, 2.5, 0.4, -3.0)
+        lo, hi = axis_interval(body)
+        scene = DilationScene(body, lo + 0.3 * (hi - lo), lam)
+        got, got_stderr = mc_centroid(scene, 11, 10**5)
         assert abs(got - estimate) <= 1e-9 * stderr
         assert abs(got_stderr - stderr) <= 1e-9 * stderr
 
