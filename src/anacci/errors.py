@@ -81,22 +81,31 @@ class DegenerateShell(AnacciError):
     """Monte Carlo acceptance rate too low to estimate the shell centroid."""
 
 
-def _check_positive(**named):
-    for name, value in named.items():
-        if not 0 < value < math.inf:
-            raise NonPositiveInput(f"{name} must be finite and > 0, got {value!r}")
+# The three checks below take one value each, positionally: a keyword call
+# builds and walks a dict, several times the cost of the comparison, and
+# every solve checks its p and q.  A Decimal NaN raises InvalidOperation from
+# the comparison itself; it fails the check like any other nan.
+def _check_positive(value, name: str):
+    try:
+        if 0 < value < math.inf:
+            return
+    except ArithmeticError:
+        pass
+    raise NonPositiveInput(f"{name} must be finite and > 0, got {value!r}")
 
 
-# The two checks below take one value each, positionally: a keyword call
-# costs several times as much, and every lattice lookup checks its m and n.
 def _check_positive_int(value, name: str):
     if not isinstance(value, int) or value < 1:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 def _check_nonnegative(value, name: str, error=ValueError):
-    if not 0 <= value < math.inf:
-        raise error(f"{name} must be finite and >= 0, got {value!r}")
+    try:
+        if 0 <= value < math.inf:
+            return
+    except ArithmeticError:
+        pass
+    raise error(f"{name} must be finite and >= 0, got {value!r}")
 
 
 def _to_double(value) -> float:

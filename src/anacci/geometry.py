@@ -33,7 +33,7 @@ from .errors import (
 )
 from .errors import _check_nonnegative, _check_positive, _check_positive_int, _validated_make
 from .lattice import anacci
-from .qkernel import RegionClass
+from .qkernel import _SUB
 from .solver import solve_lambda
 
 if TYPE_CHECKING:  # numpy is imported where Monte Carlo runs, not at start-up
@@ -82,7 +82,8 @@ class ConvexBody(_BodyFields):
                 axis_offset: float = 0.0):
         _check_kind(kind)
         _check_positive_int(n, "dimension n")
-        _check_positive(size=size, base=base)
+        _check_positive(size, "size")
+        _check_positive(base, "base")
         if not math.isfinite(axis_offset):
             raise ValueError(f"axis_offset must be finite, got {axis_offset!r}")
         return tuple.__new__(cls, (kind, n, size, base, axis_offset))
@@ -296,7 +297,7 @@ def dilate(body: ConvexBody, O: float, lam: float) -> ConvexBody:
     Raises InputOutOfRange when the image has no doubles: its size or base
     rounds to 0 or past the largest double, or its axis offset overflows.
     """
-    _check_positive(lam=lam)
+    _check_positive(lam, "lam")
     _check_inside(body, O)
     size, base, offset = lam * body.size, lam * body.base, O + lam * (body.axis_offset - O)
     if not (0.0 < size < math.inf and 0.0 < base < math.inf and math.isfinite(offset)):
@@ -323,7 +324,7 @@ class DilationScene(_SceneFields):
     __slots__ = ()
 
     def __new__(cls, body: ConvexBody, O: float, lam: float):
-        _check_positive(lam=lam)
+        _check_positive(lam, "lam")
         _centroid_apart_from(body, O)
         return tuple.__new__(cls, (body, O, lam))
 
@@ -400,7 +401,7 @@ def lambda_from_p(n: int, p: float) -> float:
         result = solve_lambda(p, n)
     except ZeroUnderflow:  # a sub-critical zero below the double range
         result = None
-    if result is None or result.regime is RegionClass.SUB:
+    if result is None or result.regime is _SUB:
         raise PTooSmall(f"p = {p!r} <= 1/{n}: no dilation factor places B there")
     return result.value  # exactly 1.0 on the critical p = 1/n
 

@@ -100,7 +100,9 @@ def q_value(lam: float, p: float, q: float) -> float:
     overflows, the sign is decided by the scaled identity
     ``Q/lam^q = lam - (p+1) + p*lam^(-q)`` and +-inf is returned.
     """
-    _check_positive(lam=lam, p=p, q=q)
+    _check_positive(lam, "lam")
+    _check_positive(p, "p")
+    _check_positive(q, "q")
     return _q_dq(lam, p, q)[0]
 
 
@@ -109,7 +111,9 @@ def dq_value(lam: float, p: float, q: float) -> float:
 
     Negative below the minimum locus, zero on it, positive above.
     """
-    _check_positive(lam=lam, p=p, q=q)
+    _check_positive(lam, "lam")
+    _check_positive(p, "p")
+    _check_positive(q, "q")
     return _q_dq(lam, p, q)[1]
 
 
@@ -140,7 +144,8 @@ def eval_P(lam, p, n: int):
     Raises InputOutOfRange for an input that is neither float nor Rational
     and has no positive double, such as Decimal('1e400').
     """
-    _check_positive(lam=lam, p=p)
+    _check_positive(lam, "lam")
+    _check_positive(p, "p")
     _check_positive_int(n, "order n")
     power, total, base = _power_sum(lam, n)
     c, d = _ratio("p", p)
@@ -163,7 +168,8 @@ def lambda_min(p, q):
     double range returns the exact Fraction of its values, and a float
     pair divides q by q+1 first, since the bound itself is below p+1.
     """
-    _check_positive(p=p, q=q)
+    _check_positive(p, "p")
+    _check_positive(q, "q")
     # the exact-type test of _classify, written out there too because a
     # helper call would cost every float solve
     if not (isinstance(p, float) or isinstance(q, float)) and (
@@ -188,7 +194,8 @@ def classify(p, q) -> RegionClass:
     otherwise SUPER needs p*q - 1 > CRITICAL_TOL and SUB needs
     1 - p*q > CRITICAL_TOL, everything between is CRITICAL.
     """
-    _check_positive(p=p, q=q)
+    _check_positive(p, "p")
+    _check_positive(q, "q")
     return _classify(p, q)
 
 

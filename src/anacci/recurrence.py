@@ -48,7 +48,7 @@ class RecurrenceSpec(_SpecFields):
 
     def __new__(cls, p: float | int | Fraction, n: int, init):
         _check_positive_int(n, "order n")
-        _check_positive(**{"weight p": p})
+        _check_positive(p, "weight p")
         init = tuple(init)
         if len(init) != n:
             raise ValueError(f"init must have exactly n={n} entries, got {len(init)}")

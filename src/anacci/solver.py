@@ -123,7 +123,8 @@ def solve_lambda(p, q) -> AnacciConstant:
     positive double range, and NoConvergence (never seen) after 200
     evaluations.
     """
-    _check_positive(p=p, q=q)
+    _check_positive(p, "p")
+    _check_positive(q, "q")
     if type(p) is float and type(q) is float:
         # _classify's float rule, written out: its call and the _double
         # conversions cost every solve
@@ -137,7 +138,11 @@ def solve_lambda(p, q) -> AnacciConstant:
             regime = _CRITICAL
     else:
         pf, qf = _double("p", p), _double("q", q)
-        regime = _classify(p, q)
+        excess = pf * qf - 1.0
+        if type(p) is int and type(q) is int:  # p, q >= 1: never sub-critical
+            regime = _SUPER if p * q > 1 else _CRITICAL
+        else:
+            regime = _classify(p, q)
     if regime is _CRITICAL:
         return _new(AnacciConstant, (pf, qf, 1.0, 1.0, 1.0, 0.0, 0, regime))
 
@@ -164,7 +169,6 @@ def solve_lambda(p, q) -> AnacciConstant:
         if not lo < x < hi:
             x = lo
     neg_low = regime is _SUPER
-    excess = pf * qf - 1.0
     if 0.0 < (excess if neg_low else -excess) < _NEAR_BAND:
         # the zero other than 1 of Q's quadratic Taylor model at 1, which is
         # one Newton step on P from 1
@@ -225,7 +229,8 @@ def inverse_p(lam: float, q: float) -> float:
     Raises WeightUnderflow when the weight lies below the smallest positive
     double and WeightOverflow when it lies above the largest finite one.
     """
-    _check_positive(lam=lam, q=q)
+    _check_positive(lam, "lam")
+    _check_positive(q, "q")
     if lam == 1.0:
         return _weight(1.0 / q, "lam=%s, q=%r", lam, q)
     t = q * _ln(lam)
@@ -247,7 +252,7 @@ def inverse_p_integer(m_lambda, n: int):
     Raises InputOutOfRange for a lam that is neither float nor Rational and
     has no positive double, such as Decimal('1e400').
     """
-    _check_positive(m_lambda=m_lambda)
+    _check_positive(m_lambda, "m_lambda")
     _check_positive_int(n, "order n")
     power, total, _ = _power_sum(m_lambda, n)
     if isinstance(m_lambda, Rational):
@@ -322,7 +327,7 @@ def lower_bound_refined(p: float) -> float:
     lattice enclosure m+1-1/(m+1) < phi(m, n) < m+1 (eq. 37).  The caller
     checks applicability; the value alone is defined for any positive p.
     """
-    _check_positive(p=p)
+    _check_positive(p, "p")
     return p + 1.0 - 1.0 / (p + 1.0)
 
 

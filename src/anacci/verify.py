@@ -35,7 +35,7 @@ from .geometry import (
     shell_centroid,
 )
 from .lattice import anacci, scaled_seq_A, scaled_seq_B, seq_diagonal, seq_fixed_m, seq_fixed_n
-from .qkernel import RegionClass, lambda_min
+from .qkernel import _CRITICAL, _SUPER, lambda_min
 from .solver import solve_lambda
 
 _INV_PHI = 2.0 / (1.0 + math.sqrt(5.0))  # 1/phi = phi - 1
@@ -155,13 +155,13 @@ def _bounds(m_max: int, n_max: int, seed: int):
         p = 0.05 + (5.0 - 0.05) * draw()
         q = 0.05 + (40.0 - 0.05) * draw()
         _, _, value, _, _, _, _, regime = solve_lambda(p, q)
-        if regime is RegionClass.CRITICAL:
+        if regime is _CRITICAL:
             continue
         # the bounds of lower_bound_basic and lower_bound_refined, on the
         # point solve_lambda has already checked
         lmin = (p + 1) * q / (q + 1)
         yield "random_regimes", (p + 1) - value + _resolution(p + 1)
-        if regime is RegionClass.SUPER:
+        if regime is _SUPER:
             yield "random_regimes", lmin - 1.0
             yield "random_regimes", value - lmin
         else:
@@ -239,7 +239,7 @@ def _monotone(m_max: int, n_max: int):
                 t = 0.3 * step
                 p, q = p0 + dp * t, q0 + dq * t
                 result = solve_lambda(p, q)
-                if result.regime is not RegionClass.CRITICAL:
+                if result.regime is not _CRITICAL:
                     values.append(result.value)
             yield from _rises("line_restrictions", values)
 

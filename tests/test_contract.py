@@ -18,6 +18,7 @@ traceback, and JSON output is strict (no NaN or Infinity).
 import json
 import math
 import re
+from decimal import Decimal
 
 import pytest
 
@@ -26,6 +27,7 @@ from anacci import (
     BodyKind,
     ConvexBody,
     DilationScene,
+    NonPositiveInput,
     RecurrenceSpec,
     anacci,
     b_one,
@@ -188,6 +190,82 @@ def test_bad_argument_is_named_or_the_result_is_finite(name):
                 if _non_finite(result) is not None:
                     broken.append(f"{arg}={bad!r}: non-finite result {result!r}")
     assert not broken, "\n".join(broken)
+
+
+# name -> {real argument: the name its positivity check reports}, for every
+# case whose real arguments reach the shared check for finite and > 0
+CHECKED_NAMES = {
+    "q_value": dict(lam="lam", p="p", q="q"),
+    "dq_value": dict(lam="lam", p="p", q="q"),
+    "eval_P": dict(lam="lam", p="p"),
+    "lambda_min": dict(p="p", q="q"),
+    "classify": dict(p="p", q="q"),
+    "solve_lambda": dict(p="p", q="q"),
+    "inverse_p": dict(lam="lam", q="q"),
+    "inverse_p_integer": dict(m_lambda="m_lambda"),
+    "dlambda_dp": dict(p="p", q="q"),
+    "dlambda_dq": dict(p="p", q="q"),
+    "lower_bound_basic": dict(p="p", q="q"),
+    "lower_bound_refined": dict(p="p"),
+    "RecurrenceSpec": dict(p="weight p"),
+    "generate": dict(p="weight p"),
+    "ratio_limit": dict(p="weight p"),
+    "ConvexBody": dict(size="size", base="base"),
+    "ball": dict(radius="size"),
+    "cube": dict(side="size"),
+    "cone": dict(height="size", base_radius="base"),
+    "pyramid": dict(height="size", base_side="base"),
+    "volume": dict(size="size"),
+    "dilate": dict(lam="lam"),
+    "DilationScene": dict(lam="lam"),
+    "shell_centroid": dict(lam="lam"),
+    "scene_points": dict(lam="lam"),
+    "center_ordering": dict(lam="lam"),
+    "lambda_from_p": dict(p="p"),
+    "mc_centroid": dict(lam="lam"),
+}
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_nan_is_reported_under_its_argument_name(name):
+    # a wrong name at any call site of the positivity check shows here, and
+    # so does a real argument that reaches the check but is missing above
+    func, valid, reals, _, _ = CASES[name]
+    expected = CHECKED_NAMES.get(name, {})
+    reported = {}
+    for arg in reals.split():
+        try:
+            func(**{**valid, arg: math.nan})
+        except NonPositiveInput as exc:
+            message = str(exc)
+            suffix = " must be finite and > 0, got nan"
+            if message.endswith(suffix):
+                reported[arg] = message[: -len(suffix)]
+        except (AnacciError, ValueError):
+            pass
+    assert reported == expected
+
+
+# a Decimal NaN raises InvalidOperation from a bare comparison; the checks
+# report it as the nan it is
+DECIMAL_NANS = {
+    "solve_lambda": (lambda: solve_lambda(Decimal("nan"), 2), NonPositiveInput),
+    "q_value": (lambda: q_value(1.5, Decimal("snan"), 2.0), NonPositiveInput),
+    "lambda_min": (lambda: lambda_min(Decimal("NaN"), 2), NonPositiveInput),
+    "RecurrenceSpec": (lambda: RecurrenceSpec(Decimal("nan"), 2, (0, 1)), NonPositiveInput),
+    "ConvexBody": (lambda: ConvexBody(BodyKind.BALL, 2, Decimal("nan"), 1.0, 0.0),
+                   NonPositiveInput),
+    "ratio_limit": (lambda: ratio_limit(RecurrenceSpec(1, 2, (0, 1)), Decimal("nan")),
+                    ValueError),
+    "unit_ball_volume": (lambda: unit_ball_volume(Decimal("nan")), ValueError),
+}
+
+
+@pytest.mark.parametrize("name", list(DECIMAL_NANS))
+def test_decimal_nan_fails_the_check(name):
+    call, error = DECIMAL_NANS[name]
+    with pytest.raises(error, match="must be finite"):
+        call()
 
 
 @pytest.mark.parametrize("make", [

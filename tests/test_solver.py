@@ -300,9 +300,9 @@ class TestSolverWork:
         calls = {"check": 0, "public": 0}
         check = qkernel._check_positive
 
-        def counted_check(**named):
+        def counted_check(value, name):
             calls["check"] += 1
-            return check(**named)
+            return check(value, name)
 
         def public(func):
             def counted(*args):
@@ -322,19 +322,19 @@ class TestSolverWork:
         for p, q in points:
             calls.update(check=0, public=0)
             solve_lambda(p, q)
-            assert calls == {"check": 1, "public": 0}, (p, q)
+            assert calls == {"check": 2, "public": 0}, (p, q)  # p and q once each
 
     def test_out_of_range_input_checked_once(self, monkeypatch):
         calls = []
         check = qkernel._check_positive
         monkeypatch.setattr(
-            solver, "_check_positive", lambda **named: calls.append(1) or check(**named)
+            solver, "_check_positive", lambda value, name: calls.append(name) or check(value, name)
         )
         for p, q in ((10**400, 1), (Fraction(1, 10**400), 1)):
             calls.clear()
             with pytest.raises(InputOutOfRange):
                 solve_lambda(p, q)
-            assert calls == [1], (p, q)
+            assert calls == ["p", "q"], (p, q)
 
     def test_no_fraction_built_for_an_integer_pair(self, monkeypatch):
         built = []
@@ -529,6 +529,26 @@ class TestFloatRegimeRule:
                  (1, 1.0 + 1e-13), (Fraction(1, 3), 3.0), (2, 0.25)]
         for p, q in pairs:
             assert solve_lambda(p, q).regime is classify(p, q), (p, q)
+
+
+class TestIntPairRule:
+    """solve_lambda decides an int pair's regime by p*q > 1 in integers; it
+    must give the record of the generic exact path."""
+
+    def test_int_pair_matches_the_fraction_pair(self):
+        for m in range(1, 51):
+            for n in range(1, 201):
+                assert repr(tuple(solve_lambda(m, n))) == repr(
+                    tuple(solve_lambda(Fraction(m), Fraction(n)))
+                ), (m, n)
+
+    def test_unit_pair_is_critical(self):
+        assert solve_lambda(1, 1).regime is RegionClass.CRITICAL
+
+    def test_int_beyond_the_double_range(self):
+        for p, q in ((10**400, 1), (1, 10**400)):
+            with pytest.raises(InputOutOfRange):
+                solve_lambda(p, q)
 
 
 class TestPinnedResults:

@@ -98,9 +98,9 @@ class TestBoundsWork:
         calls = {"float": 0, "exact": 0}
         check = qkernel._check_positive
 
-        def counted_check(**named):
-            calls["exact" if isinstance(named.get("p"), Fraction) else "float"] += 1
-            return check(**named)
+        def counted_check(value, name):
+            calls["exact" if isinstance(value, Fraction) else "float"] += 1
+            return check(value, name)
 
         monkeypatch.setattr(solver, "_check_positive", counted_check)
         monkeypatch.setattr(qkernel, "_check_positive", counted_check)
@@ -108,7 +108,7 @@ class TestBoundsWork:
         results = {r.name: r for r in suite_bounds(m_max=0, n_max=0, seed=42)}
         assert results["bounds.random_regimes"].passed
         assert results["bounds.refined"].passed
-        assert calls == {"float": 10_000, "exact": 20 * 64}
+        assert calls == {"float": 2 * 10_000, "exact": 2 * 20 * 64}  # p and q once each
 
     def test_crossover_grid_calls_the_library_at_every_point(self, monkeypatch):
         calls = []
