@@ -18,7 +18,7 @@ import math
 import sys
 from collections.abc import Callable
 from enum import Enum
-from operator import imul, ipow
+from operator import imul
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (
@@ -31,7 +31,8 @@ from .errors import (
     TargetUnreachable,
     ZeroUnderflow,
 )
-from .errors import _check_nonnegative, _check_positive, _check_positive_int, _validated_make
+from .errors import _check_nonnegative, _check_positive, _check_positive_int, _double
+from .errors import _validated_make
 from .lattice import anacci
 from .qkernel import _SUB
 from .solver import solve_lambda
@@ -66,6 +67,17 @@ class _BodyFields(NamedTuple):
     axis_offset: float
 
 
+def _finite_double(value, name: str, error) -> float:
+    """float(value) where it is finite; ``error`` otherwise, also for an int
+    or Fraction past the doubles and for a Decimal signaling NaN."""
+    try:
+        if math.isfinite(value):
+            return float(value)
+    except (OverflowError, ValueError):  # float() refuses both
+        pass
+    raise error(f"{name} must be a finite double, got {value!r}")
+
+
 class ConvexBody(_BodyFields):
     """A compact convex body positioned on the first coordinate axis.
 
@@ -84,9 +96,8 @@ class ConvexBody(_BodyFields):
         _check_positive_int(n, "dimension n")
         _check_positive(size, "size")
         _check_positive(base, "base")
-        if not math.isfinite(axis_offset):
-            raise ValueError(f"axis_offset must be finite, got {axis_offset!r}")
-        return tuple.__new__(cls, (kind, n, size, base, axis_offset))
+        offset = _finite_double(axis_offset, "axis_offset", ValueError)
+        return tuple.__new__(cls, (kind, n, _double("size", size), _double("base", base), offset))
 
     _make = classmethod(_validated_make)
 
@@ -111,9 +122,9 @@ def pyramid(n: int, height: float = 1.0, apex: float = 0.0,
 
 # The draws fill caller-given views of one workspace, a chunk of a block at a
 # time: ``streams[k]`` continues the block's k-th uniform stream (see
-# _BlockStreams), and every step is elementwise and in place, so a point
-# does not depend on the chunk size and no array is allocated.  ``scratch``
-# holds two more views the draw may overwrite.
+# _place), and every step is elementwise and in place, so a point does not
+# depend on the chunk size and no array is allocated.  ``scratch`` holds two
+# more views the draw may overwrite.
 
 
 def _section_fraction(stream: np.random.Generator, n: int, out: np.ndarray, power: int) -> None:
@@ -168,22 +179,15 @@ def _cube_draw(streams, n: int, u: np.ndarray, lateral: np.ndarray, scratch) -> 
     _section_fraction(streams[1], n, lateral, 1)
 
 
-def _apex_draw(power: int) -> Callable:
-    """The draw of a cone (power 2) or pyramid (power 1): the axial density
-    n*u^(n-1) is drawn as U^(1/n), and the section at u has bound u^power."""
-
-    def draw(streams, n, u, lateral, scratch):
-        import numpy as np
-
-        streams[0].random(out=u)
-        u **= 1.0 / n
-        _section_fraction(streams[1], n, lateral, power)
-        bound = scratch[0]
-        np.copyto(bound, u)
-        bound **= power
-        lateral *= bound
-
-    return draw
+def _apex_draw(streams, n: int, u: np.ndarray, lateral: np.ndarray, scratch) -> None:
+    """The draw of a cone or pyramid: the axial density n*u^(n-1) is drawn as
+    U^(1/n), and the section at u has bound u.  The norm of a uniform point
+    of an (n-1)-ball or (n-1)-cube section over its bound has the one law
+    V^(1/(n-1)), so both kinds take the same points at the plain norm."""
+    streams[0].random(out=u)
+    u **= 1.0 / n
+    _section_fraction(streams[1], n, lateral, 1)
+    lateral *= u
 
 
 def _ball_bound(w, u):
@@ -199,12 +203,12 @@ class _Shape(NamedTuple):
 
     With c the axis offset, s the size and u = (x1 - c)/s, the section at u
     of a body of half-width w (across its widest section) holds the lateral
-    points whose norm, squared for the l2 norm, so membership takes no
-    square root, and plain for the l-inf norm, is at most section_bound(w, u).
+    points whose norm is at most section_bound(w, u); the ball's norm and
+    bound are squared, so its membership takes no square root.
     section_bound overwrites the array u with the bound.
-    ``draw(streams, n, u, lateral, scratch)`` fills u and that power of the
-    lateral norm, in units of the half-width, for uniform points of the body
-    with c = 0 and s = 1.
+    ``draw(streams, n, u, lateral, scratch)`` fills u and the lateral norm
+    (squared for the ball), in units of the half-width, for uniform points of
+    the body with c = 0 and s = 1.
     ``placement(m, n)`` gives the axis offset of the unit body and the
     homothetic center O that make the dilation factor phi(m, n) (see
     representation).
@@ -229,9 +233,9 @@ BodyKind.BALL.shape = _Shape(-1.0, lambda n: 0.0, lambda b: (b.n, b.size, 1), _b
 BodyKind.CUBE.shape = _Shape(0.0, lambda n: 0.5, lambda b: (0, b.size, 1), lambda w, u: w,
                              _cube_draw, lambda m, n: (0.0, 0.0))
 BodyKind.CONE.shape = _Shape(0.0, lambda n: n / (n + 1), lambda b: (b.n - 1, b.base, b.n),
-                             lambda w, u: ipow(imul(u, w), 2), _apex_draw(2), _apex_placement)
-BodyKind.PYRAMID.shape = _Shape(0.0, lambda n: n / (n + 1), lambda b: (0, b.base, b.n),
-                                lambda w, u: imul(u, w), _apex_draw(1), _apex_placement)
+                             lambda w, u: imul(u, w), _apex_draw, _apex_placement)
+# the pyramid's l-inf section has the cone's law, so only its volume differs
+BodyKind.PYRAMID.shape = BodyKind.CONE.shape._replace(volume_terms=lambda b: (0, b.base, b.n))
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
@@ -276,19 +280,24 @@ def volume(body: ConvexBody) -> float:
         return math.exp(log_volume) if log_volume <= _LOG_FLOAT_MAX else math.inf
 
 
-def _check_inside(body: ConvexBody, O: float) -> None:
+def _check_inside(body: ConvexBody, O: float) -> float:
+    """O as a double, once it lies inside the body's extent."""
     lo, hi = axis_interval(body)
-    if not lo <= O <= hi:
-        raise OOutsideBody(f"homothetic center {O!r} outside body extent {(lo, hi)}")
+    try:
+        if lo <= O <= hi:
+            return float(O)
+    except ArithmeticError:  # a Decimal NaN fails the comparison itself
+        pass
+    raise OOutsideBody(f"homothetic center {O!r} outside body extent {(lo, hi)}")
 
 
-def _centroid_apart_from(body: ConvexBody, O: float) -> float:
-    """The centroid A, once O is known to lie inside the body and off A."""
-    _check_inside(body, O)
+def _centroid_apart_from(body: ConvexBody, O: float) -> tuple[float, float]:
+    """O as a double and the centroid A, once O lies inside the body and off A."""
+    O = _check_inside(body, O)
     a = centroid(body)
     if O == a:
         raise OEqualsA("homothetic center coincides with the center of mass")
-    return a
+    return O, a
 
 
 def dilate(body: ConvexBody, O: float, lam: float) -> ConvexBody:
@@ -298,7 +307,8 @@ def dilate(body: ConvexBody, O: float, lam: float) -> ConvexBody:
     rounds to 0 or past the largest double, or its axis offset overflows.
     """
     _check_positive(lam, "lam")
-    _check_inside(body, O)
+    O = _check_inside(body, O)
+    lam = _double("lam", lam)
     size, base, offset = lam * body.size, lam * body.base, O + lam * (body.axis_offset - O)
     if not (0.0 < size < math.inf and 0.0 < base < math.inf and math.isfinite(offset)):
         raise InputOutOfRange(
@@ -325,8 +335,8 @@ class DilationScene(_SceneFields):
 
     def __new__(cls, body: ConvexBody, O: float, lam: float):
         _check_positive(lam, "lam")
-        _centroid_apart_from(body, O)
-        return tuple.__new__(cls, (body, O, lam))
+        O, _ = _centroid_apart_from(body, O)
+        return tuple.__new__(cls, (body, O, _double("lam", lam)))
 
     _make = classmethod(_validated_make)
 
@@ -414,7 +424,9 @@ def solve_scene_for_target(body: ConvexBody, O: float, target_b: float) -> Dilat
     exactly the B(1) point yields the degenerate lam = 1 scene; anything
     closer to A is unreachable for every positive factor.
     """
-    a = _centroid_apart_from(body, O)
+    O, a = _centroid_apart_from(body, O)
+    if not isinstance(target_b, float):  # a float nan or inf takes the checks below
+        target_b = _finite_double(target_b, "target_b", InputOutOfRange)
     d_oa = a - O
     d_ab = target_b - a
     if d_ab == 0.0 or (d_ab > 0) != (d_oa > 0):
@@ -513,40 +525,18 @@ _MC_BLOCK = 1 << 16
 _MC_CHUNK = 1 << 14
 
 
-class _BlockStreams(dict):
-    """The draw streams of one ``mc_centroid`` call, placed block by block.
+def _place(streams: list[np.random.Generator], opening: dict, block: int, count: int) -> None:
+    """Move stream k to the draws of the block's k-th ``random(count)`` call.
 
-    Every stream is a stretch of the one PCG64DXSM stream seeded with
-    ``seed``, one draw per uniform.  After ``start(block, count)``, stream k
-    holds the draws of the block's k-th ``random(count)`` call: it starts at
-    draw block*2^64 + k*count, so blocks never overlap however many draws
-    one consumes.  Each stream is placed at its first draw on first use by
-    PCG's O(log n) ``advance``, so the block can be drawn one chunk at a
-    time.  One generator per stream index serves the whole call and is
-    moved to each block from its opening state.
+    Every stream is a stretch of the one PCG64DXSM stream seeded with the
+    call's seed, one draw per uniform, and ``opening`` is that stream's
+    opening state.  Stream k starts at draw block*2^64 + k*count, reached by
+    PCG's O(log n) ``advance``, so blocks never overlap however many draws
+    one consumes, and a block can be drawn one chunk at a time.
     """
-
-    def __init__(self, seed: int):
-        super().__init__()
-        self.seed = seed
-        self.generators: dict[int, tuple[np.random.Generator, dict]] = {}
-
-    def start(self, block: int, count: int) -> None:
-        self.clear()
-        self.first = block << 64
-        self.count = count
-
-    def __missing__(self, k: int) -> np.random.Generator:
-        import numpy as np
-
-        if k not in self.generators:
-            stream = np.random.Generator(np.random.PCG64DXSM(self.seed))
-            self.generators[k] = stream, stream.bit_generator.state
-        stream, opening = self.generators[k]
+    for k, stream in enumerate(streams):
         stream.bit_generator.state = opening
-        stream.bit_generator.advance(self.first + k * self.count)
-        self[k] = stream
-        return stream
+        stream.bit_generator.advance((block << 64) + k * count)
 
 
 def mc_centroid(scene: DilationScene, seed: int, samples: int) -> tuple[float, float]:
@@ -554,7 +544,7 @@ def mc_centroid(scene: DilationScene, seed: int, samples: int) -> tuple[float, f
 
     Uniform points are drawn inside the larger body from a PCG64DXSM stream
     seeded with ``seed``, each fixed-size block from its own stretch of it,
-    reached by ``advance`` (see _BlockStreams); results are bit-reproducible
+    reached by ``advance`` (see _place); results are bit-reproducible
     for a fixed seed regardless of how the blocks would be scheduled or
     chunked.  Membership reads only a point's axial coordinate and the norm
     of its lateral part, so only those two are drawn, in the larger body's
@@ -597,7 +587,8 @@ def mc_centroid(scene: DilationScene, seed: int, samples: int) -> tuple[float, f
     work = np.empty((4, _MC_CHUNK))  # u, lateral norm and two scratch rows
     flags = np.empty((2, _MC_CHUNK), dtype=bool)
 
-    streams = _BlockStreams(seed)
+    streams = [np.random.Generator(np.random.PCG64DXSM(seed)) for _ in range(3)]
+    opening = streams[0].bit_generator.state
     accepted = 0
     mean = 0.0  # of u - o_u over the accepted points
     m2 = 0.0  # their sum of squared deviations from the mean
@@ -606,7 +597,7 @@ def mc_centroid(scene: DilationScene, seed: int, samples: int) -> tuple[float, f
     with np.errstate(over="ignore", invalid="ignore"):
         for first in range(0, samples, _MC_BLOCK):
             count = min(_MC_BLOCK, samples - first)
-            streams.start(first // _MC_BLOCK, count)
+            _place(streams, opening, first // _MC_BLOCK, count)
             for done in range(0, count, _MC_CHUNK):
                 size = min(_MC_CHUNK, count - done)
                 u, lateral, scratch, rest = work[:, :size]

@@ -158,6 +158,14 @@ def eval_P(lam, p, n: int):
         return math.inf if num > 0 else -math.inf
 
 
+def _exact_pair(p, q) -> bool:
+    """Whether p and q are both int or Fraction, and so read in integers; a
+    float in the pair answers before the slow ABC check of Fraction runs."""
+    return not (isinstance(p, float) or isinstance(q, float)) and (
+        isinstance(p, _EXACT) and isinstance(q, _EXACT)
+    )
+
+
 def lambda_min(p, q):
     """Location (p+1)*q/(q+1) of the unique minimum of Q in lam.
 
@@ -170,11 +178,7 @@ def lambda_min(p, q):
     """
     _check_positive(p, "p")
     _check_positive(q, "q")
-    # the exact-type test of _classify, written out there too because a
-    # helper call would cost every float solve
-    if not (isinstance(p, float) or isinstance(q, float)) and (
-        isinstance(p, _EXACT) and isinstance(q, _EXACT)
-    ):
+    if _exact_pair(p, q):
         a, b = p.numerator, p.denominator
         c, d = q.numerator, q.denominator
         return Fraction((a + b) * c, b * (c + d))
@@ -202,13 +206,10 @@ def classify(p, q) -> RegionClass:
 def _classify(p, q) -> RegionClass:
     """classify without its input checks.
 
-    A float in the pair decides the tolerance path before the slow ABC
-    check of Fraction runs; an int/Fraction pair compares num(p)*num(q)
-    with den(p)*den(q) in integers, with no Fraction built.
+    An int/Fraction pair compares num(p)*num(q) with den(p)*den(q) in
+    integers, with no Fraction built.
     """
-    if not (isinstance(p, float) or isinstance(q, float)) and (
-        isinstance(p, _EXACT) and isinstance(q, _EXACT)
-    ):
+    if _exact_pair(p, q):
         num = p.numerator * q.numerator
         den = p.denominator * q.denominator
         if num > den:

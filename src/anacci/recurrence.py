@@ -36,12 +36,21 @@ class _SpecFields(NamedTuple):
     init: tuple
 
 
+def _finite(term) -> bool:
+    """Whether an initial term is finite: a nan of any type is not, nor is an
+    infinity; a Decimal signaling NaN raises even from ``==``."""
+    try:
+        return term == term and abs(term) != math.inf
+    except ArithmeticError:
+        return False
+
+
 class RecurrenceSpec(_SpecFields):
     """Weight, order, and initial terms of one recurrence.
 
     ``p`` must be finite and > 0; ``init`` must hold exactly ``n`` entries,
-    not all zero, and its float entries must be finite.  ``init`` is stored
-    as a tuple, whatever iterable it was given as.
+    not all zero, and finite: no nan or infinity of any type.  ``init`` is
+    stored as a tuple, whatever iterable it was given as.
     """
 
     __slots__ = ()
@@ -52,8 +61,8 @@ class RecurrenceSpec(_SpecFields):
         init = tuple(init)
         if len(init) != n:
             raise ValueError(f"init must have exactly n={n} entries, got {len(init)}")
-        if any(isinstance(t, float) and not math.isfinite(t) for t in init):
-            raise ValueError(f"float init terms must be finite, got {init!r}")
+        if not all(map(_finite, init)):
+            raise ValueError(f"init terms must be finite, got {init!r}")
         if all(term == 0 for term in init):
             raise AllZeroInit("initial terms must not all be zero")
         return tuple.__new__(cls, (p, n, init))

@@ -2,6 +2,7 @@ import math
 import re
 import tracemalloc
 import warnings
+from decimal import Decimal
 
 import mpmath
 import numpy as np
@@ -41,8 +42,8 @@ from anacci.geometry import (
     solve_scene_for_target,
     unit_ball_volume,
     volume,
-    _BlockStreams,
     _MC_CHUNK,
+    _place,
 )
 from anacci.lattice import anacci
 from anacci.solver import solve_lambda
@@ -705,9 +706,10 @@ class TestMonteCarloDraws:
     def test_streams_are_stretches_of_one_seeded_stream(self, seed, count):
         # stream k of block b starts at draw b*2^64 + k*count of the one
         # PCG64DXSM stream seeded with ``seed``, drawn a chunk at a time
-        streams = _BlockStreams(seed)
+        streams = [np.random.Generator(np.random.PCG64DXSM(seed)) for _ in range(3)]
+        opening = streams[0].bit_generator.state
         for block in (0, 1):
-            streams.start(block, count)
+            _place(streams, opening, block, count)
             got = np.empty((3, count))
             for done in range(0, count, _MC_CHUNK):
                 for k in range(3):
@@ -716,6 +718,18 @@ class TestMonteCarloDraws:
             bits.advance(block << 64)
             expected = np.random.Generator(bits).random(3 * count)
             assert np.array_equal(got.ravel(), expected), block
+
+    @pytest.mark.parametrize("lam", [0.5, 1.7])
+    @pytest.mark.parametrize("n", [1, 2, 5, 16])
+    def test_cone_and_pyramid_share_their_points(self, n, lam):
+        # one apex draw at the plain norm serves both kinds: the section
+        # fraction has one law for l2 and l-inf, so the same points land
+        bodies = (ConvexBody(BodyKind.CONE, n, 2.5, 0.4, -3.0),
+                  ConvexBody(BodyKind.PYRAMID, n, 2.5, 0.4, -3.0))
+        cone_mc, pyramid_mc = (mc_centroid(DilationScene(body, -2.2, lam), 3, 30_011)
+                               for body in bodies)
+        assert cone_mc == pyramid_mc
+        assert BodyKind.CONE.shape.draw is BodyKind.PYRAMID.shape.draw
 
     def test_workspace_stays_below_one_megabyte(self):
         # whole-block draws peaked at 2.5-3.6 MB for 10**6 samples
@@ -810,3 +824,66 @@ class TestSceneValidation:
         assert body == (BodyKind.CONE, 3, 2.0, 1.0, -1.0)
         b, O, lam = scene
         assert (b, O, lam) == (body, 0.0, 1.5)
+
+
+class TestNonFloatReals:
+    """Sizes, offsets, centers, factors and targets that are not floats are
+    read as doubles once, after their checks; one with no double is named."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: dilate(ball(2, 1.0, 1.0), Decimal("nan"), 2.0),
+        lambda: DilationScene(ball(2, 1.0, 1.0), Decimal("nan"), 2.0),
+        lambda: b_one(ball(2, 1.0, 1.0), Decimal("nan")),
+        lambda: b_one(ball(2, 1.0, 1.0), Decimal("snan")),
+    ], ids=["dilate", "DilationScene", "b_one", "b_one-snan"])
+    def test_decimal_nan_center_is_outside_the_body(self, call):
+        # as a float nan is: the comparison itself used to raise InvalidOperation
+        with pytest.raises(OOutsideBody):
+            call()
+
+    @pytest.mark.parametrize("call, expected", [
+        (lambda: centroid(ConvexBody(BodyKind.BALL, 2, Decimal("1"), 1.0, 0.0)), 0.0),
+        (lambda: centroid(ball(2, 1.0, Decimal("1"))), 1.0),
+        (lambda: shell_centroid(DilationScene(ball(2, 1.0, 1.0), 0.0, Decimal("2"))),
+         shell_centroid(DilationScene(ball(2, 1.0, 1.0), 0.0, 2.0))),
+        (lambda: dilate(ball(2, 1.0, 1.0), 0.5, Decimal("2")), dilate(ball(2, 1.0, 1.0), 0.5, 2.0)),
+        (lambda: solve_scene_for_target(ball(2, 1.0, 1.0), 0.0, Decimal("2")),
+         solve_scene_for_target(ball(2, 1.0, 1.0), 0.0, 2.0)),
+    ], ids=["size", "offset", "shell-lam", "dilate-lam", "target"])
+    def test_decimals_give_the_float_results(self, call, expected):
+        assert call() == expected
+
+    def test_reads_are_floats_and_keep_float_inputs(self):
+        body = ConvexBody(BodyKind.CONE, 3, 2, Decimal("0.5"), -1)
+        assert [type(x) for x in body[2:]] == [float, float, float]
+        scene = DilationScene(body, Decimal("-0.5"), 3)
+        assert (scene.O, scene.lam) == (-0.5, 3.0)
+        assert type(scene.O) is float and type(scene.lam) is float
+        x = 0.1 + 0.2
+        scene = DilationScene(ball(2, x, -0.0), x / 2, x)
+        assert scene == (ConvexBody(BodyKind.BALL, 2, x, 1.0, -0.0), x / 2, x)
+        assert math.copysign(1.0, scene.body.axis_offset) == -1.0
+
+    def test_size_with_no_double(self):
+        with pytest.raises(InputOutOfRange, match="^size lies outside"):
+            centroid(ConvexBody(BodyKind.BALL, 2, 10**400, 1.0, 0.0))
+        with pytest.raises(InputOutOfRange, match="^base lies outside"):
+            cone(3, 1.0, base_radius=Decimal("1e-400"))
+
+    def test_offset_with_no_double(self):
+        for offset in (10**400, -(10**400), Decimal("1e400"), Decimal("nan"), Decimal("snan")):
+            with pytest.raises(ValueError, match="^axis_offset must be a finite double"):
+                ball(2, 1.0, offset)
+
+    def test_factor_with_no_double(self):
+        for lam in (10**400, Decimal("1e-400")):
+            with pytest.raises(InputOutOfRange, match="^lam lies outside"):
+                dilate(ball(2, 1.0, 1.0), 0.5, lam)
+            with pytest.raises(InputOutOfRange, match="^lam lies outside"):
+                DilationScene(ball(2, 1.0, 1.0), 0.5, lam)
+
+    def test_target_with_no_double(self):
+        for target in (10**400, Decimal("1e400"), Decimal("nan")):
+            with pytest.raises(InputOutOfRange, match="^target_b must be a finite double"):
+                solve_scene_for_target(ball(2, 1.0, 1.0), 0.0, target)
+

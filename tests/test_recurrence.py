@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -43,6 +44,17 @@ class TestSpec:
     def test_rejects_non_finite_float_init(self, bad):
         with pytest.raises(ValueError, match="init"):
             RecurrenceSpec(p=1, n=2, init=(bad, 1.0))
+
+    @pytest.mark.parametrize("bad", [Decimal("nan"), Decimal("snan"), Decimal("-inf")])
+    def test_rejects_a_decimal_nan_or_infinity_as_a_float_one(self, bad):
+        # a Decimal nan was reported as a term beyond the double range, and a
+        # signaling one raised InvalidOperation from the all-zero test
+        with pytest.raises(ValueError, match=r"^init terms must be finite"):
+            generate(RecurrenceSpec(1.0, 2, (bad, 1.0)), 5)
+
+    def test_a_decimal_past_the_doubles_overflows(self):
+        with pytest.raises(TermOverflow, match="term 0"):
+            generate(RecurrenceSpec(1.0, 2, (Decimal("1e400"), 1.0)), 5)
 
     def test_accepts_exact_terms_of_any_size(self):
         spec = RecurrenceSpec(p=10**400, n=2, init=(Fraction(1, 10**400), 10**400))
