@@ -125,6 +125,17 @@ def _double(name: str, value) -> float:
     return x
 
 
+def _finite_double(value, name: str, error) -> float:
+    """float(value) where it is finite; ``error`` otherwise, also for an int
+    or Fraction past the doubles and for a Decimal signaling NaN."""
+    try:
+        if math.isfinite(value):
+            return float(value)
+    except (OverflowError, ValueError):  # float() refuses both
+        pass
+    raise error(f"{name} must be a finite double, got {value!r}")
+
+
 def _weight(p, where: str, *args) -> float:
     """p as a double, once it is positive and finite there; the message names
     the weight as ``where % args``, formatted only when the check fails."""

@@ -32,7 +32,7 @@ from .errors import (
     ZeroUnderflow,
 )
 from .errors import _check_nonnegative, _check_positive, _check_positive_int, _double
-from .errors import _validated_make
+from .errors import _finite_double, _validated_make
 from .lattice import anacci
 from .qkernel import _SUB
 from .solver import solve_lambda
@@ -65,17 +65,6 @@ class _BodyFields(NamedTuple):
     size: float
     base: float
     axis_offset: float
-
-
-def _finite_double(value, name: str, error) -> float:
-    """float(value) where it is finite; ``error`` otherwise, also for an int
-    or Fraction past the doubles and for a Decimal signaling NaN."""
-    try:
-        if math.isfinite(value):
-            return float(value)
-    except (OverflowError, ValueError):  # float() refuses both
-        pass
-    raise error(f"{name} must be a finite double, got {value!r}")
 
 
 class ConvexBody(_BodyFields):
@@ -425,8 +414,7 @@ def solve_scene_for_target(body: ConvexBody, O: float, target_b: float) -> Dilat
     closer to A is unreachable for every positive factor.
     """
     O, a = _centroid_apart_from(body, O)
-    if not isinstance(target_b, float):  # a float nan or inf takes the checks below
-        target_b = _finite_double(target_b, "target_b", InputOutOfRange)
+    target_b = _finite_double(target_b, "target_b", InputOutOfRange)
     d_oa = a - O
     d_ab = target_b - a
     if d_ab == 0.0 or (d_ab > 0) != (d_oa > 0):

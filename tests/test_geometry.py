@@ -883,7 +883,7 @@ class TestNonFloatReals:
                 DilationScene(ball(2, 1.0, 1.0), 0.5, lam)
 
     def test_target_with_no_double(self):
-        for target in (10**400, Decimal("1e400"), Decimal("nan")):
+        for target in (10**400, Decimal("1e400"), Decimal("nan"), math.nan, math.inf, -math.inf):
             with pytest.raises(InputOutOfRange, match="^target_b must be a finite double"):
                 solve_scene_for_target(ball(2, 1.0, 1.0), 0.0, target)
 
