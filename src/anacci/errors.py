@@ -1,5 +1,6 @@
 """Exception hierarchy shared by all anacci modules, and the input contract:
-the argument checks of every public function, next to the errors they raise."""
+one reader that checks each real argument and returns the double its public
+function computes on, next to the errors it raises."""
 
 import math
 
@@ -81,31 +82,9 @@ class DegenerateShell(AnacciError):
     """Monte Carlo acceptance rate too low to estimate the shell centroid."""
 
 
-# The three checks below take one value each, positionally: a keyword call
-# builds and walks a dict, several times the cost of the comparison, and
-# every solve checks its p and q.  A Decimal NaN raises InvalidOperation from
-# the comparison itself; it fails the check like any other nan.
-def _check_positive(value, name: str):
-    try:
-        if 0 < value < math.inf:
-            return
-    except ArithmeticError:
-        pass
-    raise NonPositiveInput(f"{name} must be finite and > 0, got {value!r}")
-
-
 def _check_positive_int(value, name: str):
     if not isinstance(value, int) or value < 1:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
-
-
-def _check_nonnegative(value, name: str, error=ValueError):
-    try:
-        if 0 <= value < math.inf:
-            return
-    except ArithmeticError:
-        pass
-    raise error(f"{name} must be finite and >= 0, got {value!r}")
 
 
 def _to_double(value) -> float:
@@ -117,23 +96,43 @@ def _to_double(value) -> float:
         return math.inf if value > 0 else -math.inf
 
 
-def _double(name: str, value) -> float:
-    """float(value) of a positive exact input; InputOutOfRange if it has none."""
-    x = _to_double(value)
-    if not 0.0 < x < math.inf:
-        raise InputOutOfRange(f"{name} lies outside the positive double range")
-    return x
+# The reader takes its value and name positionally: a keyword call builds and
+# walks a dict, several times the cost of the comparison, and every solve
+# reads its p and q.  A Decimal NaN raises InvalidOperation from the
+# comparison itself; it fails the check like any other nan.
+def _real(value, name: str, error=NonPositiveInput, wanted: str = "finite and > 0", exact=()):
+    """A real argument as the double its function computes on, checked and
+    converted in one call.
 
-
-def _finite_double(value, name: str, error) -> float:
-    """float(value) where it is finite; ``error`` otherwise, also for an int
-    or Fraction past the doubles and for a Decimal signaling NaN."""
+    ``wanted`` is the range: "finite and > 0", "finite and >= 0" or "a
+    finite double".  A value outside it raises ``error``, whose message
+    starts with ``name``.  A value inside it whose double is not, such as
+    an int, Fraction or Decimal past the doubles or a positive one that
+    rounds to 0, raises InputOutOfRange, or ``error`` for "a finite
+    double".  A value of one of the ``exact`` types is returned as it is,
+    once it lies in range, so that exact arithmetic keeps it.
+    """
+    if type(value) is float and 0.0 < value < math.inf:
+        return value
+    positive = wanted == "finite and > 0"
     try:
-        if math.isfinite(value):
-            return float(value)
-    except (OverflowError, ValueError):  # float() refuses both
-        pass
-    raise error(f"{name} must be a finite double, got {value!r}")
+        if positive:
+            inside = 0 < value < math.inf
+        elif wanted == "finite and >= 0":
+            inside = 0 <= value < math.inf
+        else:
+            inside = -math.inf < value < math.inf
+    except ArithmeticError:
+        inside = False
+    if inside:
+        if isinstance(value, exact):
+            return value
+        x = _to_double(value)
+        if (0.0 if positive else -math.inf) < x < math.inf:
+            return x
+        if wanted != "a finite double":
+            raise InputOutOfRange(f"{name} lies outside the positive double range")
+    raise error(f"{name} must be {wanted}, got {value!r}")
 
 
 def _weight(p, where: str, *args) -> float:

@@ -31,8 +31,7 @@ from .errors import (
     TargetUnreachable,
     ZeroUnderflow,
 )
-from .errors import _check_nonnegative, _check_positive, _check_positive_int, _double
-from .errors import _finite_double, _validated_make
+from .errors import _check_positive_int, _real, _validated_make
 from .lattice import anacci
 from .qkernel import _SUB
 from .solver import solve_lambda
@@ -83,10 +82,9 @@ class ConvexBody(_BodyFields):
                 axis_offset: float = 0.0):
         _check_kind(kind)
         _check_positive_int(n, "dimension n")
-        _check_positive(size, "size")
-        _check_positive(base, "base")
-        offset = _finite_double(axis_offset, "axis_offset", ValueError)
-        return tuple.__new__(cls, (kind, n, _double("size", size), _double("base", base), offset))
+        size, base = _real(size, "size"), _real(base, "base")
+        offset = _real(axis_offset, "axis_offset", ValueError, "a finite double")
+        return tuple.__new__(cls, (kind, n, size, base, offset))
 
     _make = classmethod(_validated_make)
 
@@ -247,7 +245,7 @@ def centroid(body: ConvexBody) -> float:
 
 def unit_ball_volume(n: int) -> float:
     """Volume pi^(n/2)/Gamma(n/2+1) of the unit n-ball (1 at n = 0)."""
-    _check_nonnegative(n, "dimension")
+    n = _real(n, "dimension", ValueError, "finite and >= 0")
     try:
         return math.pi ** (n / 2) / math.gamma(n / 2 + 1)
     except OverflowError:  # Gamma overflows from n = 342 on; the ratio does not
@@ -295,9 +293,8 @@ def dilate(body: ConvexBody, O: float, lam: float) -> ConvexBody:
     Raises InputOutOfRange when the image has no doubles: its size or base
     rounds to 0 or past the largest double, or its axis offset overflows.
     """
-    _check_positive(lam, "lam")
+    lam = _real(lam, "lam")
     O = _check_inside(body, O)
-    lam = _double("lam", lam)
     size, base, offset = lam * body.size, lam * body.base, O + lam * (body.axis_offset - O)
     if not (0.0 < size < math.inf and 0.0 < base < math.inf and math.isfinite(offset)):
         raise InputOutOfRange(
@@ -323,9 +320,9 @@ class DilationScene(_SceneFields):
     __slots__ = ()
 
     def __new__(cls, body: ConvexBody, O: float, lam: float):
-        _check_positive(lam, "lam")
+        lam = _real(lam, "lam")
         O, _ = _centroid_apart_from(body, O)
-        return tuple.__new__(cls, (body, O, _double("lam", lam)))
+        return tuple.__new__(cls, (body, O, lam))
 
     _make = classmethod(_validated_make)
 
@@ -414,7 +411,7 @@ def solve_scene_for_target(body: ConvexBody, O: float, target_b: float) -> Dilat
     closer to A is unreachable for every positive factor.
     """
     O, a = _centroid_apart_from(body, O)
-    target_b = _finite_double(target_b, "target_b", InputOutOfRange)
+    target_b = _real(target_b, "target_b", InputOutOfRange, "a finite double")
     d_oa = a - O
     d_ab = target_b - a
     if d_ab == 0.0 or (d_ab > 0) != (d_oa > 0):

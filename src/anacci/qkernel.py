@@ -22,7 +22,7 @@ from enum import Enum
 from fractions import Fraction
 from numbers import Rational
 
-from .errors import _check_positive, _check_positive_int, _double, _to_double
+from .errors import _check_positive_int, _real, _to_double
 
 # |p*q - 1| at or below this counts as the merged-double-root regime for
 # floating inputs; the two zero branches of Q are then within ~1e-6 of 1.
@@ -100,10 +100,7 @@ def q_value(lam: float, p: float, q: float) -> float:
     overflows, the sign is decided by the scaled identity
     ``Q/lam^q = lam - (p+1) + p*lam^(-q)`` and +-inf is returned.
     """
-    _check_positive(lam, "lam")
-    _check_positive(p, "p")
-    _check_positive(q, "q")
-    return _q_dq(lam, p, q)[0]
+    return _q_dq(_real(lam, "lam"), _real(p, "p"), _real(q, "q"))[0]
 
 
 def dq_value(lam: float, p: float, q: float) -> float:
@@ -111,24 +108,20 @@ def dq_value(lam: float, p: float, q: float) -> float:
 
     Negative below the minimum locus, zero on it, positive above.
     """
-    _check_positive(lam, "lam")
-    _check_positive(p, "p")
-    _check_positive(q, "q")
-    return _q_dq(lam, p, q)[1]
+    return _q_dq(_real(lam, "lam"), _real(p, "p"), _real(q, "q"))[1]
 
 
-def _ratio(name: str, x) -> tuple[int, int]:
-    """(numerator, denominator) as Python ints, of float(x) unless Rational;
-    InputOutOfRange where a non-Rational x has no positive double."""
-    if isinstance(x, Rational):
-        return int(x.numerator), int(x.denominator)  # numpy's own powers wrap
-    return _double(name, x).as_integer_ratio()
+def _ratio(x) -> tuple[int, int]:
+    """(numerator, denominator) of a read Rational or double, as Python ints."""
+    if type(x) is float:
+        return x.as_integer_ratio()
+    return int(x.numerator), int(x.denominator)  # numpy's own powers wrap
 
 
 def _power_sum(lam, n: int) -> tuple[int, int, int]:
     """(a^n, b*G, b^n) for lam = a/b: lam^n and lam^(n-1) + ... + 1 over b^n,
     with G = (a^n - b^n)/(a - b), or n*a^(n-1) where a = b."""
-    a, b = _ratio("lam", lam)
+    a, b = _ratio(lam)
     power, base = a**n, b**n
     total = n * base if a == b else b * ((power - base) // (a - b))
     return power, total, base
@@ -144,11 +137,11 @@ def eval_P(lam, p, n: int):
     Raises InputOutOfRange for an input that is neither float nor Rational
     and has no positive double, such as Decimal('1e400').
     """
-    _check_positive(lam, "lam")
-    _check_positive(p, "p")
+    lam = _real(lam, "lam", exact=Rational)
+    p = _real(p, "p", exact=Rational)
     _check_positive_int(n, "order n")
     power, total, base = _power_sum(lam, n)
-    c, d = _ratio("p", p)
+    c, d = _ratio(p)
     num, den = power * d - c * total, base * d
     if isinstance(lam, Rational) and isinstance(p, Rational):
         return Fraction(num, den)
@@ -171,13 +164,14 @@ def lambda_min(p, q):
 
     Equals 1 exactly when p*q = 1.  An int/Fraction pair returns the exact
     Fraction (a+b)c / (b(c+d)) for p = a/b, q = c/d, built in integers and
-    free of the double range; any other pair takes the generic formula.
-    Where that formula overflows, a pair with an exact side beyond the
-    double range returns the exact Fraction of its values, and a float
-    pair divides q by q+1 first, since the bound itself is below p+1.
+    free of the double range; any other pair takes the generic formula,
+    with a side that is neither int nor Fraction read as a double.  A pair
+    with an exact side whose double overflows, or rounds the bound to 0,
+    returns the exact Fraction of its values, and where (p+1)*q overflows
+    a float pair divides q by q+1 first, since the bound is below p+1.
     """
-    _check_positive(p, "p")
-    _check_positive(q, "q")
+    p = _real(p, "p", exact=_EXACT)
+    q = _real(q, "q", exact=_EXACT)
     if _exact_pair(p, q):
         a, b = p.numerator, p.denominator
         c, d = q.numerator, q.denominator
@@ -185,6 +179,8 @@ def lambda_min(p, q):
     try:
         bound = (p + 1) * q / (q + 1)
     except OverflowError:  # an int or Fraction side has no double
+        bound = 0.0
+    if bound == 0.0:  # only an exact side rounds a float pair's bound to 0
         return (Fraction(p) + 1) * Fraction(q) / (Fraction(q) + 1)
     if bound == math.inf:  # (p+1)*q overflowed
         return (p + 1) * (q / (q + 1))
@@ -198,8 +194,8 @@ def classify(p, q) -> RegionClass:
     otherwise SUPER needs p*q - 1 > CRITICAL_TOL and SUB needs
     1 - p*q > CRITICAL_TOL, everything between is CRITICAL.
     """
-    _check_positive(p, "p")
-    _check_positive(q, "q")
+    p = _real(p, "p", exact=_EXACT)
+    q = _real(q, "q", exact=_EXACT)
     return _classify(p, q)
 
 

@@ -23,7 +23,7 @@ from numbers import Rational
 from typing import NamedTuple
 
 from .errors import AllZeroInit, NoConvergence, TermOverflow
-from .errors import _check_nonnegative, _check_positive, _check_positive_int, _to_double, _weight
+from .errors import _check_positive_int, _real, _to_double, _weight
 from .errors import _validated_make
 
 # steps between renormalizations of the window during ratio estimation
@@ -48,16 +48,17 @@ def _finite(term) -> bool:
 class RecurrenceSpec(_SpecFields):
     """Weight, order, and initial terms of one recurrence.
 
-    ``p`` must be finite and > 0; ``init`` must hold exactly ``n`` entries,
-    not all zero, and finite: no nan or infinity of any type.  ``init`` is
-    stored as a tuple, whatever iterable it was given as.
+    ``p`` must be finite and > 0; a Rational p is kept as given, any other
+    is read as a double.  ``init`` must hold exactly ``n`` entries, not all
+    zero, and finite: no nan or infinity of any type.  ``init`` is stored as
+    a tuple, whatever iterable it was given as.
     """
 
     __slots__ = ()
 
     def __new__(cls, p: float | int | Fraction, n: int, init):
         _check_positive_int(n, "order n")
-        _check_positive(p, "weight p")
+        p = _real(p, "weight p", exact=Rational)
         init = tuple(init)
         if len(init) != n:
             raise ValueError(f"init must have exactly n={n} entries, got {len(init)}")
@@ -167,7 +168,7 @@ def ratio_limit(
     direction — reported, not guessed.  A weight with no positive double
     raises WeightUnderflow or WeightOverflow, as in ``generate``.
     """
-    _check_nonnegative(tol, "tol")
+    tol = _real(tol, "tol", ValueError, "finite and >= 0")
     if max_terms < 2 * spec.n:
         raise ValueError(f"max_terms must be >= 2n = {2 * spec.n}, got {max_terms}")
     n = spec.n

@@ -17,8 +17,9 @@ from numbers import Rational
 from typing import NamedTuple
 
 from .errors import CriticalRegime, InputOutOfRange, NoConvergence, NonPositiveInput, ZeroUnderflow
-from .errors import _check_nonnegative, _check_positive, _check_positive_int, _double, _weight
-from .qkernel import CRITICAL_TOL, RegionClass, _classify, _ln, _power_sum, _q_dq, lambda_min
+from .errors import _check_positive_int, _real, _weight
+from .qkernel import CRITICAL_TOL, RegionClass, _classify, _exact_pair, _ln, _power_sum, _q_dq
+from .qkernel import lambda_min
 from .qkernel import _CRITICAL, _EXP_OVERFLOW, _SUB, _SUPER
 from .qkernel import q_value  # noqa: F401  # perfbench's tracer self-test reads solver.q_value
 
@@ -115,36 +116,35 @@ def solve_lambda(p, q) -> AnacciConstant:
     computed sign contradicts its end of the bracket (the start then lies
     within rounding of the zero).  ``iterations`` counts the evaluations of
     Q.  On the hyperbola p*q = 1 the zero branches merge and exactly 1.0 is
-    returned with zero residual.
+    returned with zero residual.  At q = 1 off it, Q = (lam-1)(lam-p), and
+    a p that is a double is returned as the zero, with a collapsed bracket
+    and no evaluation.
 
-    Raises NonPositiveInput unless p and q are finite and > 0,
-    InputOutOfRange for an exact p or q that rounds to 0 or past the
-    largest double, ZeroUnderflow when a sub-critical zero lies below the
-    positive double range, and NoConvergence (never seen) after 200
-    evaluations.
+    p and q are read as doubles; an int/Fraction pair decides its regime
+    exactly.  Raises NonPositiveInput unless p and q are finite and > 0,
+    InputOutOfRange for one that rounds to 0 or past the largest double,
+    ZeroUnderflow when a sub-critical zero lies below the positive double
+    range, and NoConvergence (never seen) after 200 evaluations.
     """
-    _check_positive(p, "p")
-    _check_positive(q, "q")
-    if type(p) is float and type(q) is float:
-        # _classify's float rule, written out: its call and the _double
-        # conversions cost every solve
-        pf, qf = p, q
-        excess = p * q - 1.0
-        if excess > CRITICAL_TOL:
-            regime = _SUPER
-        elif -excess > CRITICAL_TOL:
-            regime = _SUB
-        else:
-            regime = _CRITICAL
+    pf = _real(p, "p")
+    qf = _real(q, "q")
+    excess = pf * qf - 1.0
+    if type(p) is int and type(q) is int:  # p, q >= 1: never sub-critical
+        regime = _SUPER if p * q > 1 else _CRITICAL
+    elif type(p) is not float and _exact_pair(p, q):
+        regime = _classify(p, q)
+    # _classify's float rule, written out: its call costs every solve
+    elif excess > CRITICAL_TOL:
+        regime = _SUPER
+    elif -excess > CRITICAL_TOL:
+        regime = _SUB
     else:
-        pf, qf = _double("p", p), _double("q", q)
-        excess = pf * qf - 1.0
-        if type(p) is int and type(q) is int:  # p, q >= 1: never sub-critical
-            regime = _SUPER if p * q > 1 else _CRITICAL
-        else:
-            regime = _classify(p, q)
+        regime = _CRITICAL
     if regime is _CRITICAL:
         return _new(AnacciConstant, (pf, qf, 1.0, 1.0, 1.0, 0.0, 0, regime))
+    if qf == 1.0 and q == 1 and p == pf:
+        # order one: Q = (lam-1)(lam-p), and its zero p is a double
+        return _new(AnacciConstant, (pf, qf, pf, pf, pf, 0.0, 0, regime))
 
     lmin = (pf + 1.0) * qf / (qf + 1.0)  # lambda_min
     if regime is _SUPER:
@@ -229,8 +229,8 @@ def inverse_p(lam: float, q: float) -> float:
     Raises WeightUnderflow when the weight lies below the smallest positive
     double and WeightOverflow when it lies above the largest finite one.
     """
-    _check_positive(lam, "lam")
-    _check_positive(q, "q")
+    lam = _real(lam, "lam")
+    q = _real(q, "q")
     if lam == 1.0:
         return _weight(1.0 / q, "lam=%s, q=%r", lam, q)
     t = q * _ln(lam)
@@ -252,7 +252,7 @@ def inverse_p_integer(m_lambda, n: int):
     Raises InputOutOfRange for a lam that is neither float nor Rational and
     has no positive double, such as Decimal('1e400').
     """
-    _check_positive(m_lambda, "m_lambda")
+    m_lambda = _real(m_lambda, "m_lambda", exact=Rational)
     _check_positive_int(n, "order n")
     power, total, _ = _power_sum(m_lambda, n)
     if isinstance(m_lambda, Rational):
@@ -260,8 +260,9 @@ def inverse_p_integer(m_lambda, n: int):
     return _weight(power / total, "lam=%s, n=%r", m_lambda, n)
 
 
-def _derivative_parts(p: float, q: float) -> tuple[float, float, float]:
-    """Solve for lam and return (lam, gap, D) for both derivatives.
+def _derivative_parts(p: float, q: float) -> tuple[float, float, float, float]:
+    """Solve for lam and return (lam, p, gap, D) for both derivatives, with
+    p the double the solve read.
 
     gap is p+1-lam through the identity p+1-lam = p*lam^(-q) at the zero,
     which stays positive after lam saturates onto p+1 in doubles; where
@@ -279,7 +280,7 @@ def _derivative_parts(p: float, q: float) -> tuple[float, float, float]:
     denom = lam - q * gap
     if not (denom > 0.0 if result.regime is _SUPER else denom < 0.0):
         raise CriticalRegime(f"no derivatives: zero within rounding of 1 (p={p!r}, q={q!r})")
-    return lam, gap, denom
+    return lam, p, gap, denom
 
 
 def dlambda_dp(p: float, q: float) -> float:
@@ -290,7 +291,7 @@ def dlambda_dp(p: float, q: float) -> float:
     positive off the hyperbola.  Raises CriticalRegime on the hyperbola and
     where the zero is within rounding of 1.
     """
-    lam, _, denom = _derivative_parts(p, q)
+    lam, p, _, denom = _derivative_parts(p, q)
     return lam / p * ((lam - 1.0) / denom)
 
 
@@ -303,7 +304,7 @@ def dlambda_dq(p: float, q: float) -> float:
     underflow.  Raises CriticalRegime as dlambda_dp does, and
     InputOutOfRange where the value lies above the largest double.
     """
-    lam, gap, denom = _derivative_parts(p, q)
+    lam, _, gap, denom = _derivative_parts(p, q)
     value = gap * _ln(lam) * (lam / denom)
     if value == math.inf:
         raise InputOutOfRange(f"dlambda_dq lies above the largest double (p={p!r}, q={q!r})")
@@ -317,7 +318,7 @@ def lower_bound_basic(p: float, q: float) -> float:
     An int/Fraction pair is rounded once from the exact bound.  Raises
     InputOutOfRange when the bound has no positive finite double.
     """
-    return _double("basic bound (p+1)q/(q+1)", lambda_min(p, q))
+    return _real(lambda_min(p, q), "basic bound (p+1)q/(q+1)", InputOutOfRange)
 
 
 def lower_bound_refined(p: float) -> float:
@@ -327,7 +328,7 @@ def lower_bound_refined(p: float) -> float:
     lattice enclosure m+1-1/(m+1) < phi(m, n) < m+1 (eq. 37).  The caller
     checks applicability; the value alone is defined for any positive p.
     """
-    _check_positive(p, "p")
+    p = _real(p, "p")
     return p + 1.0 - 1.0 / (p + 1.0)
 
 
@@ -335,9 +336,10 @@ def bound_crossover(p: float) -> float:
     """(p+1)^2 - 1: the q at and below which the basic bound does not exceed
     the refined bound.
 
-    Raises InputOutOfRange when the crossover lies above the largest double.
+    Raises InputOutOfRange when p or the crossover lies above the largest
+    double.
     """
-    _check_nonnegative(p, "p", NonPositiveInput)
+    p = _real(p, "p", NonPositiveInput, "finite and >= 0")
     try:
         return (p + 1.0) ** 2 - 1.0
     except OverflowError:

@@ -10,6 +10,11 @@ whose floats are all finite.  Counts and sizes (``count``, ``m_max``,
 error, as for ``range``, and is not swept.  A body kind that is not a
 ``BodyKind`` gets one ``ValueError``, from every function that takes a kind.
 
+The non-float sweep calls every real-valued function with its real
+arguments as ``Fraction``, ``Decimal``, ``np.float32`` and ``np.int64``: the
+result is a Python ``float``, or the exact ``Fraction`` where the function
+promises one, and never a ``Decimal`` or a numpy scalar.
+
 The CLI sweep feeds the same values to each command's flags through
 ``cli.main`` in-process: the exit code is 0 or 2, nothing escapes as a
 traceback, and JSON output is strict (no NaN or Infinity).
@@ -19,7 +24,10 @@ import json
 import math
 import re
 from decimal import Decimal
+from fractions import Fraction
+from numbers import Rational
 
+import numpy as np
 import pytest
 
 from anacci import (
@@ -362,3 +370,70 @@ def test_cli_exits_zero_or_two_with_strict_output(capsys, command):
 def test_cli_scene_volume_past_the_double_range(capsys):
     argv = ["scene", "--body", "cone", "--base", "1e308", "--lam", "2", "--center", "0.1"]
     assert _check_run(capsys, argv) is None
+
+
+# name -> (function, valid keyword arguments, real arguments, the types for
+# which a Fraction is promised once every real argument is one of them, and
+# the reals of a result); the 18 public functions whose result is real
+REAL_VALUED = {
+    "q_value": (q_value, dict(lam=1.5, p=1.0, q=2.0), "lam p q", None, None),
+    "dq_value": (dq_value, dict(lam=1.5, p=1.0, q=2.0), "lam p q", None, None),
+    "eval_P": (eval_P, dict(lam=1.5, p=1.0, n=3), "lam p", Rational, None),
+    "lambda_min": (lambda_min, dict(p=1.5, q=2.0), "p q", (int, Fraction), None),
+    "solve_lambda": (solve_lambda, dict(p=1.5, q=2.0), "p q", None, lambda r: r[:6]),
+    "inverse_p": (inverse_p, dict(lam=1.5, q=2.0), "lam q", None, None),
+    "inverse_p_integer": (inverse_p_integer, dict(m_lambda=1.5, n=3), "m_lambda", Rational,
+                          None),
+    "dlambda_dp": (dlambda_dp, dict(p=1.5, q=2.0), "p q", None, None),
+    "dlambda_dq": (dlambda_dq, dict(p=1.5, q=2.0), "p q", None, None),
+    "lower_bound_basic": (lower_bound_basic, dict(p=1.5, q=2.0), "p q", None, None),
+    "lower_bound_refined": (lower_bound_refined, dict(p=1.5), "p", None, None),
+    "bound_crossover": (bound_crossover, dict(p=1.5), "p", None, None),
+    "unit_ball_volume": (unit_ball_volume, dict(n=3.0), "n", None, None),
+    "lambda_from_p": (lambda_from_p, dict(n=2, p=1.5), "p", None, None),
+    "volume": (lambda size, base: volume(cone(3, size, 0.0, base)), dict(size=1.5, base=2.0),
+               "size base", None, None),
+    "shell_centroid": (lambda O, lam: shell_centroid(_unit_ball_scene(O, lam)),
+                       dict(O=0.5, lam=1.5), "O lam", None, None),
+    "b_one": (lambda O: b_one(ball(2, 1.0, 1.0), O), dict(O=0.5), "O", None, None),
+    "ratio_limit": (lambda p, tol: ratio_limit(RecurrenceSpec(p, 2, (0, 1)), tol),
+                    dict(p=1.5, tol=1e-12), "p tol", None, lambda r: [r.value]),
+}
+
+NON_FLOATS = {
+    "Fraction": Fraction,
+    "Decimal": lambda x: Decimal(repr(x)),
+    "float32": np.float32,
+    "int64": lambda x: np.int64(round(x)),
+}
+
+
+def _non_float_reads(valid, reals):
+    """(label, arguments) with every real argument of one type, then each
+    real argument alone of that type."""
+    names = reals.split()
+    for label, convert in NON_FLOATS.items():
+        yield label, {**valid, **{a: convert(valid[a]) for a in names}}
+        if len(names) > 1:
+            for a in names:
+                yield f"{label} {a}", {**valid, a: convert(valid[a])}
+
+
+@pytest.mark.parametrize("name", list(REAL_VALUED))
+def test_non_float_reals_give_float_results(name):
+    func, valid, reals, exact, parts = REAL_VALUED[name]
+    broken = []
+    for label, args in _non_float_reads(valid, reals):
+        try:
+            result = func(**args)
+        except (AnacciError, ValueError):
+            continue
+        except Exception as exc:  # a raw TypeError broke the contract here
+            broken.append(f"{label}: {type(exc).__name__}: {exc}")
+            continue
+        promised = exact is not None and all(isinstance(args[a], exact) for a in reals.split())
+        wanted = Fraction if promised else float
+        for value in parts(result) if parts else [result]:
+            if type(value) is not wanted:
+                broken.append(f"{label}: {type(value).__name__} {value!r}, not {wanted.__name__}")
+    assert not broken, "\n".join(broken)

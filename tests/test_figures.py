@@ -92,7 +92,7 @@ class TestEmitters:
         assert emit(which) == emit(which)
 
     @pytest.mark.parametrize("which, digest", [
-        ("fig5", "db6a5891753ff9785ca9998eed657187a78b9767f4ab73c397b9f0ae290861a0"),
+        ("fig5", "6751526b1f1b803264ac5f632b516045fe3e3a9d9164f492db76f73bb2db1b6a"),
         ("fig6", "ec4b6a8896d4bce45cad40df24d3a2513a1122888e15f729f59a8cd701017f3c"),
         ("fig7", "0fc7affd15335f9432c1804390e72963aa2f0f5aa0ec867ed2302cd191fd2f1b"),
     ])

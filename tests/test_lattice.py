@@ -23,6 +23,10 @@ class TestAnacci:
         assert anacci((1, 2)) == pytest.approx(PHI, abs=1e-14)
         assert anacci((2, 2)) == pytest.approx(1.0 + math.sqrt(3.0), abs=1e-14)
 
+    def test_order_one_is_the_weight(self):
+        # phi(m, 1) = m: the characteristic polynomial is lam - m
+        assert [anacci((m, 1)) for m in range(1, 1001)] == list(range(1, 1001))
+
     def test_index_validation(self):
         with pytest.raises(ValueError):
             anacci((0, 1))

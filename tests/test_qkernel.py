@@ -341,6 +341,13 @@ class TestLambdaMin:
             (10**400 + 1) * Fraction(5e-324) / (Fraction(5e-324) + 1)
         )
 
+    def test_mixed_pair_below_the_doubles_is_exact(self):
+        # a tiny Fraction order rounded the bound to 0.0, which is no bound
+        tiny = Fraction(1, 10**400)
+        assert lambda_min(0.5, tiny) == Fraction(3, 2) * tiny / (tiny + 1)
+        with pytest.raises(InputOutOfRange, match="^basic bound .* lies outside"):
+            lower_bound_basic(0.5, tiny)
+
     def test_float_pair_whose_product_overflows(self):
         # (p+1)*q overflowed to inf, although the bound is below p+1
         assert lambda_min(1e308, 1e308) == 1e308 * (1e308 / (1e308 + 1.0))

@@ -117,7 +117,25 @@ class TestSolveLambda:
         assert bisect_lambda(1, 3) == pytest.approx(TRIBONACCI, abs=1e-14)
 
     def test_order_one_root_is_weight(self):
-        assert solve_lambda(3, 1).value == pytest.approx(3.0, abs=1e-13)
+        # Q = (lam-1)(lam-p) at q = 1: the zero p comes back exactly, unsolved
+        assert tuple(solve_lambda(3, 1)) == (3.0, 1.0, 3.0, 3.0, 3.0, 0.0, 0, RegionClass.SUPER)
+        assert tuple(solve_lambda(0.3, 1.0)) == (0.3, 1.0, 0.3, 0.3, 0.3, 0.0, 0, RegionClass.SUB)
+
+    def test_order_one_root_is_weight_on_random_draws(self):
+        rng = random.Random(4)
+        lo, hi = math.log(1e-6), math.log(1e6)
+        for _ in range(5000):
+            p = math.exp(rng.uniform(lo, hi))
+            result = solve_lambda(p, 1.0)
+            if result.regime is not RegionClass.CRITICAL:
+                assert result.value == p, p
+
+    def test_order_one_keeps_the_regime_rule(self):
+        # p = 1 stays critical, and an exact p with no equal double is solved
+        assert solve_lambda(1, 1.0).value == 1.0
+        assert solve_lambda(1.0 + 1e-13, 1.0).regime is RegionClass.CRITICAL
+        p = Fraction(10**15 + 1, 10**15)
+        assert solve_lambda(p, 1).iterations > 0
 
     def test_critical_is_exactly_one(self):
         result = solve_lambda(1, 1)
@@ -298,11 +316,11 @@ class TestSolverWork:
 
     def test_inputs_checked_once_and_no_public_kernel_calls(self, monkeypatch):
         calls = {"check": 0, "public": 0}
-        check = qkernel._check_positive
+        read = qkernel._real
 
-        def counted_check(value, name):
+        def counted_read(value, name, *args, **kwargs):
             calls["check"] += 1
-            return check(value, name)
+            return read(value, name, *args, **kwargs)
 
         def public(func):
             def counted(*args):
@@ -311,8 +329,8 @@ class TestSolverWork:
 
             return counted
 
-        monkeypatch.setattr(solver, "_check_positive", counted_check)
-        monkeypatch.setattr(qkernel, "_check_positive", counted_check)
+        monkeypatch.setattr(solver, "_real", counted_read)
+        monkeypatch.setattr(qkernel, "_real", counted_read)
         for module in (qkernel, solver):
             for name in ("q_value", "dq_value"):
                 if hasattr(module, name):
@@ -325,16 +343,17 @@ class TestSolverWork:
             assert calls == {"check": 2, "public": 0}, (p, q)  # p and q once each
 
     def test_out_of_range_input_checked_once(self, monkeypatch):
+        # p raises as it is read, before q is
         calls = []
-        check = qkernel._check_positive
+        read = qkernel._real
         monkeypatch.setattr(
-            solver, "_check_positive", lambda value, name: calls.append(name) or check(value, name)
+            solver, "_real", lambda value, name: calls.append(name) or read(value, name)
         )
         for p, q in ((10**400, 1), (Fraction(1, 10**400), 1)):
             calls.clear()
             with pytest.raises(InputOutOfRange):
                 solve_lambda(p, q)
-            assert calls == ["p", "q"], (p, q)
+            assert calls == ["p"], (p, q)
 
     def test_no_fraction_built_for_an_integer_pair(self, monkeypatch):
         built = []
@@ -353,7 +372,7 @@ class TestSolverWork:
     def test_iteration_total_is_pinned(self):
         # every draw solves; a change to the solver loop or to the kernel's
         # rounding that alters the work done shows here as a changed total
-        assert sum(solve_lambda(p, q).iterations for p, q in _work_mix()) == 3890
+        assert sum(solve_lambda(p, q).iterations for p, q in _work_mix()) == 3883
 
 
 def _stream_mix(seed=11, count=600):
@@ -432,7 +451,8 @@ class TestSeriesStarts:
             # both sides of the band |p*q - 1| = 0.5 around the Taylor start
             for edge in (1.5, 0.5):
                 points += [(p, (edge + d) / p) for d in (-1e-3, -1e-9, 1e-9, 1e-3)]
-        for q in (1.0, 2.0, 0.5):
+        # q = 1.0 returns its zero p unsolved; the next double keeps a start
+        for q in (1.0, math.nextafter(1.0, 2.0), 2.0, 0.5):
             for edge in (1.0 + CRITICAL_TOL, 1.0 - CRITICAL_TOL):
                 points += [(p, q) for p in _steps(edge / q, 4)]
         starts = []
@@ -447,7 +467,7 @@ class TestSeriesStarts:
         for p, q in points:
             starts.clear()
             result = solve_lambda(p, q)
-            if result.regime is RegionClass.CRITICAL:
+            if result.regime is RegionClass.CRITICAL or q == 1 and p == result.p:
                 assert starts == []
                 continue
             lo, hi = _initial_bracket(p, q, result.regime)
@@ -564,8 +584,8 @@ class TestPinnedResults:
                  "<RegionClass.SUPER: 'super'>)",
         (0.3, 1.5): "(0.3, 1.5, 0.5364343536942501, 0.4803289530622864, "
                     "0.5364343536971906, 0.0, 5, <RegionClass.SUB: 'sub'>)",
-        (1 + 1e-9, 1): "(1.000000001, 1.0, 1.000000001, 1.0000000005, 2.000000001, "
-                       "0.0, 1, <RegionClass.SUPER: 'super'>)",
+        (1 + 1e-9, 1): "(1.000000001, 1.0, 1.000000001, 1.000000001, 1.000000001, "
+                       "0.0, 0, <RegionClass.SUPER: 'super'>)",
         (1, 1e6): "(1.0, 1000000.0, 2.0, 1.999998000002, 2.0, 1.0, 1, "
                   "<RegionClass.SUPER: 'super'>)",
         (2, 3): "(2.0, 3.0, 2.919639565839418, 2.25, 2.9196395742946963, 0.0, 3, "
@@ -730,7 +750,7 @@ class TestInversePInteger:
     @pytest.mark.parametrize("big", [Decimal("1e400"), Decimal("1e-400")])
     def test_non_double_target_outside_the_double_range(self, big):
         # float() reads these as inf, which raised a raw OverflowError, and as 0
-        with pytest.raises(InputOutOfRange, match="^lam lies outside"):
+        with pytest.raises(InputOutOfRange, match="^m_lambda lies outside"):
             inverse_p_integer(big, 3)
 
     def test_underflowed_weight_raises(self):
@@ -897,8 +917,10 @@ class TestBounds:
     @pytest.mark.parametrize("p", [1e200, 1.35e154, 10**400, Fraction(10**400, 3)],
                              ids=["1e200", "1.35e154", "10**400", "10**400/3"])
     def test_crossover_past_the_doubles_is_named(self, p):
-        # (p + 1.0) ** 2 raised a raw OverflowError
-        with pytest.raises(InputOutOfRange, match="crossover"):
+        # (p + 1.0) ** 2 raised a raw OverflowError; an exact p past the
+        # doubles has no double to square
+        match = "crossover" if isinstance(p, float) else "^p lies outside"
+        with pytest.raises(InputOutOfRange, match=match):
             bound_crossover(p)
 
     def test_crossover_just_below_the_largest_double(self):

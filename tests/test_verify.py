@@ -96,14 +96,14 @@ class TestSizes:
 class TestBoundsWork:
     def test_each_random_point_checked_once(self, monkeypatch):
         calls = {"float": 0, "exact": 0}
-        check = qkernel._check_positive
+        read = qkernel._real
 
-        def counted_check(value, name):
+        def counted_read(value, name, *args, **kwargs):
             calls["exact" if isinstance(value, Fraction) else "float"] += 1
-            return check(value, name)
+            return read(value, name, *args, **kwargs)
 
-        monkeypatch.setattr(solver, "_check_positive", counted_check)
-        monkeypatch.setattr(qkernel, "_check_positive", counted_check)
+        monkeypatch.setattr(solver, "_real", counted_read)
+        monkeypatch.setattr(qkernel, "_real", counted_read)
         # sizes 0 leave only the random points and the exact crossover grid
         results = {r.name: r for r in suite_bounds(m_max=0, n_max=0, seed=42)}
         assert results["bounds.random_regimes"].passed
