@@ -16,36 +16,44 @@ import json
 import math
 import sys
 
-from .errors import AnacciError, _check_positive_int, _weight
+from .errors import AnacciError, _check_positive_int, _real, _weight
 
 
-def _number(text: str):
-    """int when the literal is integral, float otherwise ("2.0" stays float)."""
+def _number(text: str, exact: bool = False):
+    """The number a literal names: an int for an integral literal ("2", not
+    "2.0"), else a Fraction when ``exact`` is set and a float when not.  A
+    malformed literal, "1/0" among them, raises ValueError."""
     try:
         return int(text)
     except ValueError:
-        return float(text)
+        if not exact:
+            return float(text)
+    from fractions import Fraction
+
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def _write_text(args, text: str) -> None:
-    output = getattr(args, "output", None)
-    if output is None:
+    if args.output is None:
         sys.stdout.write(text)
     else:
-        with open(output, "w", encoding="utf-8", newline="\n") as handle:
+        with open(args.output, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
 
 
 def _emit(args, payload: dict, table=None) -> None:
     """Render a command result as JSON (default) or CSV per --format; with no
-    table, the CSV is the payload as one row."""
-    if (getattr(args, "format", None) or "json") == "csv":
+    table, the CSV is the payload as one row.  A Fraction prints as its str."""
+    if args.format == "csv":
         from .figures import render_csv
 
         header, rows = table or (tuple(payload), [tuple(payload.values())])
         _write_text(args, render_csv(header, rows))
     else:
-        _write_text(args, json.dumps(payload, indent=2) + "\n")
+        _write_text(args, json.dumps(payload, indent=2, default=str) + "\n")
 
 
 def _cmd_solve(args) -> int:
@@ -61,51 +69,35 @@ def _cmd_solve(args) -> int:
 def _cmd_inverse(args) -> int:
     from .solver import inverse_p, inverse_p_integer
 
+    lam = _number(args.lam, args.exact)
     if args.exact:
-        from fractions import Fraction
-
         if args.n is None:
             raise AnacciError("--exact needs an integer order --n")
-        lam = Fraction(args.lam)
         p = inverse_p_integer(lam, args.n)
         p_float = _weight(p, "lam=%s, n=%r", args.lam, args.n)
-        payload = {"lam": str(lam), "n": args.n, "p": str(p), "p_float": p_float}
-    elif args.n is not None:
-        p = inverse_p_integer(float(args.lam), args.n)
-        payload = {"lam": float(args.lam), "n": args.n, "p": p}
+        payload = {"lam": str(lam), "n": args.n, "p": p, "p_float": p_float}
     else:
-        if args.q is None:
-            raise AnacciError("provide --q (real order) or --n (integer order)")
-        p = inverse_p(float(args.lam), args.q)
-        payload = {"lam": float(args.lam), "q": args.q, "p": p}
+        lam = _real(lam, "lam")  # an integral literal past the doubles raises here
+        if args.n is not None:
+            payload = {"lam": lam, "n": args.n, "p": inverse_p_integer(lam, args.n)}
+        else:
+            payload = {"lam": lam, "q": args.q, "p": inverse_p(lam, args.q)}
     _emit(args, payload)
     return 0
 
 
 def _parse_init(text: str, exact: bool):
-    from fractions import Fraction
-
     parts = [piece.strip() for piece in text.split(",") if piece.strip()]
     if not parts:
         raise AnacciError(f"could not parse init list {text!r}")
     try:
-        if exact:
-            return tuple(
-                int(piece) if piece.lstrip("+-").isdigit() else Fraction(piece)
-                for piece in parts
-            )
-        return tuple(_number(piece) for piece in parts)
+        return tuple(_number(piece, exact) for piece in parts)
     except ValueError as exc:
         raise AnacciError(f"malformed init entry in {text!r}: {exc}") from exc
 
 
 def _cmd_recurrence(args) -> int:
-    from fractions import Fraction
-
     from .recurrence import RecurrenceSpec, canonical_init, generate, ratio_limit
-
-    def jsonable(value):
-        return str(value) if isinstance(value, Fraction) else value
 
     if args.exact and not isinstance(args.p, int):
         raise AnacciError("--exact needs an integer weight --p")
@@ -116,18 +108,13 @@ def _cmd_recurrence(args) -> int:
     )
     spec = RecurrenceSpec(p=args.p, n=args.n, init=init)
     terms = generate(spec, args.count)
-    payload = {
-        "p": jsonable(spec.p),
-        "n": spec.n,
-        "init": [jsonable(t) for t in spec.init],
-        "terms": [jsonable(t) for t in terms],
-    }
+    payload = {"p": spec.p, "n": spec.n, "init": list(spec.init), "terms": terms}
     try:
         estimate = ratio_limit(spec, args.tol, max(args.count, 2 * args.n, 64))
         payload["ratio"] = estimate._asdict()
     except AnacciError as exc:
         payload["ratio"] = {"error": str(exc)}
-    table = (("k", "term"), list(enumerate(payload["terms"])))
+    table = (("k", "term"), list(enumerate(terms)))
     _emit(args, payload, table)
     return 0
 
@@ -186,10 +173,8 @@ def _cmd_scene(args) -> int:
     )
     if args.target is not None:
         scene = solve_scene_for_target(body, args.center, args.target)
-    elif args.lam is not None:
-        scene = DilationScene(body, args.center, args.lam)
     else:
-        raise AnacciError("provide --lam or --target")
+        scene = DilationScene(body, args.center, args.lam)
     points = scene_points(scene)
     body_volume = volume(body)
     if body_volume == math.inf:  # not JSON
@@ -269,8 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_inverse = sub.add_parser("inverse", help="weight p with ratio limit lam")
     p_inverse.add_argument("--lam", "--lambda", dest="lam", required=True)
-    p_inverse.add_argument("--q", type=float)
-    p_inverse.add_argument("--n", type=int, help="integer order (closed form)")
+    order = p_inverse.add_mutually_exclusive_group(required=True)
+    order.add_argument("--q", type=float, help="real order")
+    order.add_argument("--n", type=int, help="integer order (closed form)")
     p_inverse.add_argument(
         "--exact", action="store_true", help="rational arithmetic (needs --n)"
     )
@@ -291,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_anacci.add_argument("--m", type=int, default=1)
     p_anacci.add_argument("--n", type=int, default=2)
     p_anacci.add_argument("--k", type=int, default=1, help="diagonal step")
-    p_anacci.add_argument("--seq", choices=("fixed-m", "fixed-n", "kn", "km"))
+    p_anacci.add_argument("--seq", choices=tuple(_SEQ_INDEX))
     p_anacci.add_argument("--count", type=int, default=10)
     _add_output_flags(p_anacci)
     p_anacci.set_defaults(func=_cmd_anacci)
@@ -305,8 +291,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_scene.add_argument("--base", type=float, default=1.0)
     p_scene.add_argument("--offset", type=float, default=0.0, help="body reference point")
     p_scene.add_argument("--center", type=float, default=0.0, help="homothetic center O")
-    p_scene.add_argument("--lam", type=float, help="dilation factor")
-    p_scene.add_argument("--target", type=float, help="required shell centroid")
+    factor = p_scene.add_mutually_exclusive_group(required=True)
+    factor.add_argument("--lam", type=float, help="dilation factor")
+    factor.add_argument("--target", type=float, help="required shell centroid")
     p_scene.add_argument("--mc", action="store_true", help="Monte Carlo cross-check")
     p_scene.add_argument("--seed", type=int, default=42)
     p_scene.add_argument("--samples", type=int, default=1_000_000)

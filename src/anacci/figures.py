@@ -33,10 +33,17 @@ class GridSpec(_GridFields):
 
     def __new__(cls, p_min: float, p_max: float, p_steps: int,
                 q_min: float, q_max: float, q_steps: int):
-        if not p_min < p_max:
-            raise ValueError(f"p_min must be < p_max, got {p_min}, {p_max}")
-        if not q_min < q_max:
-            raise ValueError(f"q_min must be < q_max, got {q_min}, {q_max}")
+        for axis, lo, hi, steps in (("p", p_min, p_max, p_steps), ("q", q_min, q_max, q_steps)):
+            if not lo < hi:
+                raise ValueError(f"{axis}_min must be < {axis}_max, got {lo}, {hi}")
+            try:
+                span = (hi - lo) * steps  # _axis forms (hi - lo) * i for i up to steps
+            except OverflowError:  # a step count past the doubles
+                span = math.inf
+            if not math.isfinite(span):
+                raise ValueError(
+                    f"the {axis} window [{lo}, {hi}] in {steps} steps lies beyond the doubles"
+                )
         if p_steps < 2 or q_steps < 2:
             raise ValueError("steps must be >= 2")
         return tuple.__new__(cls, (p_min, p_max, p_steps, q_min, q_max, q_steps))

@@ -213,7 +213,12 @@ def _classify(p, q) -> RegionClass:
         if num < den:
             return _SUB
         return _CRITICAL
-    excess = _to_double(p) * _to_double(q) - 1.0  # an exact side may saturate
+    dp, dq = _to_double(p), _to_double(q)
+    if dp in (0.0, math.inf) or dq in (0.0, math.inf):
+        # an exact side past the doubles saturated: take p*q - 1 exactly
+        excess = Fraction(p) * Fraction(q) - 1
+    else:
+        excess = dp * dq - 1.0
     if excess > CRITICAL_TOL:
         return _SUPER
     if -excess > CRITICAL_TOL:

@@ -366,13 +366,13 @@ def _geometry(n_max: int, seed: int, samples: int):
     for m in range(1, 13):
         for n in range(1, 13):
             # left edge of [1/2, 1) is attained at m = n = 1; the right
-            # edge is strict but the centroid rounding scales with m+1
+            # edge is strict and holds in doubles with no slack up to m = 12
             rep = representation(BodyKind.CONE, m, n)
             yield "cone_representation", rep.image_centroid - 0.5 + _resolution(0.5)
-            yield "cone_representation", 1.0 - rep.image_centroid + _resolution(m + 1)
+            yield "cone_representation", 1.0 - rep.image_centroid
             rep = representation(BodyKind.PYRAMID, m, n)
             yield "pyramid_representation", rep.image_centroid - 0.5 + _resolution(0.5)
-            yield "pyramid_representation", 1.0 - rep.image_centroid + _resolution(m + 1)
+            yield "pyramid_representation", 1.0 - rep.image_centroid
             yield "pyramid_representation", _resolution(m + 1) - abs(rep.shell_b - 1.0)
 
     # a unit cone or pyramid dilated about its apex: B(1) is the base-face

@@ -70,6 +70,26 @@ class TestInverseCommand:
     def test_missing_order_errors(self, capsys):
         assert run_cli(capsys, "inverse", "--lam", "2")[0] == 2
 
+    def test_real_and_integer_order_exclude_each_other(self, capsys):
+        # --q used to be dropped in silence
+        code, out, err = run_cli(capsys, "inverse", "--lam", "2", "--q", "3", "--n", "2")
+        assert code == 2
+        assert out == ""
+        assert "not allowed with argument" in err
+
+    @pytest.mark.parametrize("lam", ["1/0", "3/0"])
+    def test_exact_zero_denominator_exits_two(self, capsys, lam):
+        code, out, err = run_cli(capsys, "inverse", "--lam", lam, "--n", "2", "--exact")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: zero denominator in {lam!r}\n"
+
+    def test_exact_rational_target(self, capsys):
+        code, out, _ = run_cli(capsys, "inverse", "--lam", "6/4", "--n", "2", "--exact")
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["lam"], payload["p"]) == ("3/2", "9/10")
+
     def test_high_order_does_not_overflow(self, capsys):
         code, out, _ = run_cli(capsys, "inverse", "--lam", "2", "--n", "2000")
         assert code == 0
@@ -138,6 +158,14 @@ class TestRecurrenceCommand:
         )
         assert code == 2
         assert "init" in err
+
+    def test_exact_zero_denominator_in_init_exits_two(self, capsys):
+        code, out, err = run_cli(
+            capsys, "recurrence", "--p", "1", "--n", "2", "--init", "1/0,1", "--exact"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: malformed init entry in '1/0,1': zero denominator in '1/0'\n"
 
     @pytest.mark.parametrize("flags, message", [
         (("--p", "inf"), "finite and > 0"),
@@ -312,6 +340,16 @@ class TestSceneCommand:
         code, _, err = run_cli(capsys, "scene", "--body", "ball", "--n", "2")
         assert code == 2
 
+    def test_factor_and_target_exclude_each_other(self, capsys):
+        # --lam used to be dropped in silence
+        code, out, err = run_cli(
+            capsys, "scene", "--body", "ball", "--n", "2", "--offset", "1", "--center", "0",
+            "--lam", "1.5", "--target", "2",
+        )
+        assert code == 2
+        assert out == ""
+        assert "not allowed with argument" in err
+
     def test_monte_carlo_attachment(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -405,6 +443,18 @@ class TestFigCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("which, flags, axis", [
+        ("fig3", ("--q-max", "1e308"), "q"),
+        ("fig1", ("--p-max", "inf"), "p"),
+        ("fig3", ("--p-steps", "1" + "0" * 400), "p"),
+    ])
+    def test_window_beyond_the_doubles_names_its_axis(self, capsys, which, flags, axis):
+        # the solver used to name lam or q at the first sample past the doubles
+        code, out, err = run_cli(capsys, "fig", "--which", which, *flags)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: the {axis} window [")
+
     def test_too_few_grid_steps_exits_two(self, capsys):
         code, out, err = run_cli(capsys, "fig", "--which", "fig1", "--p-steps", "1")
         assert code == 2
@@ -457,6 +507,49 @@ class TestVerifyCommand:
         code, _, err = run_cli(capsys, "verify", "--suite", "bounds", "--m-max", "3", "--n-max", "1")
         assert code == 2
         assert "n_max" in err
+
+
+# literals that no value flag may turn into a traceback or into JSON's
+# NaN/Infinity; the last is past int()'s default digit limit
+_ODD_LITERALS = ("1/0", "3/0", "nan", "inf", "1e309", "-1", "0", "", "0x10", "1_000", "1" * 5000)
+
+# one command per value flag, "{}" where the literal goes
+_LITERAL_SHAPES = [
+    "inverse --lam {} --q 2",
+    "inverse --lam {} --n 2",
+    "inverse --lam {} --n 2 --exact",
+    "inverse --lam 2 --q {}",
+    "inverse --lam 2 --n {}",
+    "inverse --lam 3/7 --n {} --exact",
+    "recurrence --p {} --n 2",
+    "recurrence --p {} --n 2 --exact",
+    "recurrence --p 1 --n 2 --init {},1",
+    "recurrence --p 1 --n 2 --init {},1 --exact",
+    "recurrence --p 1 --n 2 --tol {}",
+    "recurrence --p 1 --n 2 --tol {} --exact",
+    *(f"scene --body cone --n 3 {flag} {{}} --lam 1.5"
+      for flag in ("--size", "--base", "--offset", "--center")),
+    "scene --body ball --n 2 --offset 1 --lam {}",
+    "scene --body ball --n 2 --offset 1 --target {}",
+    *(f"fig --which {which} --p-steps 3 --q-steps 3 {flag} {{}}"
+      for which in ("fig1", "fig3") for flag in ("--p-min", "--p-max", "--q-min", "--q-max")),
+]
+
+
+def _no_constant(name):
+    raise AssertionError(f"non-finite JSON constant {name}")
+
+
+@pytest.mark.parametrize("shape", _LITERAL_SHAPES)
+def test_no_literal_raises(capsys, shape):
+    for literal in _ODD_LITERALS:
+        argv = [word.replace("{}", literal) for word in shape.split()]
+        code, out, err = run_cli(capsys, *argv)
+        assert code in (0, 2), (literal[:16], err)
+        if code == 2:
+            assert out == ""
+        elif not shape.startswith("fig"):
+            json.loads(out, parse_constant=_no_constant)
 
 
 def _fresh_python(script):

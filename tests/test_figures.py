@@ -4,6 +4,7 @@ import math
 import pytest
 
 from anacci.figures import (
+    DEFAULT_GRIDS,
     FIGURES,
     GridSpec,
     emit,
@@ -24,6 +25,23 @@ class TestGridSpec:
             GridSpec(1.0, 0.0, 10, 0.0, 1.0, 10)
         with pytest.raises(ValueError):
             GridSpec(0.0, 1.0, 1, 0.0, 1.0, 10)
+
+    def test_a_window_beyond_the_doubles_names_its_axis(self):
+        # (hi - lo) * i overflows in _axis; the solver named lam or q instead
+        with pytest.raises(ValueError, match=r"the q window \[0.0, 1e\+308\] in 42 steps"):
+            GridSpec(0.0, 3.0, 61, 0.0, 1e308, 42)
+        with pytest.raises(ValueError, match="the p window"):
+            GridSpec(0.0, math.inf, 60, 0.0, 4.0, 60)
+        with pytest.raises(ValueError, match="the p window"):
+            GridSpec(-math.inf, 0.0, 60, 0.0, 4.0, 60)
+        with pytest.raises(ValueError, match="the p window"):
+            GridSpec(0.0, 1.0, 10**400, 0.0, 4.0, 60)  # raised OverflowError in _axis
+        with pytest.raises(ValueError, match="p_min must be < p_max"):
+            GridSpec(math.nan, 1.0, 60, 0.0, 4.0, 60)
+        with pytest.raises(ValueError, match="q_min must be < q_max"):
+            GridSpec(0.0, 1.0, 60, 0.0, math.nan, 60)
+        for grid in DEFAULT_GRIDS.values():
+            assert GridSpec(*grid) == grid
 
     def test_axis_sampling(self):
         grid = GridSpec(0.0, 1.0, 5, 0.0, 2.0, 4)

@@ -399,6 +399,11 @@ class TestClassify:
         assert classify(huge, 1e-300) is RegionClass.SUPER
         assert classify(tiny, 2.0) is RegionClass.SUB
 
+    def test_a_saturated_exact_side_is_read_exactly(self):
+        # p*q is about 4.9e-14; the saturated double made it inf * 5e-324 = inf
+        assert classify(10**310, 5e-324) is RegionClass.SUB
+        assert classify(5e-324, 10**310) is RegionClass.SUB
+
     def test_numpy_integers_do_not_wrap(self):
         # 2**32 * 2**32 wraps to 0 in int64 arithmetic
         big = np.int64(2**32)
