@@ -46,14 +46,26 @@ def _write_text(args, text: str) -> None:
 
 def _emit(args, payload: dict, table=None) -> None:
     """Render a command result as JSON (default) or CSV per --format; with no
-    table, the CSV is the payload as one row.  A Fraction prints as its str."""
-    if args.format == "csv":
-        from .figures import render_csv
+    table, the CSV is the payload as one row.  A Fraction prints as its str.
+    A value past the interpreter's digit limit for printing an integer raises
+    AnacciError naming it, and nothing is written."""
+    header, rows = table or (tuple(payload), [tuple(payload.values())])
+    try:
+        if args.format == "csv":
+            from .figures import render_csv
 
-        header, rows = table or (tuple(payload), [tuple(payload.values())])
-        _write_text(args, render_csv(header, rows))
-    else:
-        _write_text(args, json.dumps(payload, indent=2, default=str) + "\n")
+            text = render_csv(header, rows)
+        else:
+            text = json.dumps(payload, indent=2, default=str) + "\n"
+    except ValueError:  # str of an int past the limit: name the first such cell
+        limit = sys.get_int_max_str_digits()
+        for name, cell in ((label if len(rows) == 1 else f"{label} {k}", cell)
+                           for k, row in enumerate(rows) for label, cell in zip(header, row)):
+            try:
+                str(cell)
+            except ValueError:
+                raise AnacciError(f"{name} is too long to print: over {limit} digits") from None
+    _write_text(args, text)
 
 
 def _cmd_solve(args) -> int:

@@ -474,7 +474,9 @@ class Representation(NamedTuple):
     - cube: near face 0, O = 0, B = (m+1)/2; the image's far face is
       phi(m, n), inside [m, m+1);
     - cone and pyramid: apex 0, O = (mn - 1)/(m(n+1)), B = 1, the base
-      center; the image centroid (phi + mn - 1)/(m(n+1)) lies in [1/2, 1).
+      center, so ``shell_b`` reads 1 to a few ulp of m+1; the image
+      centroid (phi + mn - 1)/(m(n+1)) lies in [1/2, 1).  Both kinds have
+      the centroid fraction n/(n+1), so a pyramid reads the cone's doubles.
 
     The (1, 1) corner degenerates to the lam = 1 limit, with B = B(1) and a
     point shell.

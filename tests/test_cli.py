@@ -13,6 +13,16 @@ import anacci
 from anacci.cli import build_parser, main
 
 
+@pytest.fixture
+def low_digit_limit():
+    """The interpreter's integer print limit at its floor, 640 digits, so
+    that a payload past it stays small; restored afterwards."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -125,6 +135,23 @@ class TestInverseCommand:
             '{\n  "lam": "2",\n  "n": 2,\n  "p": "4/3",\n  "p_float": 1.3333333333333333\n}\n'
         )
 
+    def test_exact_real_order_exits_two(self, capsys):
+        code, out, err = run_cli(capsys, "inverse", "--lam", "2", "--q", "2", "--exact")
+        assert code == 2
+        assert out == ""
+        assert err == "error: --exact needs an integer order --n\n"
+
+    def test_exact_weight_too_long_to_print_exits_two(self, capsys, tmp_path, low_digit_limit):
+        # at n = 800 the exact weight for 7/3 has a part of more than 640 digits
+        path = tmp_path / "p.json"
+        code, out, err = run_cli(
+            capsys, "inverse", "--lam", "7/3", "--n", "800", "--exact", "--output", str(path)
+        )
+        assert code == 2
+        assert out == ""
+        assert not path.exists()
+        assert err == "error: p is too long to print: over 640 digits\n"
+
     def test_order_one_returns_the_target(self, capsys):
         code, out, _ = run_cli(capsys, "inverse", "--lam", "1.7e308", "--n", "1")
         assert code == 0
@@ -158,6 +185,23 @@ class TestRecurrenceCommand:
         )
         assert code == 2
         assert "init" in err
+
+    def test_empty_init_list_exits_two(self, capsys):
+        code, out, err = run_cli(capsys, "recurrence", "--p", "1", "--n", "2", "--init", ",")
+        assert code == 2
+        assert out == ""
+        assert err == "error: could not parse init list ','\n"
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_exact_term_too_long_to_print_exits_two(self, capsys, low_digit_limit, fmt):
+        # Fibonacci term 3065 is the first with more than 640 digits
+        code, out, err = run_cli(
+            capsys, "recurrence", "--p", "1", "--n", "2", "--exact", "--count", "3100",
+            "--format", fmt,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: term 3065 is too long to print: over 640 digits\n"
 
     def test_exact_zero_denominator_in_init_exits_two(self, capsys):
         code, out, err = run_cli(
@@ -497,7 +541,7 @@ class TestVerifyCommand:
         )
         assert code == 0
         (line,) = [row for row in out.splitlines() if "apex_centroid_ratio" in row]
-        assert "checks=20" in line  # a cone and a pyramid for each n <= 10
+        assert "checks=10" in line  # a cone for each n <= 10
 
 
     def test_sizes_below_two_exit_two(self, capsys):

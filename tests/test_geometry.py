@@ -19,6 +19,7 @@ from anacci.errors import (
     OOutsideBody,
     PTooSmall,
     TargetUnreachable,
+    ZeroUnderflow,
 )
 from anacci.geometry import (
     BodyKind,
@@ -269,6 +270,14 @@ class TestLambdaFromP:
         with pytest.raises(PTooSmall):
             lambda_from_p(1, 1e-301)
 
+    def test_zero_below_the_doubles_reads_as_p_too_small(self):
+        # at order 1 the zero is p itself, so this order-2 weight is the one
+        # whose sub-critical zero the solver cannot return
+        with pytest.raises(ZeroUnderflow):
+            solve_lambda(1e-310, 2)
+        with pytest.raises(PTooSmall, match="p = 1e-310 <= 1/2"):
+            lambda_from_p(2, 1e-310)
+
     def test_rejects_non_integer_dimension(self):
         with pytest.raises(ValueError, match="dimension n"):
             lambda_from_p(2.5, 2.0)
@@ -321,6 +330,12 @@ class TestSolveSceneForTarget:
             solve_scene_for_target(body, 0.0, 1.2)  # p = 0.2 < 1/2
         with pytest.raises(TargetUnreachable):
             solve_scene_for_target(body, 0.0, 0.5)  # wrong side of A
+
+    def test_target_whose_zero_underflows_is_unreachable(self):
+        # p = d(A, B)/d(O, A) = 1e-310/0.5, whose zero lies below the doubles
+        with pytest.raises(TargetUnreachable, match="p = 2e-310") as info:
+            solve_scene_for_target(ball(2, 1.0, center=0.0), 0.5, -1e-310)
+        assert isinstance(info.value.__cause__, PTooSmall)
 
     def test_center_equal_centroid_raises(self):
         with pytest.raises(OEqualsA):
