@@ -19,13 +19,27 @@ import sys
 from .errors import AnacciError, _check_positive_int, _real, _weight
 
 
+def _check_digits(exc: ValueError) -> None:
+    """Raise ArgumentTypeError naming int()'s digit limit where ``exc`` is
+    its refusal of a literal with more digits; the refusal itself names
+    only the interpreter setting that lifts the limit."""
+    if "set_int_max_str_digits" in str(exc):
+        raise argparse.ArgumentTypeError(
+            f"over {sys.get_int_max_str_digits()} digits, the limit for reading an integer"
+        ) from None
+
+
 def _number(text: str, exact: bool = False):
     """The number a literal names: an int for an integral literal ("2", not
     "2.0"), else a Fraction when ``exact`` is set and a float when not.  A
-    malformed literal, "1/0" among them, raises ValueError."""
+    malformed literal, "1/0" among them, raises ValueError, and one with
+    more digits than int() reads raises ArgumentTypeError naming the limit:
+    argparse reports it with the flag, and _flag_number does so for a
+    literal read after parsing."""
     try:
         return int(text)
-    except ValueError:
+    except ValueError as exc:
+        _check_digits(exc)
         if not exact:
             return float(text)
     from fractions import Fraction
@@ -34,6 +48,36 @@ def _number(text: str, exact: bool = False):
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
+    except ValueError as exc:
+        _check_digits(exc)
+        raise
+
+
+def _flag_number(text: str, flag: str, exact: bool):
+    """_number of a flag's literal read after parsing, its digit limit
+    reported as argparse reports a literal it reads."""
+    try:
+        return _number(text, exact)
+    except argparse.ArgumentTypeError as exc:
+        raise AnacciError(f"argument {flag}: {exc}") from None
+
+
+def _add_size(parser, flag: str, ceiling: int, what: str, **kwargs) -> None:
+    """Add an integer size flag whose argparse type takes its int once it is
+    at most ``ceiling``, which the help states: a huge count or order ended
+    in a MemoryError or a run without end.  Values below 1 pass to the
+    command, which names them."""
+    def size(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError as exc:
+            _check_digits(exc)
+            raise
+        if value > ceiling:
+            raise argparse.ArgumentTypeError(f"must be at most {ceiling:_}")
+        return value
+
+    parser.add_argument(flag, type=size, help=f"{what}, at most {ceiling:_}", **kwargs)
 
 
 def _write_text(args, text: str) -> None:
@@ -81,7 +125,7 @@ def _cmd_solve(args) -> int:
 def _cmd_inverse(args) -> int:
     from .solver import inverse_p, inverse_p_integer
 
-    lam = _number(args.lam, args.exact)
+    lam = _flag_number(args.lam, "--lam", args.exact)
     if args.exact:
         if args.n is None:
             raise AnacciError("--exact needs an integer order --n")
@@ -103,7 +147,7 @@ def _parse_init(text: str, exact: bool):
     if not parts:
         raise AnacciError(f"could not parse init list {text!r}")
     try:
-        return tuple(_number(piece, exact) for piece in parts)
+        return tuple(_flag_number(piece, "--init", exact) for piece in parts)
     except ValueError as exc:
         raise AnacciError(f"malformed init entry in {text!r}: {exc}") from exc
 
@@ -248,8 +292,16 @@ def _add_output_flags(subparser) -> None:
     subparser.add_argument("--output", help="write to a file instead of stdout")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors lead with the ``error:`` line
+    that every other failure of a command prints, then give the usage."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n{self.format_usage()}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="anacci",
         description=(
             "Ratio limits of equal-weight linear recurrences and their "
@@ -268,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_inverse.add_argument("--lam", "--lambda", dest="lam", required=True)
     order = p_inverse.add_mutually_exclusive_group(required=True)
     order.add_argument("--q", type=float, help="real order")
-    order.add_argument("--n", type=int, help="integer order (closed form)")
+    _add_size(order, "--n", 10**5, "integer order (closed form)")
     p_inverse.add_argument(
         "--exact", action="store_true", help="rational arithmetic (needs --n)"
     )
@@ -277,9 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rec = sub.add_parser("recurrence", help="generate terms and estimate the ratio")
     p_rec.add_argument("--p", type=_number, required=True)
-    p_rec.add_argument("--n", type=int, required=True)
+    _add_size(p_rec, "--n", 10**4, "order", required=True)
     p_rec.add_argument("--init", help="comma-separated initial terms (default canonical)")
-    p_rec.add_argument("--count", type=int, default=20)
+    _add_size(p_rec, "--count", 10**5, "terms", default=20)
     p_rec.add_argument("--tol", type=float, default=1e-12)
     p_rec.add_argument("--exact", action="store_true", help="exact integer/rational terms")
     _add_output_flags(p_rec)
@@ -290,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_anacci.add_argument("--n", type=int, default=2)
     p_anacci.add_argument("--k", type=int, default=1, help="diagonal step")
     p_anacci.add_argument("--seq", choices=tuple(_SEQ_INDEX))
-    p_anacci.add_argument("--count", type=int, default=10)
+    _add_size(p_anacci, "--count", 10**5, "sequence length", default=10)
     _add_output_flags(p_anacci)
     p_anacci.set_defaults(func=_cmd_anacci)
 
@@ -308,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     factor.add_argument("--target", type=float, help="required shell centroid")
     p_scene.add_argument("--mc", action="store_true", help="Monte Carlo cross-check")
     p_scene.add_argument("--seed", type=int, default=42)
-    p_scene.add_argument("--samples", type=int, default=1_000_000)
+    _add_size(p_scene, "--samples", 10**9, "Monte Carlo points", default=1_000_000)
     _add_output_flags(p_scene)
     p_scene.set_defaults(func=_cmd_scene)
 
@@ -331,10 +383,10 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("bounds", "monotone", "appendices", "geometry", "all"),
         default="all",
     )
-    p_verify.add_argument("--m-max", type=int, dest="m_max", default=50)
-    p_verify.add_argument("--n-max", type=int, dest="n_max", default=10)
+    _add_size(p_verify, "--m-max", 10**4, "largest lattice weight", dest="m_max", default=50)
+    _add_size(p_verify, "--n-max", 10**4, "largest lattice order", dest="n_max", default=10)
     p_verify.add_argument("--seed", type=int, default=42)
-    p_verify.add_argument("--samples", type=int, default=200_000)
+    _add_size(p_verify, "--samples", 10**9, "Monte Carlo points", default=200_000)
     p_verify.set_defaults(func=_cmd_verify)
 
     return parser

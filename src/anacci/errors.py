@@ -109,11 +109,18 @@ def _real(value, name: str, error=NonPositiveInput, wanted: str = "finite and > 
     starts with ``name``.  A value inside it whose double is not, such as
     an int, Fraction or Decimal past the doubles or a positive one that
     rounds to 0, raises InputOutOfRange, or ``error`` for "a finite
-    double".  A value of one of the ``exact`` types is returned as it is,
-    once it lies in range, so that exact arithmetic keeps it.
+    double".  A value of one of the ``exact`` types, which are rationals,
+    is returned as it is once it lies in range, so that exact arithmetic
+    keeps it.  It is finite, and its denominator is positive, so its
+    numerator's sign decides the range without a generic comparison.
     """
     if type(value) is float and 0.0 < value < math.inf:
         return value
+    if isinstance(value, exact):
+        sign = value.numerator
+        if sign > 0 or wanted == "a finite double" or (sign == 0 and wanted == "finite and >= 0"):
+            return value
+        raise error(f"{name} must be {wanted}, got {value!r}")
     positive = wanted == "finite and > 0"
     try:
         if positive:
@@ -125,8 +132,6 @@ def _real(value, name: str, error=NonPositiveInput, wanted: str = "finite and > 
     except ArithmeticError:
         inside = False
     if inside:
-        if isinstance(value, exact):
-            return value
         x = _to_double(value)
         if (0.0 if positive else -math.inf) < x < math.inf:
             return x

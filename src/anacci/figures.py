@@ -71,22 +71,31 @@ def format_value(x) -> str:
 
 
 def render_csv(header, rows) -> str:
-    """CSV text of the header and rows, one ``%`` operation per row.
+    """CSV text of the header and rows; each cell reads as format_value
+    renders it.
 
-    Rows with the same tuple of cell types share a template, in which a
-    float cell is "%.17g" and any other "%s": each cell reads as
-    format_value renders it.
+    A float, or a float subclass such as np.float64, is "%.17g" and any
+    other cell its str, so an int past the interpreter's digit limit raises
+    ValueError here.  Each distinct nonzero float is formatted once per
+    call; a zero is formatted each time, since 0.0 and -0.0 are one dict
+    key with two texts, and a nan matches only its own object.
     """
     lines = [",".join(header)]
-    templates = {}
+    texts = {}
+    get = texts.get
     for row in rows:
-        row = tuple(row)
-        types = tuple(map(type, row))
-        template = templates.get(types)
-        if template is None:
-            template = ",".join("%.17g" if issubclass(t, float) else "%s" for t in types)
-            templates[types] = template
-        lines.append(template % row)
+        cells = []
+        for x in row:
+            if type(x) is float and x:
+                text = get(x)
+                if text is None:
+                    text = texts[x] = "%.17g" % x
+            elif isinstance(x, float):
+                text = "%.17g" % x
+            else:
+                text = str(x)
+            cells.append(text)
+        lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
 

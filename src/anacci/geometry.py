@@ -195,7 +195,8 @@ class _Shape(NamedTuple):
     section_bound overwrites the array u with the bound.
     ``draw(streams, n, u, lateral, scratch)`` fills u and the lateral norm
     (squared for the ball), in units of the half-width, for uniform points of
-    the body with c = 0 and s = 1.
+    the body with c = 0 and s = 1; it reads streams 0 to
+    ``stream_count(n) - 1``.
     ``placement(m, n)`` gives the axis offset of the unit body and the
     homothetic center O that make the dilation factor phi(m, n) (see
     representation).
@@ -207,6 +208,7 @@ class _Shape(NamedTuple):
     volume_terms: Callable[[ConvexBody], tuple[int, float, int]]
     section_bound: Callable  # (w, u) -> bound on the lateral norm of the section at u
     draw: Callable  # (streams, n, u, lateral, scratch): u and lateral norm at w = 1
+    stream_count: Callable[[int], int]  # n -> how many streams draw reads
     placement: Callable[[int, int], tuple[float, float]]  # (m, n) -> (c, O)
 
 
@@ -216,11 +218,11 @@ def _apex_placement(m: int, n: int) -> tuple[float, float]:
 
 
 BodyKind.BALL.shape = _Shape(-1.0, lambda n: 0.0, lambda b: (b.n, b.size, 1), _ball_bound,
-                             _ball_draw, lambda m, n: (1.0, 0.0))
+                             _ball_draw, lambda n: 2 + (n > 2), lambda m, n: (1.0, 0.0))
 BodyKind.CUBE.shape = _Shape(0.0, lambda n: 0.5, lambda b: (0, b.size, 1), lambda w, u: w,
-                             _cube_draw, lambda m, n: (0.0, 0.0))
+                             _cube_draw, lambda n: 2, lambda m, n: (0.0, 0.0))
 BodyKind.CONE.shape = _Shape(0.0, lambda n: n / (n + 1), lambda b: (b.n - 1, b.base, b.n),
-                             lambda w, u: imul(u, w), _apex_draw, _apex_placement)
+                             lambda w, u: imul(u, w), _apex_draw, lambda n: 2, _apex_placement)
 # the pyramid's l-inf section has the cone's law, so only its volume differs
 BodyKind.PYRAMID.shape = BodyKind.CONE.shape._replace(volume_terms=lambda b: (0, b.base, b.n))
 
@@ -574,7 +576,8 @@ def mc_centroid(scene: DilationScene, seed: int, samples: int) -> tuple[float, f
     work = np.empty((4, _MC_CHUNK))  # u, lateral norm and two scratch rows
     flags = np.empty((2, _MC_CHUNK), dtype=bool)
 
-    streams = [np.random.Generator(np.random.PCG64DXSM(seed)) for _ in range(3)]
+    streams = [np.random.Generator(np.random.PCG64DXSM(seed))
+               for _ in range(shape.stream_count(body.n))]
     opening = streams[0].bit_generator.state
     accepted = 0
     mean = 0.0  # of u - o_u over the accepted points

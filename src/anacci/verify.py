@@ -169,15 +169,20 @@ def _bounds(m_max: int, n_max: int, seed: int):
         if q >= 2.0 and p > _INV_PHI:
             yield "refined", value - (p + 1.0 - 1.0 / (p + 1.0))
 
-    # the library's lambda_min on every grid point; the rest is built once
+    # the library's lambda_min on every grid point; the rest is built once.
+    # Each side compares two rationals a/b <= c/d with b, d > 0 as
+    # a*d <= c*b, in integers
     qs = [Fraction(j, 4) for j in range(1, 4 * 16 + 1)]
     for i in range(1, 4 * 5 + 1):
         p = Fraction(i, 4)
-        refined = p + 1 - Fraction(1, p + 1)
-        crossover = (p + 1) ** 2 - 1
+        rn, rd = (p + 1 - Fraction(1, p + 1)).as_integer_ratio()  # the refined bound
+        cn, cd = ((p + 1) ** 2 - 1).as_integer_ratio()  # the crossover q
         for q in qs:
             basic = lambda_min(p, q)
-            yield "crossover_equivalence", (basic <= refined) == (q <= crossover)
+            yield "crossover_equivalence", (
+                (basic.numerator * rd <= rn * basic.denominator)
+                == (q.numerator * cd <= cn * q.denominator)
+            )
 
 
 def suite_bounds(*, m_max: int, n_max: int, seed: int, **_) -> list[CheckResult]:

@@ -553,6 +553,58 @@ class TestVerifyCommand:
         assert "n_max" in err
 
 
+class TestSizeCeilings:
+    # (command, "{}" where the value goes; the flag; its ceiling as printed)
+    SIZES = [
+        ("recurrence --p 1 --n 2 --count {}", "--count", "100_000"),
+        ("recurrence --p 1 --n {}", "--n", "10_000"),
+        ("inverse --lam 2 --n {}", "--n", "100_000"),
+        ("anacci --seq kn --count {}", "--count", "100_000"),
+        ("scene --n 3 --lam 2 --mc --samples {}", "--samples", "1_000_000_000"),
+        ("verify --suite bounds --m-max {}", "--m-max", "10_000"),
+        ("verify --suite bounds --n-max {}", "--n-max", "10_000"),
+        ("verify --suite geometry --samples {}", "--samples", "1_000_000_000"),
+    ]
+
+    @pytest.mark.parametrize("shape, flag, ceiling", SIZES)
+    @pytest.mark.parametrize("excess", [1, 10**400])
+    def test_size_past_its_ceiling_exits_two(self, capsys, shape, flag, ceiling, excess):
+        # a count of 10**400 raised MemoryError or OverflowError, and an
+        # m-max of 10**400 ran without end
+        value = int(ceiling) + excess
+        code, out, err = run_cli(capsys, *shape.replace("{}", str(value)).split())
+        assert code == 2
+        assert out == ""
+        assert err.splitlines()[0] == f"error: argument {flag}: must be at most {ceiling}"
+
+    @pytest.mark.parametrize("shape, flag, ceiling", SIZES)
+    def test_help_states_the_ceiling(self, capsys, shape, flag, ceiling):
+        command = shape.split()[0]
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--help"])
+        text = " ".join(capsys.readouterr().out.split())  # unwrapped
+        assert f"at most {ceiling}" in text
+
+    @pytest.mark.parametrize("shape, flag", [
+        ("inverse --lam {} --n 2", "--lam"),
+        ("inverse --lam {} --n 2 --exact", "--lam"),
+        ("recurrence --p {} --n 2", "--p"),
+        ("recurrence --p {} --n 2 --exact", "--p"),
+        ("recurrence --p 1 --n 2 --init {},1", "--init"),
+        ("recurrence --p 1 --n 2 --init {},1 --exact", "--init"),
+        ("recurrence --p 1 --n 2 --count {}", "--count"),
+    ])
+    def test_literal_past_the_digit_limit_names_its_flag(self, capsys, low_digit_limit, shape, flag):
+        # the message named the interpreter setting that lifts the limit, or
+        # read the literal as the float inf
+        code, out, err = run_cli(capsys, *shape.replace("{}", "1" + "0" * 700).split())
+        assert code == 2
+        assert out == ""
+        assert err.splitlines()[0] == (
+            f"error: argument {flag}: over 640 digits, the limit for reading an integer"
+        )
+
+
 # literals that no value flag may turn into a traceback or into JSON's
 # NaN/Infinity; the last is past int()'s default digit limit
 _ODD_LITERALS = ("1/0", "3/0", "nan", "inf", "1e309", "-1", "0", "", "0x10", "1_000", "1" * 5000)

@@ -76,6 +76,7 @@ from anacci import (
     volume,
 )
 from anacci.cli import main
+from anacci.errors import _real
 
 REALS = (math.nan, math.inf, -math.inf, 0.0, -1.0)
 ORDERS = (0, 1.5, -1)
@@ -437,3 +438,30 @@ def test_non_float_reals_give_float_results(name):
             if type(value) is not wanted:
                 broken.append(f"{label}: {type(value).__name__} {value!r}, not {wanted.__name__}")
     assert not broken, "\n".join(broken)
+
+
+# exact reals with the sign of each: _real decides their range by the
+# numerator; np.int64 is a Rational but not an int
+_EXACT_VALUES = [
+    (3, 1), (0, 0), (-3, -1),
+    (True, 1), (False, 0),
+    (Fraction(3, 2), 1), (Fraction(0), 0), (Fraction(-3, 2), -1),
+    (np.int64(3), 1), (np.int64(0), 0), (np.int64(-3), -1),
+]
+# each range and the signs inside it
+_RANGES = {"finite and > 0": (1,), "finite and >= 0": (0, 1), "a finite double": (-1, 0, 1)}
+
+
+@pytest.mark.parametrize("exact", [(int, Fraction), Rational], ids=["int-Fraction", "Rational"])
+@pytest.mark.parametrize("wanted", list(_RANGES))
+@pytest.mark.parametrize("value, sign", _EXACT_VALUES, ids=lambda v: repr(v))
+def test_exact_read_is_the_comparison_read(value, sign, wanted, exact):
+    if sign not in _RANGES[wanted]:
+        with pytest.raises(NonPositiveInput) as info:
+            _real(value, "x", NonPositiveInput, wanted, exact)
+        assert str(info.value) == f"x must be {wanted}, got {value!r}"
+    elif isinstance(value, exact):  # returned as it is, for exact arithmetic
+        assert _real(value, "x", NonPositiveInput, wanted, exact) is value
+    else:  # np.int64 outside (int, Fraction) is read as its double
+        result = _real(value, "x", NonPositiveInput, wanted, exact)
+        assert type(result) is float and result == sign * 3.0

@@ -1,6 +1,7 @@
 import hashlib
 import math
 
+import numpy as np
 import pytest
 
 from anacci.figures import (
@@ -85,19 +86,36 @@ class TestFormatting:
         assert render_csv(header, rows) == self.per_cell_join(header, rows)
 
     def test_mixed_rows_are_the_per_cell_join(self):
+        class Tenth(float):  # a float subclass whose str is not its "%.17g"
+            def __str__(self):
+                return "tenth"
+
+        nan = math.nan
         rows = [
             (1, 2.5, "x"),
             ("x", 1, 2.5),
-            (True, -0.0, math.inf, math.nan, 1e-320, 10**30),
+            (True, -0.0, math.inf, nan, 1e-320, 10**30),
             [3, 1.0 / 3.0, "list row"],
             (),
             ("a,b", 7),
             (2.0,),
+            # equal dict keys with other texts: the zeros, the nans, the
+            # float subclasses
+            (-0.0, 0.0, -0.0, 0.0),
+            (nan, -float("nan"), nan),
+            (np.float64(0.1), 0.1, Tenth(0.1), 0.1, Tenth(0.5)),
         ]
         header = ("a", "b", "c")
         text = render_csv(header, rows)
         assert text == self.per_cell_join(header, rows)
-        assert text.splitlines()[3] == "True,-0,inf,nan,9.9998886718268301e-321," + "1" + "0" * 30
+        lines = text.splitlines()
+        assert lines[3] == "True,-0,inf,nan,9.9998886718268301e-321," + "1" + "0" * 30
+        assert lines[8:] == [
+            "-0,0,-0,0",
+            "nan,nan,nan",
+            "0.10000000000000001,0.10000000000000001,0.10000000000000001,"
+            "0.10000000000000001,0.5",
+        ]
 
 
 class TestEmitters:

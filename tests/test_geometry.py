@@ -734,6 +734,22 @@ class TestMonteCarloDraws:
             expected = np.random.Generator(bits).random(3 * count)
             assert np.array_equal(got.ravel(), expected), block
 
+    @pytest.mark.parametrize("kind", list(BodyKind))
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    def test_a_draw_reads_every_stream_it_is_given(self, kind, n):
+        # mc_centroid builds stream_count(n) streams: a draw that read one
+        # more would fail on the short list, and one it leaves unread is
+        # a generator built for nothing
+        shape = kind.shape
+        streams = [np.random.Generator(np.random.PCG64DXSM(k))
+                   for k in range(shape.stream_count(n))]
+        opening = [stream.bit_generator.state for stream in streams]
+        u, lateral, tmp, rest = np.empty((4, 64))
+        shape.draw(streams, n, u, lateral, (tmp, rest))
+        assert all(stream.bit_generator.state != state
+                   for stream, state in zip(streams, opening))
+        assert shape.stream_count(n) == (3 if kind is BodyKind.BALL and n > 2 else 2)
+
     @pytest.mark.parametrize("lam", [0.5, 1.7])
     @pytest.mark.parametrize("n", [1, 2, 5, 16])
     def test_cone_and_pyramid_share_their_points(self, n, lam):

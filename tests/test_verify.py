@@ -147,6 +147,19 @@ class TestBoundsWork:
         assert results["bounds.crossover_equivalence"].passed
         assert calls == [(Fraction, Fraction)] * 1280
 
+    def test_crossover_grid_compares_in_integers(self, monkeypatch):
+        compares = []
+        richcmp = Fraction._richcmp
+
+        def counted(self, other, op):
+            compares.append(op)
+            return richcmp(self, other, op)
+
+        monkeypatch.setattr(Fraction, "_richcmp", counted)
+        results = {r.name: r for r in suite_bounds(m_max=0, n_max=0, seed=42)}
+        assert results["bounds.crossover_equivalence"].passed
+        assert compares == []
+
 
 # (family, count, repr of worst_margin) of the bounds suite, recorded before
 # the suite's grid and random draws were restructured
