@@ -256,6 +256,11 @@ def _cmd_scene(args) -> int:
     return 0
 
 
+# grid steps per axis: fig3 at 500 x 500 peaks at 225 MB in 2.5 s, so a grid at
+# both ceilings takes about 0.9 GB, where 10^8 steps ended in a MemoryError
+_FIG_STEPS = 1_000
+
+
 def _cmd_fig(args) -> int:
     from . import figures
 
@@ -266,6 +271,10 @@ def _cmd_fig(args) -> int:
         if args.which not in figures.DEFAULT_GRIDS:
             raise AnacciError(f"{args.which} has no sampling window to override")
         grid = figures.DEFAULT_GRIDS[args.which]._replace(**overrides)
+        # after GridSpec's checks, so that steps past the doubles name their window
+        for axis, steps in (("p", grid.p_steps), ("q", grid.q_steps)):
+            if steps > _FIG_STEPS:
+                raise AnacciError(f"argument --{axis}-steps: must be at most {_FIG_STEPS:_}")
     _write_text(args, figures.emit(args.which, grid))
     return 0
 
@@ -371,10 +380,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("--output", help="output path (default stdout)")
     p_fig.add_argument("--p-min", type=float, dest="p_min")
     p_fig.add_argument("--p-max", type=float, dest="p_max")
-    p_fig.add_argument("--p-steps", type=int, dest="p_steps")
+    p_fig.add_argument("--p-steps", type=int, dest="p_steps",
+                       help=f"grid steps in p, at most {_FIG_STEPS:_}")
     p_fig.add_argument("--q-min", type=float, dest="q_min")
     p_fig.add_argument("--q-max", type=float, dest="q_max")
-    p_fig.add_argument("--q-steps", type=int, dest="q_steps")
+    p_fig.add_argument("--q-steps", type=int, dest="q_steps",
+                       help=f"grid steps in q, at most {_FIG_STEPS:_}")
     p_fig.set_defaults(func=_cmd_fig)
 
     p_verify = sub.add_parser("verify", help="run the property suites")

@@ -18,7 +18,6 @@ import math
 import sys
 from collections.abc import Callable
 from enum import Enum
-from operator import imul
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (
@@ -114,6 +113,26 @@ def pyramid(n: int, height: float = 1.0, apex: float = 0.0,
 # more views the draw may overwrite.
 
 
+def _power(out: np.ndarray, a: float) -> None:
+    """out**a in place, for uniforms in [0, 1) and a > 0.
+
+    numpy squares and takes square roots exactly; any other power is
+    exp(a*log(out)), whose log, product and exp take about 2.2 ns a point
+    where ``np.power`` takes 3.3-4.2 ns (Xeon, numpy 2.4).  An exact 0 has
+    log -inf and so gives exp(-inf) = 0; the log's divide-by-zero warning
+    for it is silenced here.
+    """
+    import numpy as np
+
+    if a == 2.0 or a == 0.5:
+        out **= a
+    elif a != 1.0:
+        with np.errstate(divide="ignore"):
+            np.log(out, out=out)
+        out *= a
+        np.exp(out, out=out)
+
+
 def _section_fraction(stream: np.random.Generator, n: int, out: np.ndarray, power: int) -> None:
     """V^(power/(n-1)) into ``out``: the lateral norm, to ``power``, of uniform
     points in an (n-1)-ball or (n-1)-cube section, over the section's bound.
@@ -122,7 +141,7 @@ def _section_fraction(stream: np.random.Generator, n: int, out: np.ndarray, powe
     the value goes unread.
     """
     stream.random(out=out)
-    out **= power / max(n - 1, 1)
+    _power(out, power / max(n - 1, 1))
 
 
 def _ball_draw(streams, n: int, u: np.ndarray, lateral: np.ndarray, scratch) -> None:
@@ -140,7 +159,7 @@ def _ball_draw(streams, n: int, u: np.ndarray, lateral: np.ndarray, scratch) -> 
 
     tmp, rest = scratch
     streams[0].random(out=lateral)
-    lateral **= 2.0 / n
+    _power(lateral, 2.0 / n)
     np.subtract(1.0, lateral, out=lateral)  # 1 - q
     streams[1].random(out=u)
     u -= 0.5
@@ -162,8 +181,11 @@ def _ball_draw(streams, n: int, u: np.ndarray, lateral: np.ndarray, scratch) -> 
 
 
 def _cube_draw(streams, n: int, u: np.ndarray, lateral: np.ndarray, scratch) -> None:
+    """u = U and the lateral value V: the l-inf norm of a uniform point of
+    the (n-1)-cube section, to the power n - 1, is itself uniform, so it
+    is tested against r^(n-1) with no power per point."""
     streams[0].random(out=u)
-    _section_fraction(streams[1], n, lateral, 1)
+    streams[1].random(out=lateral)
 
 
 def _apex_draw(streams, n: int, u: np.ndarray, lateral: np.ndarray, scratch) -> None:
@@ -172,31 +194,34 @@ def _apex_draw(streams, n: int, u: np.ndarray, lateral: np.ndarray, scratch) -> 
     of an (n-1)-ball or (n-1)-cube section over its bound has the one law
     V^(1/(n-1)), so both kinds take the same points at the plain norm."""
     streams[0].random(out=u)
-    u **= 1.0 / n
+    _power(u, 1.0 / n)
     _section_fraction(streams[1], n, lateral, 1)
     lateral *= u
 
 
-def _ball_bound(w, u):
-    """w^2 (1 - u^2), as -w^2 (u^2 - 1): the same rounding, in place."""
-    u *= u
-    u -= 1.0
-    u *= -w * w
-    return u
+def _ball_bound(r, d, n):
+    """r^2 - d^2, the squared radius of the section at offset d, in place."""
+    import numpy as np
+
+    d *= d
+    return np.subtract(r * r, d, out=d)
 
 
 class _Shape(NamedTuple):
     """One body kind as an axis segment times a scaled cross-section.
 
-    With c the axis offset, s the size and u = (x1 - c)/s, the section at u
-    of a body of half-width w (across its widest section) holds the lateral
-    points whose norm is at most section_bound(w, u); the ball's norm and
-    bound are squared, so its membership takes no square root.
-    section_bound overwrites the array u with the bound.
-    ``draw(streams, n, u, lateral, scratch)`` fills u and the lateral norm
-    (squared for the ball), in units of the half-width, for uniform points of
-    the body with c = 0 and s = 1; it reads streams 0 to
-    ``stream_count(n) - 1``.
+    With c the axis offset, s the size and u = (x1 - c)/s, the unit body
+    (c = 0, s = 1, half-width 1 across its widest section) spans u in
+    [axis_start, 1].  A point's lateral value is the norm of its lateral
+    part to the kind's power: squared for the ball, to n - 1 for the cube,
+    plain for the cone and pyramid, so that no test takes a root or a power
+    per point.  The homothetic image at offset c0 and scale r holds the
+    points with d = u - c0 in [axis_start*r, r] whose lateral value is at
+    most ``section_bound(r, d, n)``: r^2 - d^2 for the ball, which
+    overwrites the array d, r^(n-1) for the cube, and d itself for the
+    cone and pyramid.  ``draw(streams, n, u, lateral, scratch)`` fills u
+    and the lateral value for uniform points of the unit body; it reads
+    streams 0 to ``stream_count(n) - 1``.
     ``placement(m, n)`` gives the axis offset of the unit body and the
     homothetic center O that make the dilation factor phi(m, n) (see
     representation).
@@ -206,8 +231,8 @@ class _Shape(NamedTuple):
     centroid_fraction: Callable[[int], float]  # of s, from c
     # (k, L, d): the volume is V_k * L**(n-1) * s / d, with L the size or base
     volume_terms: Callable[[ConvexBody], tuple[int, float, int]]
-    section_bound: Callable  # (w, u) -> bound on the lateral norm of the section at u
-    draw: Callable  # (streams, n, u, lateral, scratch): u and lateral norm at w = 1
+    section_bound: Callable  # (r, d, n) -> bound on the lateral value at offset d
+    draw: Callable  # (streams, n, u, lateral, scratch): u and lateral value
     stream_count: Callable[[int], int]  # n -> how many streams draw reads
     placement: Callable[[int, int], tuple[float, float]]  # (m, n) -> (c, O)
 
@@ -219,10 +244,11 @@ def _apex_placement(m: int, n: int) -> tuple[float, float]:
 
 BodyKind.BALL.shape = _Shape(-1.0, lambda n: 0.0, lambda b: (b.n, b.size, 1), _ball_bound,
                              _ball_draw, lambda n: 2 + (n > 2), lambda m, n: (1.0, 0.0))
-BodyKind.CUBE.shape = _Shape(0.0, lambda n: 0.5, lambda b: (0, b.size, 1), lambda w, u: w,
-                             _cube_draw, lambda n: 2, lambda m, n: (0.0, 0.0))
+BodyKind.CUBE.shape = _Shape(0.0, lambda n: 0.5, lambda b: (0, b.size, 1),
+                             lambda r, d, n: r ** (n - 1), _cube_draw, lambda n: 2,
+                             lambda m, n: (0.0, 0.0))
 BodyKind.CONE.shape = _Shape(0.0, lambda n: n / (n + 1), lambda b: (b.n - 1, b.base, b.n),
-                             lambda w, u: imul(u, w), _apex_draw, lambda n: 2, _apex_placement)
+                             lambda r, d, n: d, _apex_draw, lambda n: 2, _apex_placement)
 # the pyramid's l-inf section has the cone's law, so only its volume differs
 BodyKind.PYRAMID.shape = BodyKind.CONE.shape._replace(volume_terms=lambda b: (0, b.base, b.n))
 
@@ -539,15 +565,18 @@ def mc_centroid(scene: DilationScene, seed: int, samples: int) -> tuple[float, f
     of its lateral part, so only those two are drawn, in the larger body's
     unit frame (see _Shape): u = (x1 - c)/s from the body's axial law (U
     for a cube, U^(1/n) for a cone or pyramid, the first coordinate of a
-    uniform point of the n-ball for a ball), and the norm, at half-width 1,
-    as bound(u) * V^(1/(n-1)), the law of a uniform point in an (n-1)-ball
-    or (n-1)-cube section.  The cost per point does not grow with n.  In
-    that frame the smaller body is the homothetic image with axis offset c0
-    and scale r, which is also its half-width, so a point lies in it where
-    u' = (u - c0)/r is in [axis_start, 1] and its lateral norm within
-    section_bound(r, u').  Points outside the smaller body belong to the
-    shell; the estimate is the mean of their first coordinates, scaled
-    back by s once at the end, so no coordinate leaves the unit frame.
+    uniform point of the n-ball for a ball), and the lateral value, at
+    half-width 1, from the law V^(1/(n-1)) of the norm of a uniform point
+    in an (n-1)-ball or (n-1)-cube section over its bound.  Fractional
+    powers are taken as exp(a*log U).  The cost per point does not grow
+    with n.  In that frame the smaller body is the homothetic image with
+    axis offset c0 and scale r, which is also its half-width, so a point
+    lies in it where d = u - c0 is in [axis_start*r, r] and its lateral
+    value within section_bound(r, d, n): no point is divided by r, and
+    the cube's value V meets r^(n-1) with no power per point.  Points
+    outside the smaller body belong to the shell; the estimate is the mean
+    of their first coordinates, scaled back by s once at the end, so no
+    coordinate leaves the unit frame.
     Each block is drawn and tested in chunks that reuse one small
     workspace, so no block-sized array is allocated.  Chunk moments are
     taken relative to O and merged as in Chan, Golub & LeVeque (1979), so
@@ -573,7 +602,7 @@ def mc_centroid(scene: DilationScene, seed: int, samples: int) -> tuple[float, f
     c0 = (small.axis_offset - big.axis_offset) / big.size
     r = small.size / big.size
     o_u = (scene.O - big.axis_offset) / big.size
-    work = np.empty((4, _MC_CHUNK))  # u, lateral norm and two scratch rows
+    work = np.empty((4, _MC_CHUNK))  # u, lateral value and two scratch rows
     flags = np.empty((2, _MC_CHUNK), dtype=bool)
 
     streams = [np.random.Generator(np.random.PCG64DXSM(seed))
@@ -582,36 +611,32 @@ def mc_centroid(scene: DilationScene, seed: int, samples: int) -> tuple[float, f
     accepted = 0
     mean = 0.0  # of u - o_u over the accepted points
     m2 = 0.0  # their sum of squared deviations from the mean
-    # a section bound overflows, or turns nan, only where u' lies far outside
-    # [axis_start, 1], and the axial test has already put such points in the shell
-    with np.errstate(over="ignore", invalid="ignore"):
-        for first in range(0, samples, _MC_BLOCK):
-            count = min(_MC_BLOCK, samples - first)
-            _place(streams, opening, first // _MC_BLOCK, count)
-            for done in range(0, count, _MC_CHUNK):
-                size = min(_MC_CHUNK, count - done)
-                u, lateral, scratch, rest = work[:, :size]
-                inside, flag = flags[:, :size]
-                shape.draw(streams, body.n, u, lateral, (scratch, rest))
-                np.subtract(u, c0, out=scratch)
-                scratch /= r  # u'
-                np.greater_equal(scratch, shape.axis_start, out=inside)
-                inside &= np.less_equal(scratch, 1.0, out=flag)
-                if body.n > 1:
-                    inside &= np.less_equal(lateral, shape.section_bound(r, scratch), out=flag)
-                shell = np.logical_not(inside, out=inside)
-                k = int(np.count_nonzero(shell))
-                if not k:
-                    continue
-                us = np.compress(shell, u, out=scratch[:k])
-                us -= o_u
-                chunk_mean = float(us.mean())
-                us -= chunk_mean
-                total = accepted + k
-                delta = chunk_mean - mean
-                mean += delta * k / total
-                m2 += float(us @ us) + delta * delta * accepted * k / total
-                accepted = total
+    start = shape.axis_start * r
+    for first in range(0, samples, _MC_BLOCK):
+        count = min(_MC_BLOCK, samples - first)
+        _place(streams, opening, first // _MC_BLOCK, count)
+        for done in range(0, count, _MC_CHUNK):
+            size = min(_MC_CHUNK, count - done)
+            u, lateral, scratch, rest = work[:, :size]
+            shell, flag = flags[:, :size]
+            shape.draw(streams, body.n, u, lateral, (scratch, rest))
+            d = np.subtract(u, c0, out=scratch)
+            np.less(d, start, out=shell)
+            shell |= np.greater(d, r, out=flag)
+            if body.n > 1:
+                shell |= np.greater(lateral, shape.section_bound(r, d, body.n), out=flag)
+            k = int(np.count_nonzero(shell))
+            if not k:
+                continue
+            us = np.compress(shell, u, out=scratch[:k])
+            us -= o_u
+            chunk_mean = float(us.mean())
+            us -= chunk_mean
+            total = accepted + k
+            delta = chunk_mean - mean
+            mean += delta * k / total
+            m2 += float(us @ us) + delta * delta * accepted * k / total
+            accepted = total
 
     if accepted < max(2, 1e-4 * samples):
         raise DegenerateShell(

@@ -53,7 +53,6 @@ FAMILIES = {
         "fixed_n": "",
         "diagonals": "",
         "scaled_A_increasing": "",
-        "scaled_B_decreasing": "",
         "scaled_B_limit": "final value in (1, 1+1/{m_max}]",
         "line_restrictions": "strictly increasing along lines with angle in [0, pi/2]",
         "midpoint_concavity": "lam(midpoint) >= mean of endpoint values where p*q >= 1",
@@ -222,9 +221,6 @@ def _monotone(m_max: int, n_max: int):
 
     for n in range(1, n_max + 1):
         yield from _rises("scaled_A_increasing", scaled_seq_A(n, m_max))
-
-    for n in range(2, n_max + 1):  # read backwards, a decreasing sequence rises
-        yield from _rises("scaled_B_decreasing", scaled_seq_B(n, m_max)[::-1])
 
     for n in (2, 3, 5):
         if n > n_max:

@@ -499,6 +499,21 @@ class TestFigCommand:
         assert out == ""
         assert err.startswith(f"error: the {axis} window [")
 
+    @pytest.mark.parametrize("flag", ["--p-steps", "--q-steps"])
+    def test_steps_above_the_ceiling_exit_two(self, capsys, flag):
+        # 10^8 steps ended in a MemoryError from figures._axis
+        code, out, err = run_cli(capsys, "fig", "--which", "fig1", flag, "100000000")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: argument {flag}: must be at most 1_000\n"
+
+    def test_steps_at_the_ceiling_run(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "fig", "--which", "fig1", "--p-steps", "1000", "--q-steps", "2",
+        )
+        assert code == 0
+        assert len(out.strip().splitlines()) == 1 + 2000 + 2
+
     def test_too_few_grid_steps_exits_two(self, capsys):
         code, out, err = run_cli(capsys, "fig", "--which", "fig1", "--p-steps", "1")
         assert code == 2

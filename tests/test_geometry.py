@@ -614,8 +614,8 @@ class TestMonteCarlo:
     @pytest.mark.parametrize("lam", (1e-300, 1e-200, 1e300))
     @pytest.mark.parametrize("maker", KIND_MAKERS, ids=lambda maker: maker.__name__)
     def test_extreme_factor_raises_no_warning(self, maker, lam):
-        # the smaller body's section bound overflows far outside its axis
-        # segment, where the axial test has already decided
+        # membership is tested on offsets at scale r, so no section bound
+        # overflows however small r is
         scene = make_scene(maker, 3, lam)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -761,6 +761,44 @@ class TestMonteCarloDraws:
                                for body in bodies)
         assert cone_mc == pyramid_mc
         assert BodyKind.CONE.shape.draw is BodyKind.PYRAMID.shape.draw
+
+    @pytest.mark.parametrize("kind", list(BodyKind))
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    def test_an_exact_zero_uniform_draws_without_a_warning(self, kind, n):
+        # a uniform of exactly 0.0 has log -inf: its power must still be 0,
+        # and numpy's divide-by-zero warning must not escape the draw
+        class Zeros:
+            def random(self, out):
+                out[:] = 0.0
+
+        u, lateral, tmp, rest = np.full((4, 8), np.nan)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            kind.shape.draw([Zeros()] * kind.shape.stream_count(n), n, u, lateral, (tmp, rest))
+        # the ball's direction at a zero uniform is -e1, on its surface
+        assert np.array_equal(u, np.full(8, -1.0 if kind is BodyKind.BALL else 0.0))
+        assert np.array_equal(lateral, np.zeros(8))
+
+    @pytest.mark.parametrize("kind", list(BodyKind))
+    @pytest.mark.parametrize("n", [2, 5, 16])
+    @pytest.mark.parametrize("r", [1e-150, 1e-3, 0.37, 1.0])
+    def test_section_bound_is_the_unit_frame_bound_at_scale_r(self, kind, n, r):
+        # the bound on offsets d = u - c0 at scale r against the bound the
+        # unit frame gave at u' = d/r: r*u' for an apex body, r^2 (1 - u'^2)
+        # for the ball, and for the cube r on the norm, so r^(n-1) on its
+        # (n-1)-th power V
+        shape = kind.shape
+        d = np.linspace(shape.axis_start * r, r, 41)
+        bound = shape.section_bound(r, d.copy(), n)
+        unit = d / r
+        eps = np.finfo(float).eps
+        if kind is BodyKind.BALL:
+            old = r * r * (1.0 - unit * unit)
+            assert np.all(np.abs(bound - old) <= 4 * eps * r * r)
+        elif kind is BodyKind.CUBE:
+            assert bound ** (1.0 / (n - 1)) == pytest.approx(r, rel=4 * eps)
+        else:
+            assert np.all(np.abs(bound - r * unit) <= eps * np.abs(d))
 
     def test_workspace_stays_below_one_megabyte(self):
         # whole-block draws peaked at 2.5-3.6 MB for 10**6 samples
