@@ -66,7 +66,6 @@ _PUBLIC = {
         "seq_fixed_n",
     ),
     "qkernel": (
-        "CRITICAL_TOL",
         "RegionClass",
         "classify",
         "dq_value",

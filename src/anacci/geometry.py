@@ -38,9 +38,6 @@ from .solver import solve_lambda
 if TYPE_CHECKING:  # numpy is imported where Monte Carlo runs, not at start-up
     import numpy as np
 
-# absolute slack when matching a dilation factor against a case boundary
-_BOUNDARY_TOL = 1e-12
-
 
 class BodyKind(Enum):
     """A body kind; each member carries its ``_Shape`` as ``shape``, set once
@@ -418,7 +415,10 @@ def lambda_from_p(n: int, p: float) -> float:
     dimension n: the ratio-limit value at (p, n).
 
     Needs p > 1/n for a factor above 1; at p = 1/n exactly the factor is 1
-    (the B(1) limit configuration).
+    (the B(1) limit configuration).  Exactly means p*n = 1 for the double
+    p, as solve_lambda decides the hyperbola: the double nearest 1/3 lies
+    below one third, so lambda_from_p(3, 1/3) raises PTooSmall, while
+    lambda_from_p(3, Fraction(1, 3)) is 1.
     """
     _check_positive_int(n, "dimension n")
     try:
@@ -434,12 +434,15 @@ def solve_scene_for_target(body: ConvexBody, O: float, target_b: float) -> Dilat
     """Scene whose shell centroid lands exactly on target_b.
 
     The target must lie strictly beyond the centroid A as seen from O; the
-    required factor is lambda_from_p(n, d(A, target)/d(O, A)).  A target at
-    exactly the B(1) point yields the degenerate lam = 1 scene; anything
-    closer to A is unreachable for every positive factor.
+    required factor is lambda_from_p(n, d(A, target)/d(O, A)).  A target
+    equal to b_one(body, O) yields the degenerate lam = 1 scene, decided
+    before the ratio is formed, since d(A, B(1))/d(O, A) can round below
+    1/n; anything closer to A is unreachable for every positive factor.
     """
     O, a = _centroid_apart_from(body, O)
     target_b = _real(target_b, "target_b", InputOutOfRange, "a finite double")
+    if target_b == b_one(body, O):
+        return DilationScene(body, O, 1.0)
     d_oa = a - O
     d_ab = target_b - a
     if d_ab == 0.0 or (d_ab > 0) != (d_oa > 0):
@@ -471,17 +474,17 @@ def scene_points(scene: DilationScene) -> dict[str, float]:
 def center_ordering(scene: DilationScene) -> CenterOrdering:
     """Which of the five orderings the scene's derived centers realize.
 
-    The boundary factors 1 and 1 + 1/n are matched to 1e-12 absolute, so a
-    factor assembled as ``1 + 1/n`` in floating point classifies onto its
-    boundary case.
+    The boundary factors are matched exactly: 1, and 1 + 1/n as assembled
+    in floating point, ``1.0 + 1.0/n``, so a factor built that way
+    classifies onto its boundary case and any other factor does not.
     """
     lam = scene.lam
     threshold = 1.0 + 1.0 / scene.body.n
-    if abs(lam - 1.0) <= _BOUNDARY_TOL:
+    if lam == 1.0:
         return CenterOrdering.UNIT
     if lam < 1.0:
         return CenterOrdering.CONTRACTION
-    if abs(lam - threshold) <= _BOUNDARY_TOL:
+    if lam == threshold:
         return CenterOrdering.EXPANSION_TOUCH
     if lam > threshold:
         return CenterOrdering.EXPANSION_WIDE

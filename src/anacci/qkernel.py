@@ -24,10 +24,6 @@ from numbers import Rational
 
 from .errors import _check_positive_int, _real, _to_double
 
-# |p*q - 1| at or below this counts as the merged-double-root regime for
-# floating inputs; the two zero branches of Q are then within ~1e-6 of 1.
-CRITICAL_TOL = 1e-12
-
 # exp() overflows a double just above 709.78
 _EXP_OVERFLOW = 700.0
 
@@ -88,7 +84,8 @@ def _q_dq(lam: float, p: float, q: float) -> tuple[float, float]:
     t_minus = t - ln  # the exponent of lam^(q-1)
     if t_minus > _EXP_OVERFLOW:
         return value, math.copysign(math.inf, slope) if slope else 0.0
-    return value, math.exp(t_minus) * slope
+    power = math.exp(t_minus)  # once 0, a zero signed like the slope: 0 * inf is nan
+    return value, power * slope if power else math.copysign(0.0, slope)
 
 
 def q_value(lam: float, p: float, q: float) -> float:
@@ -190,9 +187,10 @@ def lambda_min(p, q):
 def classify(p, q) -> RegionClass:
     """Regime of (p, q) relative to the hyperbola p*q = 1.
 
-    With exact rational inputs (int/Fraction) the comparison is exact;
-    otherwise SUPER needs p*q - 1 > CRITICAL_TOL and SUB needs
-    1 - p*q > CRITICAL_TOL, everything between is CRITICAL.
+    Exact for the numbers read: an int/Fraction pair compares its own
+    product with 1, any other pair the exact product of its doubles, so
+    CRITICAL means p*q = 1 exactly and a product that merely rounds onto 1
+    is SUPER or SUB.
     """
     p = _real(p, "p", exact=_EXACT)
     q = _real(q, "q", exact=_EXACT)
@@ -203,7 +201,9 @@ def _classify(p, q) -> RegionClass:
     """classify without its input checks.
 
     An int/Fraction pair compares num(p)*num(q) with den(p)*den(q) in
-    integers, with no Fraction built.
+    integers, with no Fraction built.  A pair of doubles takes the sign of
+    dp*dq - 1.0, which rounding cannot flip, as it is monotone; only where
+    the product rounds onto 1 is p*q - 1 taken exactly, from Fractions.
     """
     if _exact_pair(p, q):
         num = p.numerator * q.numerator
@@ -219,8 +219,10 @@ def _classify(p, q) -> RegionClass:
         excess = Fraction(p) * Fraction(q) - 1
     else:
         excess = dp * dq - 1.0
-    if excess > CRITICAL_TOL:
+        if excess == 0.0:  # the product rounded onto 1
+            excess = Fraction(dp) * Fraction(dq) - 1
+    if excess > 0:
         return _SUPER
-    if -excess > CRITICAL_TOL:
+    if excess < 0:
         return _SUB
     return _CRITICAL

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from .errors import CriticalRegime, InputOutOfRange, NoConvergence, NonPositiveInput, ZeroUnderflow
 from .errors import _check_positive_int, _real, _weight
-from .qkernel import CRITICAL_TOL, RegionClass, _classify, _exact_pair, _ln, _power_sum, _q_dq
+from .qkernel import RegionClass, _classify, _exact_pair, _ln, _power_sum, _q_dq
 from .qkernel import lambda_min
 from .qkernel import _CRITICAL, _EXP_OVERFLOW, _SUB, _SUPER
 from .qkernel import q_value  # noqa: F401  # perfbench's tracer self-test reads solver.q_value
@@ -42,12 +42,14 @@ class AnacciConstant(NamedTuple):
     """A solved zero lam(p, q) with its certifying bracket.
 
     ``bracket_lo <= value <= bracket_hi`` always holds; ``residual`` is the
-    signed Q(value, p, q).  In the critical regime (p*q = 1) the value is
-    exactly 1 with zero residual and a collapsed bracket.  ``regime`` is
-    the one the solve ran in, decided on the inputs as given (exactly for
-    int/Fraction inputs).  An immutable named tuple: the solver builds it
-    with ``tuple.__new__`` on the field tuple, one allocation and none of
-    the generated ``__new__``'s argument binding.
+    signed Q(value, p, q).  ``regime`` is the one the solve ran in, the
+    sign of p*q - 1 taken exactly for the numbers read: an int/Fraction
+    pair as given, any other pair as its doubles.  It is critical only
+    where that product is exactly 1, and then the value is exactly 1 with
+    zero residual and a collapsed bracket; a pair whose double product
+    merely rounds onto 1 is solved.  An immutable named tuple: the solver
+    builds it with ``tuple.__new__`` on the field tuple, one allocation and
+    none of the generated ``__new__``'s argument binding.
     """
 
     p: float
@@ -99,8 +101,9 @@ def solve_lambda(p, q) -> AnacciConstant:
       1 + (p*q-1) / (q*(1 - p(q-1)/2)), the zero other than 1 of Q's
       quadratic Taylor model at 1, wherever it lies strictly inside the
       bracket and nearer 1 than the series start.  p*q - 1 is taken from
-      the doubles, also for an exact pair, and a sign that disagrees with
-      the exact regime skips this start.
+      the doubles, also for an exact pair, exactly (from Fractions) where
+      their product rounds onto 1, and a sign that disagrees with the
+      exact regime skips this start.
 
     The steps are Newton steps on P = Q/(lam-1), the characteristic
     polynomial at integer q, computed from Q and Q' as
@@ -116,27 +119,31 @@ def solve_lambda(p, q) -> AnacciConstant:
     computed sign contradicts its end of the bracket (the start then lies
     within rounding of the zero).  ``iterations`` counts the evaluations of
     Q.  On the hyperbola p*q = 1 the zero branches merge and exactly 1.0 is
-    returned with zero residual.  At q = 1 off it, Q = (lam-1)(lam-p), and
-    a p that is a double is returned as the zero, with a collapsed bracket
-    and no evaluation.
+    returned with zero residual; a product that is 1 only to rounding is
+    off the hyperbola and is solved.  At q = 1 off it, Q = (lam-1)(lam-p),
+    and a p that is a double is returned as the zero, with a collapsed
+    bracket and no evaluation.
 
-    p and q are read as doubles; an int/Fraction pair decides its regime
-    exactly.  Raises NonPositiveInput unless p and q are finite and > 0,
-    InputOutOfRange for one that rounds to 0 or past the largest double,
+    p and q are read as doubles.  The regime is the sign of p*q - 1, exact
+    for the doubles, or for an int/Fraction pair as given, so it is
+    classify(p, q).  Raises NonPositiveInput unless p and q are finite and
+    > 0, InputOutOfRange for one that rounds to 0 or past the largest double,
     ZeroUnderflow when a sub-critical zero lies below the positive double
     range, and NoConvergence (never seen) after 200 evaluations.
     """
     pf = _real(p, "p")
     qf = _real(q, "q")
     excess = pf * qf - 1.0
+    if excess == 0.0:  # the product rounded onto 1: take p*q - 1 exactly
+        excess = float(Fraction(pf) * Fraction(qf) - 1)
     if type(p) is int and type(q) is int:  # p, q >= 1: never sub-critical
         regime = _SUPER if p * q > 1 else _CRITICAL
     elif type(p) is not float and _exact_pair(p, q):
         regime = _classify(p, q)
     # _classify's float rule, written out: its call costs every solve
-    elif excess > CRITICAL_TOL:
+    elif excess > 0.0:
         regime = _SUPER
-    elif -excess > CRITICAL_TOL:
+    elif excess < 0.0:
         regime = _SUB
     else:
         regime = _CRITICAL
@@ -269,7 +276,12 @@ def _derivative_parts(p: float, q: float) -> tuple[float, float, float, float]:
     lam^q underflows, the benign subtraction.  D = lam - q*gap equals
     lam(q+1) - (p+1)q without its cancellation; D > 0 above the hyperbola
     and D < 0 below.  Raises CriticalRegime on the hyperbola, and where the
-    sign of D contradicts the regime: the zero is then within rounding of 1.
+    zero is within rounding of 1: lam - 1 then keeps only the few digits of
+    it that the double lam holds, and D no more, so their quotient can be
+    wrong in its leading digit.  That is taken to be |lam - 1| < 2^-42, or
+    1024 ulp of 1, and wherever the sign of D contradicts the regime.  At
+    q = 1 the zero p is exact, and so are both formulas, so only the sign
+    test applies there.
     """
     result = solve_lambda(p, q)
     if result.regime is _CRITICAL:
@@ -278,7 +290,8 @@ def _derivative_parts(p: float, q: float) -> tuple[float, float, float, float]:
     t = q * _ln(lam)
     gap = p + 1.0 - lam if -t > _EXP_OVERFLOW else p * math.exp(-t)
     denom = lam - q * gap
-    if not (denom > 0.0 if result.regime is _SUPER else denom < 0.0):
+    if (abs(lam - 1.0) < 2.0**-42 and q != 1.0
+            or not (denom > 0.0 if result.regime is _SUPER else denom < 0.0)):
         raise CriticalRegime(f"no derivatives: zero within rounding of 1 (p={p!r}, q={q!r})")
     return lam, p, gap, denom
 

@@ -3,6 +3,7 @@ import re
 import tracemalloc
 import warnings
 from decimal import Decimal
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -259,7 +260,11 @@ class TestLambdaFromP:
         assert lambda_from_p(2, 1.0) == pytest.approx(PHI, abs=1e-14)
 
     def test_boundary_ratio_gives_unit_factor(self):
-        assert lambda_from_p(3, 1.0 / 3.0) == 1.0
+        assert lambda_from_p(4, 0.25) == 1.0
+        assert lambda_from_p(3, Fraction(1, 3)) == 1.0
+        # the double 1/3 lies below one third, so p*n < 1 exactly
+        with pytest.raises(PTooSmall):
+            lambda_from_p(3, 1.0 / 3.0)
 
     def test_below_boundary_raises(self):
         with pytest.raises(PTooSmall):
@@ -324,6 +329,15 @@ class TestSolveSceneForTarget:
         scene = solve_scene_for_target(body, 0.0, limit)
         assert scene.lam == 1.0
 
+    @pytest.mark.parametrize("O", [0.0, 0.3])
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("maker", [lambda n: ball(n, 1.0, center=1.0), cube, cone],
+                             ids=["ball", "cube", "cone"])
+    def test_every_b_one_target_gives_the_unit_scene(self, maker, n, O):
+        # d(A, B(1))/d(O, A) can round off 1/n, so the ratio must not decide
+        body = maker(n)
+        assert solve_scene_for_target(body, O, b_one(body, O)).lam == 1.0
+
     def test_unreachable_target_raises(self):
         body = ball(2, 1.0, center=1.0)
         with pytest.raises(TargetUnreachable):
@@ -363,6 +377,17 @@ class TestCenterOrdering:
             body = ball(n, 1.0, center=1.0)
             pts = scene_points(DilationScene(body, 0.0, 1.0 + 1.0 / n))
             assert abs(pts["LA"] - pts["B1"]) <= 1e-12
+
+    def test_boundaries_are_matched_exactly(self):
+        # L(A) - B(1) and L(A) - A are 5e-13 here, not 0
+        body = ball(2, 1.0, center=1.0)
+        for lam, ordering in ((1.5 + 5e-13, CenterOrdering.EXPANSION_WIDE),
+                              (1.5 - 5e-13, CenterOrdering.EXPANSION_NARROW),
+                              (1.0 + 5e-13, CenterOrdering.EXPANSION_NARROW)):
+            scene = DilationScene(body, 0.0, lam)
+            pts = scene_points(scene)
+            assert pts["LA"] not in (pts["A"], pts["B1"])
+            assert center_ordering(scene) is ordering, lam
 
     def test_unit_case_equalities(self):
         body = ball(3, 1.0, center=1.0)

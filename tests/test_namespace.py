@@ -29,7 +29,7 @@ HOMES = {
     "lattice": (
         "anacci scaled_seq_A scaled_seq_B seq_diagonal seq_fixed_m seq_fixed_n"
     ),
-    "qkernel": "CRITICAL_TOL RegionClass classify dq_value eval_P lambda_min q_value",
+    "qkernel": "RegionClass classify dq_value eval_P lambda_min q_value",
     "recurrence": "RatioEstimate RecurrenceSpec canonical_init generate ratio_limit",
     "solver": (
         "AnacciConstant bound_crossover dlambda_dp dlambda_dq "

@@ -256,6 +256,11 @@ class TestFusedKernel:
         lam = lambda_min(1.0, 1e-310)
         assert _q_dq(lam, 1.0, 1e-310) == (-1.0, 0.0)
 
+    def test_no_nan_where_lam_to_q_minus_one_underflows_against_an_infinite_slope(self):
+        # lam^(q-1) underflows to 0 while (p+1)*q overflows: 0 * -inf was nan
+        value = dq_value(1.2e-203, 7.9e286, 2.6e214)
+        assert value == 0.0 and math.copysign(1.0, value) == -1.0
+
 
 class TestFactoredForm:
     """Q(lam; p, n) = (lam - 1) * P(lam; p, n) at integer order n."""
@@ -357,11 +362,12 @@ class TestLambdaMin:
     @given(p=positive, q=positive)
     @settings(max_examples=200, deadline=None)
     def test_unit_iff_critical(self, p, q):
+        # lambda_min - 1 = (p*q - 1)/(q + 1), to the four roundings of
+        # lambda_min, which can hide its sign where p*q rounds onto 1
         at_min = lambda_min(p, q)
-        if classify(p, q) is RegionClass.CRITICAL:
-            assert abs(at_min - 1.0) < 1e-11
-        else:
-            assert (at_min - 1.0) * (p * q - 1.0) > 0
+        shift = (Fraction(p) * Fraction(q) - 1) / (Fraction(q) + 1)
+        assert abs(Fraction(at_min) - 1 - shift) <= 4 * Fraction(math.ulp(at_min))
+        assert (shift == 0) == (classify(p, q) is RegionClass.CRITICAL)
 
 
 class TestClassify:
@@ -371,8 +377,15 @@ class TestClassify:
         assert classify(0.25, 2.0) is RegionClass.SUB
 
     def test_float_tolerance_band(self):
-        assert classify(1.0, 1.0 + 1e-13) is RegionClass.CRITICAL
+        # no band: a float pair off the hyperbola by any amount is off it
+        assert classify(1.0, 1.0 + 1e-13) is RegionClass.SUPER
         assert classify(1.0, 1.0 + 1e-9) is RegionClass.SUPER
+        assert classify(1.0 - 2.0**-53, 1.0) is RegionClass.SUB
+        # the products round onto 1, but the exact ones are not 1
+        third = 1.0 / 3.0
+        assert third * 3.0 == 1.0 and classify(third, 3.0) is RegionClass.SUB
+        assert classify(math.nextafter(third, 1.0), 3.0) is RegionClass.SUPER
+        assert classify(0.5, 2.0) is RegionClass.CRITICAL
 
     def test_exact_within_one_part_in_ten_to_the_thirty(self):
         eps = Fraction(1, 10**30)
@@ -411,11 +424,15 @@ class TestClassify:
         assert solve_lambda(big, big) == solve_lambda(2**32, 2**32)
 
     def test_a_float_in_the_pair_takes_the_tolerance_path(self):
-        # p*q - 1 = 1e-15: super-critical exactly, critical within CRITICAL_TOL
+        # the float path, no longer a tolerance, reads the exact side as its
+        # double: p*q - 1 = 1e-15, and the double of p is above 1 too
         p = Fraction(10**15 + 1, 10**15)
         assert _classify(p, 1) is RegionClass.SUPER
-        assert _classify(p, 1.0) is RegionClass.CRITICAL
-        assert _classify(1.0, p) is RegionClass.CRITICAL
+        assert _classify(p, 1.0) is RegionClass.SUPER
+        assert _classify(1.0, p) is RegionClass.SUPER
+        # the exact pair is on the hyperbola, its doubles are below it
+        assert _classify(Fraction(1, 3), 3) is RegionClass.CRITICAL
+        assert _classify(Fraction(1, 3), 3.0) is RegionClass.SUB
 
     @given(p=positive, q=positive)
     @settings(max_examples=300, deadline=None)

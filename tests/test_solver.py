@@ -17,7 +17,7 @@ from anacci.errors import (
     ZeroUnderflow,
 )
 from anacci.figures import DEFAULT_GRIDS
-from anacci.qkernel import CRITICAL_TOL, RegionClass, classify
+from anacci.qkernel import RegionClass, classify
 from anacci.solver import (
     AnacciConstant,
     bound_crossover,
@@ -131,9 +131,10 @@ class TestSolveLambda:
                 assert result.value == p, p
 
     def test_order_one_keeps_the_regime_rule(self):
-        # p = 1 stays critical, and an exact p with no equal double is solved
+        # p = 1 stays critical, a p off 1 by any amount is not, and an exact
+        # p with no equal double is solved
         assert solve_lambda(1, 1.0).value == 1.0
-        assert solve_lambda(1.0 + 1e-13, 1.0).regime is RegionClass.CRITICAL
+        assert solve_lambda(1.0 + 1e-13, 1.0).regime is RegionClass.SUPER
         p = Fraction(10**15 + 1, 10**15)
         assert solve_lambda(p, 1).iterations > 0
 
@@ -451,10 +452,12 @@ class TestSeriesStarts:
             # both sides of the band |p*q - 1| = 0.5 around the Taylor start
             for edge in (1.5, 0.5):
                 points += [(p, (edge + d) / p) for d in (-1e-3, -1e-9, 1e-9, 1e-3)]
-        # q = 1.0 returns its zero p unsolved; the next double keeps a start
-        for q in (1.0, math.nextafter(1.0, 2.0), 2.0, 0.5):
-            for edge in (1.0 + CRITICAL_TOL, 1.0 - CRITICAL_TOL):
-                points += [(p, q) for p in _steps(edge / q, 4)]
+        # the doubles next to 1/q, whose products round onto 1 where they are
+        # not 1; q = 1.0 returns its zero p unsolved, the next double keeps a
+        # start
+        for q in (1.0, math.nextafter(1.0, 2.0), 2.0, 0.5, 3.0, 0.1):
+            points += [(p, q) for p in _steps(1.0 / q, 4)]
+        assert sum(p * q == 1.0 != Fraction(p) * Fraction(q) for p, q in points) >= 4
         starts = []
         kernel = solver._q_dq
 
@@ -476,19 +479,44 @@ class TestSeriesStarts:
         assert solved >= 40
 
 
+def _critical_band_draws(seed=7, count=300):
+    """p log-uniform in [0.2, 5] and |p*q - 1| log-uniform in [1e-16, 1e-12]
+    with a random sign: the band a tolerance on p*q - 1 once called
+    critical."""
+    rng = random.Random(seed)
+    draws = []
+    for _ in range(count):
+        p = _log_uniform(rng, 0.2, 5.0)
+        offset = _log_uniform(rng, 1e-16, 1e-12)
+        draws.append((p, (1.0 + rng.choice((-1.0, 1.0)) * offset) / p))
+    return draws
+
+
 class TestNearCriticalAccuracy:
-    def test_band_against_mpmath(self):
-        # |p*q - 1| log-uniform in [1e-12, 0.6], alternating in sign
-        rng = random.Random(20261018)
-        for i in range(20):
-            p = math.exp(rng.uniform(math.log(0.2), math.log(5.0)))
-            offset = math.exp(rng.uniform(math.log(1e-12), math.log(0.6)))
-            q = (1.0 + (offset if i % 2 else -offset)) / p
+    def _check(self, draws):
+        for p, q in draws:
             result = solve_lambda(p, q)
             assert result.regime is not RegionClass.CRITICAL, (p, q)
             root = mp_root(p, q)
             assert ulp_distance(result.value, root) <= 4.0, (p, q)
-            assert bracket_miss_ulp(result.bracket_lo, result.bracket_hi, root) <= 2.0, (p, q)
+            assert bracket_miss_ulp(result.bracket_lo, result.bracket_hi, root) <= 1.0, (p, q)
+            assert result.iterations <= 40, (p, q)
+
+    def test_band_against_mpmath(self):
+        # |p*q - 1| log-uniform in [1e-16, 0.6], alternating in sign
+        rng = random.Random(20261018)
+        draws = []
+        for i in range(20):
+            p = _log_uniform(rng, 0.2, 5.0)
+            offset = _log_uniform(rng, 1e-16, 0.6)
+            draws.append((p, (1.0 + (offset if i % 2 else -offset)) / p))
+        self._check(draws)
+
+    def test_critical_band_against_mpmath(self):
+        draws = _critical_band_draws()
+        # four products round onto 1, so their excess is taken exactly
+        assert sum(p * q - 1.0 == 0.0 for p, q in draws) == 4
+        self._check(draws)
 
 
 class TestRegime:
@@ -504,7 +532,8 @@ class TestRegime:
         assert solve_lambda(1, 2).regime is RegionClass.SUPER
         assert solve_lambda(0.25, 2).regime is RegionClass.SUB
         assert solve_lambda(Fraction(1, 3), 3).regime is RegionClass.CRITICAL
-        assert solve_lambda(1.0, 1.0 + 1e-13).regime is RegionClass.CRITICAL
+        assert solve_lambda(1.0, 1.0 + 1e-13).regime is RegionClass.SUPER
+        assert solve_lambda(1.0 + 1e-13, 1.0).regime is RegionClass.SUPER
 
     def test_derivatives_follow_the_stored_regime(self):
         with pytest.raises(CriticalRegime):
@@ -523,25 +552,29 @@ def _steps(x, count):
 
 class TestFloatRegimeRule:
     """solve_lambda decides a float pair's regime itself, with no classify
-    call; it must agree with classify everywhere."""
+    call; it must agree with classify everywhere, and both must give the
+    sign of p*q - 1 for the exact doubles."""
 
     def test_float_pairs_at_the_band_edges(self):
+        # the edges are where p*q rounds onto 1; no tolerance widens them
         points = []
-        for q in (1.0, 2.0, 0.5, 3.0, 1e-3):
-            # at q = 1 the excess p*q - 1 = p - 1 is exact; the other q
-            # move p*q in coarser steps
-            for edge in (1.0 + CRITICAL_TOL, 1.0 - CRITICAL_TOL, 1.0):
-                points += [(p, q) for p in _steps(edge / q, 4)]
+        for q in (1.0, 2.0, 0.5, 3.0, 1e-3, 0.1, 7.0, math.nextafter(1.0, 2.0)):
+            # at q = 1 and its powers of 2 the product p*q is exact; the
+            # other q round the products of some doubles p next to 1/q onto 1
+            points += [(p, q) for p in _steps(1.0 / q, 4)]
+        rounded = 0
         regimes = set()
         for p, q in points:
             regime = solve_lambda(p, q).regime
             assert regime is classify(p, q), (p, q)
+            excess = Fraction(p) * Fraction(q) - 1
+            expected = RegionClass.SUPER if excess > 0 else (
+                RegionClass.SUB if excess < 0 else RegionClass.CRITICAL)
+            assert regime is expected, (p, q)
+            rounded += p * q == 1.0 and excess != 0
             regimes.add(regime)
         assert regimes == set(RegionClass)
-        # at q = 1 the steps reach both sides of each band edge
-        for edge in (1.0 + CRITICAL_TOL, 1.0 - CRITICAL_TOL):
-            distance = [abs(p - 1.0) for p in _steps(edge, 4)]
-            assert min(distance) <= CRITICAL_TOL < max(distance)
+        assert rounded >= 6, rounded
 
     def test_exact_and_mixed_pairs(self):
         pairs = [(2, 3), (1, 1), (Fraction(1, 3), 3), (Fraction(10**15 + 1, 10**15), 1),
@@ -853,10 +886,37 @@ class TestDerivatives:
         assert dlambda_dq(p, q) == 0.0 and relative_units(0.0, dq) <= 1.0
 
     def test_zero_within_rounding_of_one(self):
-        # p+1 rounds to 1 and so does the zero, which holds no digit of lam-1
-        for derivative in (dlambda_dp, dlambda_dq):
-            with pytest.raises(CriticalRegime, match="within rounding of 1"):
-                derivative(1e-43, 1e223)
+        # at (1e-43, 1e223) p+1 rounds to 1 and so does the zero, which holds
+        # no digit of lam-1.  The other zeros lie within 2^-42 of 1, where,
+        # unguarded, the formulas give 0.8 for 1.333 at the first point and
+        # are 1.75x and 8e-4 off at the others
+        points = [(1e-43, 1e223), (0.5, 2.0000000000000004), (1.035e-96, 1.47e15),
+                  (8.874e-16, 1.308e162)]
+        for p, q in points:
+            assert abs(solve_lambda(p, q).value - 1.0) < 2.0**-42
+            for derivative in (dlambda_dp, dlambda_dq):
+                with pytest.raises(CriticalRegime, match="within rounding of 1"):
+                    derivative(p, q)
+
+    def test_critical_band_gives_a_close_value_or_a_named_error(self):
+        # a zero within 2^-42 of 1 keeps too few digits of lam - 1 for either
+        # derivative; the rest of the band answers to 1e-3 relative
+        raised = 0
+        for p, q in _critical_band_draws(count=100):
+            exact = mp_dlambda(p, q)
+            for derivative, want in zip((dlambda_dp, dlambda_dq), exact):
+                try:
+                    value = derivative(p, q)
+                except CriticalRegime:
+                    raised += 1
+                    continue
+                assert abs(value - want) <= 1e-3 * abs(want), (derivative.__name__, p, q)
+        assert 0 < raised < 200
+
+    def test_order_one_answers_next_to_one(self):
+        # at q = 1 the zero p is exact, and so are the formulas
+        assert dlambda_dp(Fraction(10**15 + 1, 10**15), 1) == 1.0
+        assert dlambda_dp(1.0 + 2.0**-52, 1.0) == 1.0
 
     def test_overflowing_terms_of_the_old_denominator(self):
         # lam*(q+1) and (p+1)*q both overflowed, and their difference was nan;
