@@ -3,21 +3,56 @@
 phi(m, n) denotes the ratio limit of the order-n recurrence with integer
 weight m — the classical golden ratio at (1, 2), the tribonacci constant
 at (1, 3), and so on.  A lattice point is an (m, n) pair of integers.
-Solved values are memoized per (m, n) since the geometry and figure layers
-revisit the same lattice points heavily.
+
+A value is formed from its gap g = m+1 - phi(m, n) below the ceiling m+1.
+Q(phi) = 0 divided by phi^n reads g = m/phi^n, so g is the fixed point of
+g = m/(m+1)^n * (1 - g/(m+1))^(-n).  The gap keeps its full relative
+precision where phi rounds onto m+1, as it does for most of the deep
+lattice, and (m+1) - g is the correctly rounded phi at every point checked
+(m <= 50 with n <= 60, and m <= 200 with n <= 10).  Gaps are memoized per
+(m, n) since the geometry, figure and verify layers revisit the same
+lattice points heavily.
 """
 
 from __future__ import annotations
 
+import math
 from functools import cache
 
-from .errors import OrderOne, _check_positive_int
-from .solver import solve_lambda
+from .errors import OrderOne, _check_positive_int, _real
+
+# (m+1)^(n-1) past 2^1100 puts the gap, about m/(m+1)^n, below the doubles
+_GAP_BITS = 1100
+# Newton steps on the gap; 5 were the most seen
+_GAP_STEPS = 16
 
 
 @cache
-def _phi(m: int, n: int) -> float:
-    return solve_lambda(m, n).value
+def _gap(m: int, n: int) -> float:
+    """m+1 - phi(m, n) as a double, for a checked lattice point.
+
+    g0 = m/(m+1)^n comes from int division, rounded once.  Newton steps on
+    h(g) = g - g0*F(g), F = (1 - g/(m+1))^(-n) = exp(-n*log1p(-g/(m+1))),
+    with h'(g) = 1 - n*g0*F/(m+1-g), start at g0.  h is concave and rises
+    through its root, so the steps climb onto it from below; they stop at a
+    step of at most 2^-53 * g.  At n = 1 the gap is 1, as phi(m, 1) = m.
+    Raises InputOutOfRange for an m past the doubles.
+    """
+    _real(m, "m")
+    if n == 1:
+        return 1.0
+    if (n - 1) * math.log2(m + 1) > _GAP_BITS:
+        return 0.0
+    g0 = m / (m + 1) ** n
+    ceiling = float(m + 1)
+    g = g0
+    for _ in range(_GAP_STEPS):
+        f = g0 * math.exp(-n * math.log1p(-g / ceiling))
+        step = (g - f) / (1.0 - n * f / (ceiling - g))
+        g -= step
+        if abs(step) <= 2.0**-53 * g:
+            break
+    return g
 
 
 def anacci(idx) -> float:
@@ -26,12 +61,12 @@ def anacci(idx) -> float:
     m, n = idx
     _check_positive_int(m, "m")
     _check_positive_int(n, "n")
-    return _phi(m, n)
+    return (m + 1) - _gap(m, n)
 
 
 def clear_cache() -> None:
     """Drop all memoized values (mainly for tests of cache transparency)."""
-    _phi.cache_clear()
+    _gap.cache_clear()
 
 
 def seq_fixed_m(m: int, n_max: int) -> list[float]:

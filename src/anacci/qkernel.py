@@ -60,7 +60,8 @@ def _q_dq(lam: float, p: float, q: float) -> tuple[float, float]:
     scaled identity ``Q/lam^q = lam - (p+1) + p*lam^(-q)``; where lam^q
     leaves the normal range or lam^(q-1) overflows, Q' takes lam^(q-1) from
     its own exponent t - ln(lam), and reports as +-inf by the sign of the
-    slope once that overflows too.
+    slope once that overflows too, read from lam/(p+1) - q/(q+1) where both
+    of the slope's products overflow.
     """
     slope = lam * (q + 1.0) - (p + 1.0) * q
     if lam == 1.0:
@@ -83,6 +84,8 @@ def _q_dq(lam: float, p: float, q: float) -> tuple[float, float]:
             return value, e / lam * slope
     t_minus = t - ln  # the exponent of lam^(q-1)
     if t_minus > _EXP_OVERFLOW:
+        if slope != slope:  # inf - inf: take the sign of slope/((p+1)(q+1))
+            slope = lam / (p + 1.0) - q / (q + 1.0)
         return value, math.copysign(math.inf, slope) if slope else 0.0
     power = math.exp(t_minus)  # once 0, a zero signed like the slope: 0 * inf is nan
     return value, power * slope if power else math.copysign(0.0, slope)

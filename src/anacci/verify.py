@@ -33,7 +33,7 @@ from .geometry import (
     scene_points,
     shell_centroid,
 )
-from .lattice import anacci, scaled_seq_A, scaled_seq_B, seq_diagonal, seq_fixed_m, seq_fixed_n
+from .lattice import _gap, anacci, scaled_seq_A, scaled_seq_B, seq_diagonal, seq_fixed_n
 from .qkernel import _CRITICAL, _SUPER, lambda_min
 from .solver import solve_lambda
 
@@ -49,7 +49,7 @@ FAMILIES = {
         "crossover_equivalence": "basic <= refined iff q <= (p+1)^2-1, exact rationals",
     },
     "monotone": {
-        "fixed_m": "",
+        "fixed_m": "m+1 - phi falls in n",
         "fixed_n": "",
         "diagonals": "",
         "scaled_A_increasing": "",
@@ -58,17 +58,17 @@ FAMILIES = {
         "midpoint_concavity": "lam(midpoint) >= mean of endpoint values where p*q >= 1",
     },
     "appendices": {
-        "A_chain": "(m+1)/m phi(m) < (m+1)^2/m <= ... < (m+2)/(m+1) phi(m+1)",
+        "A_chain": "(m+1)/m phi(m) < (m+1)^2/m; (m+2)/(m+1) (m+2-1/(m+2)) < (m+2)/(m+1) phi(m+1)",
         "B_chain": "phi(m+1)/(m+1) < phi(m)/m < 1 + 1/m with the stated lower tail",
         "C_nesting": "cone height intervals: left ends decrease, right ends increase",
     },
     "geometry": {
-        "lever_identity": "d(L(A),B)*lam^n = d(A,B) to 1e-12*(1+d)*max(1, lam^n)",
+        "lever_identity": "d(L(A),B)*lam^n = d(A,B), over max(1, lam^n), to 1e-12*(1+d)",
         "distance_ratio_roundtrip": "p -> lam -> scene recovers p in both orientations",
         "b_one_limit": "shell centroid at lam = 1 +- 1e-5",
         "center_orderings": "the five orderings of O, A, B(1), L(A), B by dilation factor",
-        "ball_representation": "2*phi(m, n) in [2m, 2m+2)",
-        "cube_representation": "image far face phi(m, n) in [m, m+1)",
+        "ball_representation": "2*phi(m, n) in (2m, 2m+2) for n >= 2",
+        "cube_representation": "image far face phi(m, n) in (m, m+1) for n >= 2",
         "cone_representation": "image centroid in [1/2, 1), shell centroid at 1",
         "apex_centroid_ratio": "apex dilation limit hits the base-face centroid, split n:1",
         "mc_cross_check": "shell centroid within 4*stderr of the Monte Carlo estimate",
@@ -130,20 +130,22 @@ def _rises(family: str, seq):
 
 def _bounds(m_max: int, n_max: int, seed: int):
     # one pass over the lattice feeds both lattice families; the sandwich
-    # starts at n = 2 and the basic bound skips (1, 1), where it equals 1
+    # starts at n = 2 and the basic bound skips (1, 1), where it equals 1;
+    # phi < m+1 reads the gap m+1 - phi, where it has a double (not 0.0)
     for m in range(1, m_max + 1):
         for n in range(1, n_max + 1):
             if m * n == 1:
                 continue
-            value = anacci((m, n))
-            below_ceiling = (m + 1) - value + _resolution(m + 1)
+            value, gap = anacci((m, n)), _gap(m, n)
             if n > 1:
                 yield "sandwich_lattice", value - (m + 1 - 1 / (m + 1))
-                yield "sandwich_lattice", below_ceiling
+                if gap:
+                    yield "sandwich_lattice", gap
             lmin = (m + 1) * n / (n + 1)  # lower_bound_basic(m, n): int division rounds once
             yield "basic_lattice", lmin - 1.0
             yield "basic_lattice", value - lmin
-            yield "basic_lattice", below_ceiling
+            if gap:
+                yield "basic_lattice", gap
 
     # one pass over the random solves feeds both random families; each
     # point is random.uniform's lo + (hi - lo) * random(), inlined
@@ -202,14 +204,10 @@ _CONCAVITY_SEGMENTS = (
 
 
 def _monotone(m_max: int, n_max: int):
+    # phi = m+1 - gap rises in n as its gap falls, where it has a double
     for m in range(1, m_max + 1):
-        seq = seq_fixed_m(m, n_max)
-        ceiling = m + 1.0
-        for a, b in zip(seq, seq[1:]):
-            if ceiling - a > 1e-12 * ceiling:
-                yield "fixed_m", b - a
-            else:  # solver noise band around the asymptote
-                yield "fixed_m", b - a + _resolution(ceiling)
+        gaps = [_gap(m, n) for n in range(1, n_max + 1)]
+        yield from (("fixed_m", a - b) for a, b in zip(gaps, gaps[1:]) if b)
 
     for n in range(1, n_max + 1):
         yield from _rises("fixed_n", seq_fixed_n(n, m_max))
@@ -225,9 +223,10 @@ def _monotone(m_max: int, n_max: int):
     for n in (2, 3, 5):
         if n > n_max:
             continue
-        last = scaled_seq_B(n, m_max)[-1]
-        yield "scaled_B_limit", last - 1.0
-        yield "scaled_B_limit", 1.0 + 1.0 / m_max + 1e-9 - last
+        yield "scaled_B_limit", scaled_seq_B(n, m_max)[-1] - 1.0
+        # phi/m < 1 + 1/m is the gap m+1 - phi > 0, at m = m_max
+        if gap := _gap(m_max, n):
+            yield "scaled_B_limit", gap
 
     bases = ((0.3, 0.6), (1.2, 0.8), (0.6, 2.5), (2.0, 1.5))
     for alpha in (0.0, math.pi / 6, math.pi / 4, math.pi / 3, math.pi / 2):
@@ -246,7 +245,7 @@ def _monotone(m_max: int, n_max: int):
         pm, qm = 0.5 * (p1 + p2), 0.5 * (q1 + q2)
         mid = solve_lambda(pm, qm).value
         avg = 0.5 * (solve_lambda(p1, q1).value + solve_lambda(p2, q2).value)
-        yield "midpoint_concavity", mid - avg + 1e-12
+        yield "midpoint_concavity", mid - avg
 
 
 def suite_monotone(*, m_max: int, n_max: int, **_) -> list[CheckResult]:
@@ -258,17 +257,16 @@ def suite_monotone(*, m_max: int, n_max: int, **_) -> list[CheckResult]:
 
 
 def _appendices(m_max: int, n_max: int):
-    # lhs, rhs = (m+1)/m phi(m), (m+2)/(m+1) phi(m+1); here, nxt = phi(m)/m, phi(m+1)/(m+1)
+    # rhs = (m+2)/(m+1) phi(m+1); here, nxt = phi(m)/m, phi(m+1)/(m+1); the
+    # upper links (m+1)/m phi(m) < (m+1)^2/m and here < 1 + 1/m scale the gap
     for n in range(2, n_max + 1):
-        seq_a, seq_b = scaled_seq_A(n, m_max), scaled_seq_B(n, m_max)
-        for m, lhs, rhs, here, nxt in zip(range(1, m_max), seq_a, seq_a[1:], seq_b, seq_b[1:]):
-            mid1 = (m + 1) ** 2 / m
-            mid2 = (m + 2) / (m + 1) * (m + 2 - 1 / (m + 2))
-            yield "A_chain", mid1 - lhs + _resolution(mid1)
-            yield "A_chain", mid2 - mid1 + _resolution(mid2)  # non-strict link
-            yield "A_chain", rhs - mid2
+        seq_b = scaled_seq_B(n, m_max)
+        for m, rhs, here, nxt in zip(range(1, m_max), scaled_seq_A(n, m_max)[1:], seq_b, seq_b[1:]):
+            if gap := _gap(m, n):
+                yield "A_chain", gap
+                yield "B_chain", gap
+            yield "A_chain", rhs - (m + 2) / (m + 1) * (m + 2 - 1 / (m + 2))
             yield "B_chain", here - nxt
-            yield "B_chain", 1.0 + 1.0 / m - here + _resolution(1.0 + 1.0 / m)
             yield "B_chain", nxt - ((m + 2) / (m + 1) - 1.0 / ((m + 2) * (m + 1)))
 
     # the dilated unit cones of representation, m = 1..m_max at each n: the
@@ -301,10 +299,10 @@ def _geometry(n_max: int, seed: int, samples: int):
                 DilationScene(cone(n, 1.0, apex=0.0), 0.3, lam),
             ):
                 pts = scene_points(scene)
-                d_ab = abs(pts["B"] - pts["A"])
-                scale = lam**n
-                residual = abs(abs(pts["B"] - pts["LA"]) * scale - d_ab)
-                yield "lever_identity", 1e-12 * (1.0 + d_ab) * max(1.0, scale) - residual
+                d_ab, d_lab = abs(pts["B"] - pts["A"]), abs(pts["B"] - pts["LA"])
+                # both sides over max(1, lam^n), so that no power overflows
+                residual = abs(d_lab - d_ab * lam**-n) if lam > 1.0 else abs(d_lab * lam**n - d_ab)
+                yield "lever_identity", 1e-12 * (1.0 + d_ab) - residual
 
     for n in range(1, n_max + 1):
         for p in (0.6, 1.0, 2.0, 3.5):
@@ -347,15 +345,14 @@ def _geometry(n_max: int, seed: int, samples: int):
                 yield "center_orderings", gap if link == "<" else 1e-12 - abs(gap)
 
     # the image's far end: 2*phi for the ball, phi for the cube, at fig5's
-    # sizes.  The left edge is attained at n = 1; deep in the lattice phi
-    # rounds onto m+1 (at n = 10 from m = 40 on), where the strict right
-    # edge fails.
+    # sizes from n = 2, where both edges are strict; at n = 1 it is the
+    # left edge itself, as phi(m, 1) = m
     for family, kind, scale in (("ball_representation", BodyKind.BALL, 2),
                                 ("cube_representation", BodyKind.CUBE, 1)):
         for m in range(1, 4):
-            for n in range(1, 6):
+            for n in range(2, 6):
                 far = representation(kind, m, n).image_interval[1]
-                yield family, far - scale * m + _resolution(scale * m)
+                yield family, far - scale * m
                 yield family, scale * (m + 1) - far
 
     for m in range(1, 13):

@@ -174,3 +174,22 @@ def cone_centroid_quadrature(n, height, apex, panels=20000):
         total += w
         moment += (apex + height * t) * w
     return moment / total
+
+
+def mp_gap(m, n, digits=80):
+    """m+1 - phi(m, n) as an mpf: the fixed point of
+    g = m/(m+1)^n * (1 - g/(m+1))^(-n), iterated from m/(m+1)^n in
+    ``digits``-digit mpmath until a step moves it by less than that
+    precision.  The map contracts, by n*g/phi < 1 at its fixed point,
+    since phi lies above the basic bound (m+1)*n/(n+1)."""
+    import mpmath
+
+    with mpmath.workdps(digits + 10):
+        ceiling = mpmath.mpf(m + 1)
+        g0 = mpmath.mpf(m) / ceiling**n
+        g = g0
+        while True:
+            nxt = g0 * (1 - g / ceiling) ** (-n)
+            if abs(nxt - g) <= mpmath.mpf(10) ** (-(digits + 5)) * nxt:
+                return nxt
+            g = nxt

@@ -558,6 +558,16 @@ class TestVerifyCommand:
         (line,) = [row for row in out.splitlines() if "apex_centroid_ratio" in row]
         assert "checks=10" in line  # a cone for each n <= 10
 
+    def test_geometry_suite_past_the_power_overflow(self, capsys):
+        # 3.0**647 is past the largest double; the lever identity compares
+        # where the power is at most 1
+        code, out, err = run_cli(
+            capsys, "verify", "--suite", "geometry", "--n-max", "700", "--samples", "10000"
+        )
+        assert code == 0
+        assert "Traceback" not in err
+        assert "FAIL" not in out
+
 
     def test_sizes_below_two_exit_two(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--suite", "monotone", "--m-max", "0")

@@ -1,9 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from anacci.errors import OrderOne
+from anacci import lattice
+from anacci.errors import InputOutOfRange, OrderOne
 from anacci.lattice import (
+    _gap,
     anacci,
     clear_cache,
     scaled_seq_A,
@@ -12,7 +19,9 @@ from anacci.lattice import (
     seq_fixed_m,
     seq_fixed_n,
 )
-from anacci.solver import lower_bound_refined, solve_lambda
+from anacci.qkernel import eval_P
+from anacci.solver import lower_bound_refined
+from oracles import mp_gap, relative_units
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -36,10 +45,73 @@ class TestAnacci:
     def test_memo_matches_fresh_solve_bitwise(self):
         clear_cache()
         first = anacci((3, 4))
-        assert first == solve_lambda(3, 4).value
         assert anacci((3, 4)) == first
         clear_cache()
+        assert first == 4 - _gap(3, 4)  # a fresh gap, the memo dropped
         assert anacci((3, 4)) == first
+
+    def test_weight_past_the_doubles(self):
+        with pytest.raises(InputOutOfRange):
+            anacci((10**400, 2))
+
+
+# the lattice points on which every value is proven correctly rounded
+CERTIFIED = sorted(
+    {(m, n) for m in range(1, 51) for n in range(2, 61)}
+    | {(m, n) for m in range(1, 201) for n in range(2, 11)}
+)
+
+
+class TestGap:
+    def test_certified_correctly_rounded(self):
+        # P(x) = x^n - m(x^(n-1) + ... + 1) has one positive root, and P < 0
+        # below it: P < 0 < P at the two half-ulp midpoints around the value,
+        # in exact rationals, puts the root between them
+        assert len(CERTIFIED) == 4300
+        wrong = []
+        for m, n in CERTIFIED:
+            value = Fraction(anacci((m, n)))
+            below = (value + Fraction(math.nextafter(value, 0.0))) / 2
+            above = (value + Fraction(math.nextafter(value, math.inf))) / 2
+            if not eval_P(below, m, n) < 0 < eval_P(above, m, n):
+                wrong.append((m, n))
+        assert wrong == []
+
+    def test_tetranacci_constant(self):
+        # 1.92756197548292530426..., 1.0e-16 from this double
+        assert anacci((1, 4)) == 1.9275619754829254
+
+    def test_within_two_units_of_mpmath(self):
+        # (22, 6) is the worst point seen; the last gaps reach the subnormals
+        points = [(m, n) for m in range(1, 201, 7)
+                  for n in (2, 3, 4, 5, 6, 8, 10, 15, 20, 30, 45, 60)]
+        points += [(1, 500), (1, 1000), (1, 1070), (2, 600), (1000, 100)]
+        worst = max((relative_units(_gap(m, n), mp_gap(m, n)), (m, n)) for m, n in points)
+        assert worst[0] <= 2.0, worst
+
+    def test_gap_is_zero_only_below_the_doubles(self):
+        # the gap is positive exactly where its first factor m/(m+1)^n has
+        # a double, and the value is its ceiling m+1 beyond that
+        for m, n_max in ((1, 1200), (2, 800), (7, 500), (50, 250), (1000, 150),
+                         (10**6, 100), (2**600, 3)):
+            for n in range(2, n_max):
+                gap = _gap(m, n)
+                assert (gap > 0.0) == (m / (m + 1) ** n > 0.0), (m, n)
+                if gap == 0.0:
+                    assert anacci((m, n)) == m + 1, (m, n)
+        assert anacci((1, 10**5)) == 2.0
+
+    def test_lattice_runs_without_the_solver(self):
+        script = (
+            "import sys\n"
+            "from anacci.lattice import anacci\n"
+            "anacci((3, 4))\n"
+            "print(sorted(m for m in sys.modules if m.startswith('anacci.')))\n"
+        )
+        source = str(Path(lattice.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": source}).stdout
+        assert out.strip() == "['anacci.errors', 'anacci.lattice']"
 
 
 class TestBounds37:
@@ -73,18 +145,12 @@ class TestSequences:
         assert seq_fixed_m(4, 1) == [pytest.approx(4.0, abs=1e-12)]
 
     def test_fixed_m_strictly_increasing_toward_limit(self):
-        # the true sequence is strictly increasing, but deep in n it sits
-        # inside the solver's ~1e-14 relative noise band around the
-        # asymptote m+1, where consecutive solved values may wobble
-        for m in (1, 2, 7, 50):
-            seq = seq_fixed_m(m, 50)
-            ceiling = m + 1.0
-            for a, b in zip(seq, seq[1:]):
-                if ceiling - a > 1e-12 * ceiling:
-                    assert b > a
-                else:
-                    assert b >= a - 2.5e-14 * ceiling
-            assert seq[-1] <= ceiling
+        # the true sequence is strictly increasing; its correctly rounded
+        # values never fall, though deep in n they tie on the ceiling m+1
+        for m in (1, 2, 7, 50, 200, 1000):
+            seq = seq_fixed_m(m, 400)
+            assert all(b >= a for a, b in zip(seq, seq[1:])), m
+            assert seq[-1] <= m + 1.0
 
     def test_fixed_n_strictly_increasing(self):
         for n in (1, 2, 3, 10):

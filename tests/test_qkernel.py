@@ -261,6 +261,12 @@ class TestFusedKernel:
         value = dq_value(1.2e-203, 7.9e286, 2.6e214)
         assert value == 0.0 and math.copysign(1.0, value) == -1.0
 
+    def test_sign_where_both_products_of_the_slope_overflow(self):
+        # lam*(q+1) and (p+1)*q are both inf, and inf - inf is a nan whose
+        # sign bit is not the slope's: about +9e319 here, and -1e420 below
+        assert dq_value(1e200, 1e199, 1e120) == math.inf
+        assert dq_value(1e200, 1e300, 1e120) == -math.inf
+
 
 class TestFactoredForm:
     """Q(lam; p, n) = (lam - 1) * P(lam; p, n) at integer order n."""

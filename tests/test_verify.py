@@ -86,10 +86,18 @@ class TestSizes:
             params = inspect.signature(suite).parameters.values()
             assert all(p.default is inspect.Parameter.empty for p in params), suite
 
-    @pytest.mark.parametrize("m_max, n_max", [(50, 60), (200, 10)])
+    @pytest.mark.parametrize("m_max, n_max", [(3, 3), (50, 10), (50, 60), (200, 10)])
     def test_every_family_passes_at_larger_sizes(self, m_max, n_max):
         results = run_suite("all", m_max, n_max, samples=10_000)
         assert [r.name for r in results] == ROSTER
+        assert [r for r in results if not r.passed] == []
+
+    # most of these lattices round onto their ceilings m+1, and from
+    # (n-1)*log2(m+1) ~ 1075 on the gap m+1 - phi is below the doubles
+    @pytest.mark.parametrize("m_max, n_max", [(50, 200), (2, 700)])
+    @pytest.mark.parametrize("suite", ["bounds", "monotone", "appendices"])
+    def test_lattice_suites_pass_deep_in_the_lattice(self, suite, m_max, n_max):
+        results = run_suite(suite, m_max, n_max)
         assert [r for r in results if not r.passed] == []
 
 
@@ -174,18 +182,19 @@ class TestBoundsWork:
 
 
 # (family, count, repr of worst_margin) of the bounds suite, recorded before
-# the suite's grid and random draws were restructured
+# the suite's grid and random draws were restructured; both lattice families'
+# worst margin is the gap m+1 - phi(50, 10)
 BOUNDS_PINS = {
     20240801: [
-        ("bounds.sandwich_lattice", 900, "7.105427357601002e-14"),
-        ("bounds.basic_lattice", 1497, "7.105427357601002e-14"),
+        ("bounds.sandwich_lattice", 900, "4.200183295360795e-16"),
+        ("bounds.basic_lattice", 1497, "4.200183295360795e-16"),
         ("bounds.random_regimes", 30242, "4.49897398495028e-15"),
         ("bounds.refined", 8441, "0.0353404303428535"),
         ("bounds.crossover_equivalence", 1280, "nan"),
     ],
     42: [
-        ("bounds.sandwich_lattice", 900, "7.105427357601002e-14"),
-        ("bounds.basic_lattice", 1497, "7.105427357601002e-14"),
+        ("bounds.sandwich_lattice", 900, "4.200183295360795e-16"),
+        ("bounds.basic_lattice", 1497, "4.200183295360795e-16"),
         ("bounds.random_regimes", 30201, "4.5005116779855095e-15"),
         ("bounds.refined", 8417, "0.025799681014643916"),
         ("bounds.crossover_equivalence", 1280, "nan"),
