@@ -581,9 +581,12 @@ def mc_centroid(scene: DilationScene, seed: int, samples: int) -> tuple[float, f
     of their first coordinates, scaled back by s once at the end, so no
     coordinate leaves the unit frame.
     Each block is drawn and tested in chunks that reuse one small
-    workspace, so no block-sized array is allocated.  Chunk moments are
-    taken relative to O and merged as in Chan, Golub & LeVeque (1979), so
-    offsets far from 0 keep the stderr.
+    workspace, so no block-sized array is allocated.  A chunk's moments are
+    masked sums over the whole chunk of u - shift, zero at rejected
+    points, written into a workspace row: no accepted point is copied and
+    no BLAS routine is called.  The shift is the first accepted point, then
+    the running mean, so a thin shell far from O keeps its digits, and the
+    chunks are merged as in Chan, Golub & LeVeque (1979).
 
     ``seed`` must be an int in [0, 2**128) and ``samples`` an int of at
     least 10**4; ValueError otherwise.  Raises DegenerateShell below a 1e-4
@@ -604,7 +607,6 @@ def mc_centroid(scene: DilationScene, seed: int, samples: int) -> tuple[float, f
     shape = big.kind.shape
     c0 = (small.axis_offset - big.axis_offset) / big.size
     r = small.size / big.size
-    o_u = (scene.O - big.axis_offset) / big.size
     work = np.empty((4, _MC_CHUNK))  # u, lateral value and two scratch rows
     flags = np.empty((2, _MC_CHUNK), dtype=bool)
 
@@ -612,7 +614,7 @@ def mc_centroid(scene: DilationScene, seed: int, samples: int) -> tuple[float, f
                for _ in range(shape.stream_count(body.n))]
     opening = streams[0].bit_generator.state
     accepted = 0
-    mean = 0.0  # of u - o_u over the accepted points
+    mean = 0.0  # of u over the accepted points
     m2 = 0.0  # their sum of squared deviations from the mean
     start = shape.axis_start * r
     for first in range(0, samples, _MC_BLOCK):
@@ -631,19 +633,22 @@ def mc_centroid(scene: DilationScene, seed: int, samples: int) -> tuple[float, f
             k = int(np.count_nonzero(shell))
             if not k:
                 continue
-            us = np.compress(shell, u, out=scratch[:k])
-            us -= o_u
-            chunk_mean = float(us.mean())
-            us -= chunk_mean
-            total = accepted + k
-            delta = chunk_mean - mean
-            mean += delta * k / total
-            m2 += float(us @ us) + delta * delta * accepted * k / total
-            accepted = total
+            if not accepted:  # the first chunk is taken about its first point
+                mean = float(u[int(np.argmax(shell))])
+            # x = u - mean at the accepted points and 0 elsewhere; about the
+            # running mean, Chan et al.'s merge of (k, sum x, sum x^2) is
+            # mean += sum x / N and m2 += sum x^2 - (sum x)^2 / N
+            x = np.subtract(u, mean, out=scratch)
+            np.multiply(x, shell, out=x)
+            sum_x = float(x.sum())
+            x *= x
+            accepted += k
+            mean += sum_x / accepted
+            m2 += float(x.sum()) - sum_x * sum_x / accepted
 
     if accepted < max(2, 1e-4 * samples):
         raise DegenerateShell(
             f"{accepted} of {samples} points accepted; "
             "shell too thin to estimate its centroid"
         )
-    return scene.O + big.size * mean, big.size * math.sqrt(m2 / (accepted - 1) / accepted)
+    return big.axis_offset + big.size * mean, big.size * math.sqrt(m2 / (accepted - 1) / accepted)

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import math
 import re
 import tracemalloc
@@ -22,6 +24,7 @@ from anacci.errors import (
     TargetUnreachable,
     ZeroUnderflow,
 )
+import anacci.geometry as geometry_module
 from anacci.geometry import (
     BodyKind,
     CenterOrdering,
@@ -44,6 +47,7 @@ from anacci.geometry import (
     solve_scene_for_target,
     unit_ball_volume,
     volume,
+    _MC_BLOCK,
     _MC_CHUNK,
     _place,
 )
@@ -740,6 +744,58 @@ class TestMonteCarloDraws:
         got, got_stderr = mc_centroid(scene, 11, 10**5)
         assert abs(got - estimate) <= 1e-9 * stderr
         assert abs(got_stderr - stderr) <= 1e-9 * stderr
+
+    @pytest.mark.parametrize("scene", [
+        DilationScene(cone(2, 1.0, apex=0.0), 0.0, 1.0 + 1e-4),
+        DilationScene(cone(2, 1.0, apex=0.0), 0.0, 1.0 - 1e-4),
+        DilationScene(cone(16, 1.0, apex=0.0), 0.0, 1.0 + 1e-4),
+        DilationScene(cone(16, 1.0, apex=0.0), 0.0, 1.0 - 1e-4),
+        DilationScene(ball(2, 1.0, center=1.0), 0.0, 3.0),
+        DilationScene(ConvexBody(BodyKind.CUBE, 5, 2.5, 0.4, 1e6), 1e6 + 0.1, 1.7),
+    ], ids=["cone2-up", "cone2-down", "cone16-up", "cone16-down", "ball2-3", "cube5-far"])
+    def test_moments_match_two_pass_sums_of_the_same_points(self, scene):
+        # thin shells about a cone's apex, where the accepted points sit far
+        # from O in the unit frame, a wide shell, and a body far from 0: the
+        # chunk moments must keep the digits of two-pass sums of the points
+        seed, samples = 5, 10**6
+        body = scene.body
+        image = dilate(body, scene.O, scene.lam)
+        big, small = (image, body) if scene.lam > 1.0 else (body, image)
+        shape = big.kind.shape
+        c0 = (small.axis_offset - big.axis_offset) / big.size
+        r = small.size / big.size
+        streams = [np.random.Generator(np.random.PCG64DXSM(seed))
+                   for _ in range(shape.stream_count(body.n))]
+        opening = streams[0].bit_generator.state
+        accepted = []
+        for first in range(0, samples, _MC_BLOCK):
+            count = min(_MC_BLOCK, samples - first)
+            _place(streams, opening, first // _MC_BLOCK, count)
+            u, lateral, d, rest = np.empty((4, count))
+            shape.draw(streams, body.n, u, lateral, (d, rest))
+            np.subtract(u, c0, out=d)
+            shell = (d < shape.axis_start * r) | (d > r)
+            shell |= lateral > shape.section_bound(r, d, body.n)
+            accepted.extend(u[shell].tolist())
+        mean = math.fsum(accepted) / len(accepted)
+        m2 = math.fsum((x - mean) ** 2 for x in accepted)
+        expected = big.axis_offset + big.size * mean
+        expected_stderr = big.size * math.sqrt(m2 / (len(accepted) - 1) / len(accepted))
+
+        estimate, stderr = mc_centroid(scene, seed, samples)
+        assert abs(stderr - expected_stderr) <= 1e-10 * expected_stderr
+        assert abs(estimate - expected) <= 4 * math.ulp(expected)
+
+    def test_moments_make_no_copy_and_no_blas_call(self):
+        # np.compress copied every accepted point, and `@`, dot and their
+        # kin reach BLAS, which may start threads of its own
+        tree = ast.parse(inspect.getsource(geometry_module))
+        assert not any(isinstance(node, ast.MatMult) for node in ast.walk(tree))
+        banned = {"dot", "vdot", "inner", "matmul", "tensordot", "compress"}
+        called = {node.func.attr if isinstance(node.func, ast.Attribute) else
+                  getattr(node.func, "id", None)
+                  for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        assert not called & banned
 
     @pytest.mark.parametrize("count", [65536, 10007])
     @pytest.mark.parametrize("seed", [0, 2**128 - 3])
