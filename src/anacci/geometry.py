@@ -103,10 +103,9 @@ def pyramid(n: int, height: float = 1.0, apex: float = 0.0,
     return ConvexBody(BodyKind.PYRAMID, n, height, base_side, apex)
 
 
-# The draws fill caller-given views of one workspace, a chunk of a block at a
-# time: ``streams[k]`` continues the block's k-th uniform stream (see
-# _place), and every step is elementwise and in place, so a point does not
-# depend on the chunk size and no array is allocated.  ``scratch`` holds two
+# The draws fill caller-given views of one workspace, a chunk at a time,
+# from the one generator ``rng``, each row in turn; every step is
+# elementwise and in place, so no array is allocated.  ``scratch`` holds two
 # more views the draw may overwrite.
 
 
@@ -130,18 +129,18 @@ def _power(out: np.ndarray, a: float) -> None:
         np.exp(out, out=out)
 
 
-def _section_fraction(stream: np.random.Generator, n: int, out: np.ndarray, power: int) -> None:
+def _section_fraction(rng: np.random.Generator, n: int, out: np.ndarray, power: int) -> None:
     """V^(power/(n-1)) into ``out``: the lateral norm, to ``power``, of uniform
     points in an (n-1)-ball or (n-1)-cube section, over the section's bound.
 
     The law is the same for l2 and l-inf; at n = 1 there is no section, and
     the value goes unread.
     """
-    stream.random(out=out)
+    rng.random(out=out)
     _power(out, power / max(n - 1, 1))
 
 
-def _ball_draw(streams, n: int, u: np.ndarray, lateral: np.ndarray, scratch) -> None:
+def _ball_draw(rng, n: int, u: np.ndarray, lateral: np.ndarray, scratch) -> None:
     """u and squared lateral norm of uniform points in the unit n-ball.
 
     The first two coordinates lie at squared radius 1 - q, with q = U^(2/n),
@@ -155,10 +154,10 @@ def _ball_draw(streams, n: int, u: np.ndarray, lateral: np.ndarray, scratch) -> 
     import numpy as np
 
     tmp, rest = scratch
-    streams[0].random(out=lateral)
+    rng.random(out=lateral)
     _power(lateral, 2.0 / n)
     np.subtract(1.0, lateral, out=lateral)  # 1 - q
-    streams[1].random(out=u)
+    rng.random(out=u)
     u -= 0.5
     u *= 0.5 * math.pi
     np.tan(u, out=u)
@@ -169,7 +168,7 @@ def _ball_draw(streams, n: int, u: np.ndarray, lateral: np.ndarray, scratch) -> 
     np.sqrt(lateral, out=tmp)
     u *= tmp
     if n > 2:
-        _section_fraction(streams[2], n - 1, tmp, 2)  # W^(2/(n-2))
+        _section_fraction(rng, n - 1, tmp, 2)  # W^(2/(n-2))
         np.subtract(1.0, lateral, out=rest)
         rest *= tmp
         lateral += rest  # q*W^(2/(n-2)) on top of 1 - q
@@ -177,22 +176,22 @@ def _ball_draw(streams, n: int, u: np.ndarray, lateral: np.ndarray, scratch) -> 
     lateral -= tmp
 
 
-def _cube_draw(streams, n: int, u: np.ndarray, lateral: np.ndarray, scratch) -> None:
+def _cube_draw(rng, n: int, u: np.ndarray, lateral: np.ndarray, scratch) -> None:
     """u = U and the lateral value V: the l-inf norm of a uniform point of
     the (n-1)-cube section, to the power n - 1, is itself uniform, so it
     is tested against r^(n-1) with no power per point."""
-    streams[0].random(out=u)
-    streams[1].random(out=lateral)
+    rng.random(out=u)
+    rng.random(out=lateral)
 
 
-def _apex_draw(streams, n: int, u: np.ndarray, lateral: np.ndarray, scratch) -> None:
+def _apex_draw(rng, n: int, u: np.ndarray, lateral: np.ndarray, scratch) -> None:
     """The draw of a cone or pyramid: the axial density n*u^(n-1) is drawn as
     U^(1/n), and the section at u has bound u.  The norm of a uniform point
     of an (n-1)-ball or (n-1)-cube section over its bound has the one law
     V^(1/(n-1)), so both kinds take the same points at the plain norm."""
-    streams[0].random(out=u)
+    rng.random(out=u)
     _power(u, 1.0 / n)
-    _section_fraction(streams[1], n, lateral, 1)
+    _section_fraction(rng, n, lateral, 1)
     lateral *= u
 
 
@@ -216,9 +215,9 @@ class _Shape(NamedTuple):
     points with d = u - c0 in [axis_start*r, r] whose lateral value is at
     most ``section_bound(r, d, n)``: r^2 - d^2 for the ball, which
     overwrites the array d, r^(n-1) for the cube, and d itself for the
-    cone and pyramid.  ``draw(streams, n, u, lateral, scratch)`` fills u
-    and the lateral value for uniform points of the unit body; it reads
-    streams 0 to ``stream_count(n) - 1``.
+    cone and pyramid.  ``draw(rng, n, u, lateral, scratch)`` fills u and
+    the lateral value for uniform points of the unit body from the
+    generator ``rng``, one row of uniforms after another.
     ``placement(m, n)`` gives the axis offset of the unit body and the
     homothetic center O that make the dilation factor phi(m, n) (see
     representation).
@@ -229,8 +228,7 @@ class _Shape(NamedTuple):
     # (k, L, d): the volume is V_k * L**(n-1) * s / d, with L the size or base
     volume_terms: Callable[[ConvexBody], tuple[int, float, int]]
     section_bound: Callable  # (r, d, n) -> bound on the lateral value at offset d
-    draw: Callable  # (streams, n, u, lateral, scratch): u and lateral value
-    stream_count: Callable[[int], int]  # n -> how many streams draw reads
+    draw: Callable  # (rng, n, u, lateral, scratch): u and lateral value
     placement: Callable[[int, int], tuple[float, float]]  # (m, n) -> (c, O)
 
 
@@ -240,12 +238,11 @@ def _apex_placement(m: int, n: int) -> tuple[float, float]:
 
 
 BodyKind.BALL.shape = _Shape(-1.0, lambda n: 0.0, lambda b: (b.n, b.size, 1), _ball_bound,
-                             _ball_draw, lambda n: 2 + (n > 2), lambda m, n: (1.0, 0.0))
+                             _ball_draw, lambda m, n: (1.0, 0.0))
 BodyKind.CUBE.shape = _Shape(0.0, lambda n: 0.5, lambda b: (0, b.size, 1),
-                             lambda r, d, n: r ** (n - 1), _cube_draw, lambda n: 2,
-                             lambda m, n: (0.0, 0.0))
+                             lambda r, d, n: r ** (n - 1), _cube_draw, lambda m, n: (0.0, 0.0))
 BodyKind.CONE.shape = _Shape(0.0, lambda n: n / (n + 1), lambda b: (b.n - 1, b.base, b.n),
-                             lambda r, d, n: d, _apex_draw, lambda n: 2, _apex_placement)
+                             lambda r, d, n: d, _apex_draw, _apex_placement)
 # the pyramid's l-inf section has the cone's law, so only its volume differs
 BodyKind.PYRAMID.shape = BodyKind.CONE.shape._replace(volume_terms=lambda b: (0, b.base, b.n))
 
@@ -538,33 +535,22 @@ def representation(kind: BodyKind, m: int, n: int) -> Representation:
 # ---------------------------------------------------------------------------
 # Monte Carlo shell-centroid oracle
 
-_MC_BLOCK = 1 << 16
-# points per pass over the workspace: its four float rows stay in cache
+# points per pass over the workspace: its four float rows stay in cache.
+# The draws fill the workspace a row at a time, so the chunk size also fixes
+# which uniforms each point reads
 _MC_CHUNK = 1 << 14
-
-
-def _place(streams: list[np.random.Generator], opening: dict, block: int, count: int) -> None:
-    """Move stream k to the draws of the block's k-th ``random(count)`` call.
-
-    Every stream is a stretch of the one PCG64DXSM stream seeded with the
-    call's seed, one draw per uniform, and ``opening`` is that stream's
-    opening state.  Stream k starts at draw block*2^64 + k*count, reached by
-    PCG's O(log n) ``advance``, so blocks never overlap however many draws
-    one consumes, and a block can be drawn one chunk at a time.
-    """
-    for k, stream in enumerate(streams):
-        stream.bit_generator.state = opening
-        stream.bit_generator.advance((block << 64) + k * count)
 
 
 def mc_centroid(scene: DilationScene, seed: int, samples: int) -> tuple[float, float]:
     """Monte Carlo estimate (mean, standard error) of the shell centroid.
 
-    Uniform points are drawn inside the larger body from a PCG64DXSM stream
-    seeded with ``seed``, each fixed-size block from its own stretch of it,
-    reached by ``advance`` (see _place); results are bit-reproducible
-    for a fixed seed regardless of how the blocks would be scheduled or
-    chunked.  Membership reads only a point's axial coordinate and the norm
+    Uniform points are drawn inside the larger body from one PCG64DXSM
+    generator seeded with ``seed``, read in order a chunk of 2^14 points at
+    a time: each chunk's draw reads its rows of uniforms one after another.
+    Results are bit-reproducible for a fixed seed; since the rows interleave
+    by chunk, the points depend on the chunk size, and a run of at most
+    2^14 samples reads each row as one stretch of the stream.
+    Membership reads only a point's axial coordinate and the norm
     of its lateral part, so only those two are drawn, in the larger body's
     unit frame (see _Shape): u = (x1 - c)/s from the body's axial law (U
     for a cube, U^(1/n) for a cone or pyramid, the first coordinate of a
@@ -580,18 +566,22 @@ def mc_centroid(scene: DilationScene, seed: int, samples: int) -> tuple[float, f
     outside the smaller body belong to the shell; the estimate is the mean
     of their first coordinates, scaled back by s once at the end, so no
     coordinate leaves the unit frame.
-    Each block is drawn and tested in chunks that reuse one small
-    workspace, so no block-sized array is allocated.  A chunk's moments are
-    masked sums over the whole chunk of u - shift, zero at rejected
-    points, written into a workspace row: no accepted point is copied and
-    no BLAS routine is called.  The shift is the first accepted point, then
-    the running mean, so a thin shell far from O keeps its digits, and the
-    chunks are merged as in Chan, Golub & LeVeque (1979).
+    Every chunk reuses one small workspace, so no sample-sized array is
+    allocated.  A chunk's moments are masked pairwise sums over the whole
+    chunk of x = u - shift, zero at rejected points, and of x^2, written
+    into a workspace row: no accepted point is copied and no BLAS routine
+    is called.  The shift is the first accepted point, so a thin shell far
+    from O keeps its digits.  The chunk sums are kept, 8 bytes each, and
+    totalled with math.fsum; the mean shift + sum x/N and the squared
+    deviations sum x^2 - (sum x)^2/N are formed once, from the two totals,
+    so no rounding of a running mean accrues from chunk to chunk.
 
     ``seed`` must be an int in [0, 2**128) and ``samples`` an int of at
     least 10**4; ValueError otherwise.  Raises DegenerateShell below a 1e-4
     acceptance rate or 2 accepted points.
     """
+    from array import array
+
     import numpy as np
 
     if not isinstance(seed, int) or not 0 <= seed < 2**128:
@@ -610,45 +600,39 @@ def mc_centroid(scene: DilationScene, seed: int, samples: int) -> tuple[float, f
     work = np.empty((4, _MC_CHUNK))  # u, lateral value and two scratch rows
     flags = np.empty((2, _MC_CHUNK), dtype=bool)
 
-    streams = [np.random.Generator(np.random.PCG64DXSM(seed))
-               for _ in range(shape.stream_count(body.n))]
-    opening = streams[0].bit_generator.state
+    rng = np.random.Generator(np.random.PCG64DXSM(seed))
     accepted = 0
-    mean = 0.0  # of u over the accepted points
-    m2 = 0.0  # their sum of squared deviations from the mean
+    shift = 0.0  # u at the first accepted point
+    sums_x, sums_x2 = array("d"), array("d")  # of x and x^2 per chunk
     start = shape.axis_start * r
-    for first in range(0, samples, _MC_BLOCK):
-        count = min(_MC_BLOCK, samples - first)
-        _place(streams, opening, first // _MC_BLOCK, count)
-        for done in range(0, count, _MC_CHUNK):
-            size = min(_MC_CHUNK, count - done)
-            u, lateral, scratch, rest = work[:, :size]
-            shell, flag = flags[:, :size]
-            shape.draw(streams, body.n, u, lateral, (scratch, rest))
-            d = np.subtract(u, c0, out=scratch)
-            np.less(d, start, out=shell)
-            shell |= np.greater(d, r, out=flag)
-            if body.n > 1:
-                shell |= np.greater(lateral, shape.section_bound(r, d, body.n), out=flag)
-            k = int(np.count_nonzero(shell))
-            if not k:
-                continue
-            if not accepted:  # the first chunk is taken about its first point
-                mean = float(u[int(np.argmax(shell))])
-            # x = u - mean at the accepted points and 0 elsewhere; about the
-            # running mean, Chan et al.'s merge of (k, sum x, sum x^2) is
-            # mean += sum x / N and m2 += sum x^2 - (sum x)^2 / N
-            x = np.subtract(u, mean, out=scratch)
-            np.multiply(x, shell, out=x)
-            sum_x = float(x.sum())
-            x *= x
-            accepted += k
-            mean += sum_x / accepted
-            m2 += float(x.sum()) - sum_x * sum_x / accepted
+    for done in range(0, samples, _MC_CHUNK):
+        size = min(_MC_CHUNK, samples - done)
+        u, lateral, scratch, rest = work[:, :size]
+        shell, flag = flags[:, :size]
+        shape.draw(rng, body.n, u, lateral, (scratch, rest))
+        d = np.subtract(u, c0, out=scratch)
+        np.less(d, start, out=shell)
+        shell |= np.greater(d, r, out=flag)
+        if body.n > 1:
+            shell |= np.greater(lateral, shape.section_bound(r, d, body.n), out=flag)
+        k = int(np.count_nonzero(shell))
+        if not k:
+            continue
+        if not accepted:
+            shift = float(u[int(np.argmax(shell))])
+        accepted += k
+        x = np.subtract(u, shift, out=scratch)
+        np.multiply(x, shell, out=x)
+        sums_x.append(float(x.sum()))
+        x *= x
+        sums_x2.append(float(x.sum()))
 
     if accepted < max(2, 1e-4 * samples):
         raise DegenerateShell(
             f"{accepted} of {samples} points accepted; "
             "shell too thin to estimate its centroid"
         )
+    sum_x = math.fsum(sums_x)
+    mean = shift + sum_x / accepted
+    m2 = math.fsum(sums_x2) - sum_x * sum_x / accepted
     return big.axis_offset + big.size * mean, big.size * math.sqrt(m2 / (accepted - 1) / accepted)

@@ -357,13 +357,16 @@ def _geometry(n_max: int, seed: int, samples: int):
 
     for m in range(1, 13):
         for n in range(1, 13):
-            # left edge of [1/2, 1) is attained at m = n = 1; the right
-            # edge is strict and holds in doubles with no slack up to m = 12.
+            # the left edge of [1/2, 1) is attained only at the (1, 1)
+            # corner, the lam = 1 limit, which it skips as _bounds does;
+            # elsewhere both edges hold in doubles with no slack up to
+            # m = 12.  The shell centroid is formed to within an ulp of m+1.
             # A pyramid's representation reads the same doubles.
             rep = representation(BodyKind.CONE, m, n)
-            yield "cone_representation", rep.image_centroid - 0.5 + _resolution(0.5)
+            if m * n != 1:
+                yield "cone_representation", rep.image_centroid - 0.5
             yield "cone_representation", 1.0 - rep.image_centroid
-            yield "cone_representation", _resolution(m + 1) - abs(rep.shell_b - 1.0)
+            yield "cone_representation", 2 * math.ulp(m + 1.0) - abs(rep.shell_b - 1.0)
 
     # a unit cone dilated about its apex: B(1) is the base-face centroid,
     # and the centroid A splits O to B(1) as n:1.  b_one_limit reads the

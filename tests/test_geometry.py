@@ -47,9 +47,7 @@ from anacci.geometry import (
     solve_scene_for_target,
     unit_ball_volume,
     volume,
-    _MC_BLOCK,
     _MC_CHUNK,
-    _place,
 )
 from anacci.lattice import anacci
 from anacci.solver import solve_lambda
@@ -678,52 +676,52 @@ class TestMonteCarlo:
             mc_centroid(scene, 42, 10**5)
 
 
-# (kind, n, lam, seed, samples, estimate, stderr), recorded with the sampler
-# that drew each block as whole-block arrays from one generator advanced to
-# the block's first draw.  The chunked workspace must draw the same points,
-# so only the merge order of the moments may move the last digits; one point
+# (kind, n, lam, seed, samples, estimate, stderr).  A run of 10**4 samples
+# is one chunk, whose draw reads each row of uniforms as one stretch of the
+# seeded stream: those rows were recorded with whole-array draws and hold
+# unchanged.  The rows at 65536 and 201234 samples span several chunks.
+# Only the summation order of the moments may move the last digits; one point
 # moved at 2e5 samples shifts an estimate by about 2e-3 stderr.
 MC_GOLDEN = [
     ("ball", 1, 0.7, 42, 10000, 1.5294144758775563, 0.010412574207472375),
-    ("ball", 2, 1.6, 43, 65536, 1.7383761500041555, 0.004115719065699813),
-    ("ball", 3, 0.7, 44, 201234, 1.117785349297667, 0.0012698541683586184),
+    ("ball", 2, 1.6, 43, 65536, 1.7356146105248638, 0.004102839274846228),
+    ("ball", 3, 0.7, 44, 201234, 1.1187523605482017, 0.001269987047105797),
     ("ball", 8, 1.6, 45, 10000, 1.4571797626591116, 0.005093608613547746),
-    ("cube", 1, 1.6, 46, 65536, 0.9833434092686888, 0.0034126240125378886),
-    ("cube", 2, 0.7, 47, 201234, 0.5881114650190168, 0.0010338083370037593),
+    ("cube", 1, 1.6, 46, 65536, 0.9804970775962871, 0.003449950416793693),
+    ("cube", 2, 0.7, 47, 201234, 0.5868340166735241, 0.0010331583771885748),
     ("cube", 3, 1.6, 48, 10000, 0.7365345622560628, 0.005629348232131678),
-    ("cube", 8, 0.7, 49, 65536, 0.5056883146624058, 0.0011812032908689253),
-    ("cone", 1, 1.6, 50, 201234, 0.9794613573953022, 0.0019493658120034345),
+    ("cube", 8, 0.7, 49, 65536, 0.5055881579762446, 0.0011794081389720635),
+    ("cone", 1, 1.6, 50, 201234, 0.9786690139979566, 0.0019498790403299536),
     ("cone", 2, 0.7, 51, 10000, 0.7993010054378484, 0.002978689775980084),
-    ("cone", 3, 1.6, 52, 65536, 1.1881907409239094, 0.00116885493283137),
-    ("cone", 8, 0.7, 53, 201234, 0.9013418343254884, 0.00019852954659936814),
+    ("cone", 3, 1.6, 52, 65536, 1.1858624017994617, 0.001183921413124886),
+    ("cone", 8, 0.7, 53, 201234, 0.9011533371412623, 0.00019768840974212313),
     ("pyramid", 1, 1.6, 54, 10000, 0.9804003474269176, 0.008681070772278135),
-    ("pyramid", 2, 0.7, 55, 65536, 0.8021365671537075, 0.0011654783576184743),
-    ("pyramid", 3, 1.6, 56, 201234, 1.1869774038377798, 0.0006683721528325846),
+    ("pyramid", 2, 0.7, 55, 65536, 0.8014938755175143, 0.0011687688720812953),
+    ("pyramid", 3, 1.6, 56, 201234, 1.1869731152264358, 0.0006692300856894083),
     ("pyramid", 8, 0.7, 57, 10000, 0.9024053603098225, 0.000886344751787853),
 ]
 
 # (kind, lam, estimate, stderr) for ConvexBody(kind, 5, 2.5, 0.4, -3.0), O at
-# 0.3 of its axis extent, seed 11 and 10**5 samples, recorded with the
-# sampler that tested membership in absolute coordinates: the size, base and
+# 0.3 of its axis extent, seed 11 and 10**5 samples: the size, base and
 # offset differ from one another and from a unit body's, so a point put in
 # the wrong frame, or a size read for a base, moves the estimate
 MC_GOLDEN_OFF_UNIT = [
-    ("ball", 0.001, -2.9983530713617528, 0.0029731837862482084),
-    ("ball", 0.6, -2.9642668573616824, 0.0031548691633504302),
-    ("ball", 1.7, -2.2433091131080234, 0.00533179642892473),
-    ("ball", 40.0, 36.06587714552989, 0.11892735144992833),
-    ("cube", 0.001, -1.7460308993654725, 0.0022822413935247145),
-    ("cube", 0.6, -1.7293024471138534, 0.0024299750992019045),
-    ("cube", 1.7, -1.3671351336397075, 0.004104804955323511),
-    ("cube", 40.0, 17.908764025381103, 0.0912896557409886),
-    ("cone", 0.001, -0.9147417822011141, 0.0011101260177770855),
-    ("cone", 0.6, -0.8697461087264207, 0.0010607266049232457),
-    ("cone", 1.7, 0.09042119896772238, 0.0018041499730200852),
-    ("cone", 40.0, 51.16032871195543, 0.044405040711083414),
-    ("pyramid", 0.001, -0.9147417822011141, 0.0011101260177770855),
-    ("pyramid", 0.6, -0.8697461087264207, 0.0010607266049232457),
-    ("pyramid", 1.7, 0.09042119896772238, 0.0018041499730200852),
-    ("pyramid", 40.0, 51.16032871195543, 0.044405040711083414),
+    ("ball", 0.001, -3.0000108501074143, 0.0029848390729402007),
+    ("ball", 0.6, -2.9659079438055747, 0.003167081521813141),
+    ("ball", 1.7, -2.24704018666729, 0.005354434830544502),
+    ("ball", 40.0, 35.999565995703435, 0.11939356291760803),
+    ("cube", 0.001, -1.7486608203037575, 0.0022763442479794404),
+    ("cube", 0.6, -1.7321535151165093, 0.002426952881538779),
+    ("cube", 1.7, -1.372022532562938, 0.0041007253450585195),
+    ("cube", 40.0, 17.8035671878497, 0.09105376991917762),
+    ("cone", 0.001, -0.9154108257859574, 0.00110826123712785),
+    ("cone", 0.6, -0.8705117907233437, 0.0010593234927055801),
+    ("cone", 1.7, 0.08947649556229065, 0.0018009180031537397),
+    ("cone", 40.0, 51.133566968561695, 0.044330449485114005),
+    ("pyramid", 0.001, -0.9154108257859574, 0.00110826123712785),
+    ("pyramid", 0.6, -0.8705117907233437, 0.0010593234927055801),
+    ("pyramid", 1.7, 0.08947649556229065, 0.0018009180031537397),
+    ("pyramid", 40.0, 51.133566968561695, 0.044330449485114005),
 ]
 
 
@@ -745,34 +743,40 @@ class TestMonteCarloDraws:
         assert abs(got - estimate) <= 1e-9 * stderr
         assert abs(got_stderr - stderr) <= 1e-9 * stderr
 
-    @pytest.mark.parametrize("scene", [
-        DilationScene(cone(2, 1.0, apex=0.0), 0.0, 1.0 + 1e-4),
-        DilationScene(cone(2, 1.0, apex=0.0), 0.0, 1.0 - 1e-4),
-        DilationScene(cone(16, 1.0, apex=0.0), 0.0, 1.0 + 1e-4),
-        DilationScene(cone(16, 1.0, apex=0.0), 0.0, 1.0 - 1e-4),
-        DilationScene(ball(2, 1.0, center=1.0), 0.0, 3.0),
-        DilationScene(ConvexBody(BodyKind.CUBE, 5, 2.5, 0.4, 1e6), 1e6 + 0.1, 1.7),
-    ], ids=["cone2-up", "cone2-down", "cone16-up", "cone16-down", "ball2-3", "cube5-far"])
-    def test_moments_match_two_pass_sums_of_the_same_points(self, scene):
+    @pytest.mark.parametrize("scene, seed", [
+        pytest.param(DilationScene(cone(2, 1.0, apex=0.0), 0.0, 1.0 + 1e-4), 5, id="cone2-up"),
+        pytest.param(DilationScene(cone(2, 1.0, apex=0.0), 0.0, 1.0 - 1e-4), 5, id="cone2-down"),
+        pytest.param(DilationScene(cone(2, 1.0, apex=0.0), 0.0, 1.0 - 1e-4), 6,
+                     id="cone2-down-seed6"),
+        pytest.param(DilationScene(cone(2, 1.0, apex=0.0), 0.0, 1.0 - 1e-4), 8,
+                     id="cone2-down-seed8"),
+        pytest.param(DilationScene(cone(16, 1.0, apex=0.0), 0.0, 1.0 + 1e-4), 5, id="cone16-up"),
+        pytest.param(DilationScene(cone(16, 1.0, apex=0.0), 0.0, 1.0 - 1e-4), 5,
+                     id="cone16-down"),
+        pytest.param(DilationScene(ball(2, 1.0, center=1.0), 0.0, 3.0), 5, id="ball2-3"),
+        pytest.param(DilationScene(ball(2, 1.0, center=1.0), 0.0, 3.0), 2, id="ball2-3-seed2"),
+        pytest.param(DilationScene(ConvexBody(BodyKind.CUBE, 5, 2.5, 0.4, 1e6), 1e6 + 0.1, 1.7),
+                     5, id="cube5-far"),
+    ])
+    def test_moments_match_two_pass_sums_of_the_same_points(self, scene, seed):
         # thin shells about a cone's apex, where the accepted points sit far
         # from O in the unit frame, a wide shell, and a body far from 0: the
-        # chunk moments must keep the digits of two-pass sums of the points
-        seed, samples = 5, 10**6
+        # chunk moments must keep the digits of two-pass sums of the points.
+        # A running mean rounded once per chunk drifted 2-3 ulp from them on
+        # the thin 2-cone at seeds 6 and 8, and plain running totals of the
+        # chunk sums 3 ulp on the 2-ball at seed 2
+        samples = 10**6
         body = scene.body
         image = dilate(body, scene.O, scene.lam)
         big, small = (image, body) if scene.lam > 1.0 else (body, image)
         shape = big.kind.shape
         c0 = (small.axis_offset - big.axis_offset) / big.size
         r = small.size / big.size
-        streams = [np.random.Generator(np.random.PCG64DXSM(seed))
-                   for _ in range(shape.stream_count(body.n))]
-        opening = streams[0].bit_generator.state
+        rng = np.random.Generator(np.random.PCG64DXSM(seed))
         accepted = []
-        for first in range(0, samples, _MC_BLOCK):
-            count = min(_MC_BLOCK, samples - first)
-            _place(streams, opening, first // _MC_BLOCK, count)
-            u, lateral, d, rest = np.empty((4, count))
-            shape.draw(streams, body.n, u, lateral, (d, rest))
+        for done in range(0, samples, _MC_CHUNK):
+            u, lateral, d, rest = np.empty((4, min(_MC_CHUNK, samples - done)))
+            shape.draw(rng, body.n, u, lateral, (d, rest))
             np.subtract(u, c0, out=d)
             shell = (d < shape.axis_start * r) | (d > r)
             shell |= lateral > shape.section_bound(r, d, body.n)
@@ -783,8 +787,8 @@ class TestMonteCarloDraws:
         expected_stderr = big.size * math.sqrt(m2 / (len(accepted) - 1) / len(accepted))
 
         estimate, stderr = mc_centroid(scene, seed, samples)
-        assert abs(stderr - expected_stderr) <= 1e-10 * expected_stderr
-        assert abs(estimate - expected) <= 4 * math.ulp(expected)
+        assert abs(stderr - expected_stderr) <= 1e-14 * expected_stderr
+        assert abs(estimate - expected) <= math.ulp(expected)
 
     def test_moments_make_no_copy_and_no_blas_call(self):
         # np.compress copied every accepted point, and `@`, dot and their
@@ -796,40 +800,6 @@ class TestMonteCarloDraws:
                   getattr(node.func, "id", None)
                   for node in ast.walk(tree) if isinstance(node, ast.Call)}
         assert not called & banned
-
-    @pytest.mark.parametrize("count", [65536, 10007])
-    @pytest.mark.parametrize("seed", [0, 2**128 - 3])
-    def test_streams_are_stretches_of_one_seeded_stream(self, seed, count):
-        # stream k of block b starts at draw b*2^64 + k*count of the one
-        # PCG64DXSM stream seeded with ``seed``, drawn a chunk at a time
-        streams = [np.random.Generator(np.random.PCG64DXSM(seed)) for _ in range(3)]
-        opening = streams[0].bit_generator.state
-        for block in (0, 1):
-            _place(streams, opening, block, count)
-            got = np.empty((3, count))
-            for done in range(0, count, _MC_CHUNK):
-                for k in range(3):
-                    streams[k].random(out=got[k, done:done + _MC_CHUNK])
-            bits = np.random.PCG64DXSM(seed)
-            bits.advance(block << 64)
-            expected = np.random.Generator(bits).random(3 * count)
-            assert np.array_equal(got.ravel(), expected), block
-
-    @pytest.mark.parametrize("kind", list(BodyKind))
-    @pytest.mark.parametrize("n", [1, 2, 3, 8])
-    def test_a_draw_reads_every_stream_it_is_given(self, kind, n):
-        # mc_centroid builds stream_count(n) streams: a draw that read one
-        # more would fail on the short list, and one it leaves unread is
-        # a generator built for nothing
-        shape = kind.shape
-        streams = [np.random.Generator(np.random.PCG64DXSM(k))
-                   for k in range(shape.stream_count(n))]
-        opening = [stream.bit_generator.state for stream in streams]
-        u, lateral, tmp, rest = np.empty((4, 64))
-        shape.draw(streams, n, u, lateral, (tmp, rest))
-        assert all(stream.bit_generator.state != state
-                   for stream, state in zip(streams, opening))
-        assert shape.stream_count(n) == (3 if kind is BodyKind.BALL and n > 2 else 2)
 
     @pytest.mark.parametrize("lam", [0.5, 1.7])
     @pytest.mark.parametrize("n", [1, 2, 5, 16])
@@ -855,7 +825,7 @@ class TestMonteCarloDraws:
         u, lateral, tmp, rest = np.full((4, 8), np.nan)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            kind.shape.draw([Zeros()] * kind.shape.stream_count(n), n, u, lateral, (tmp, rest))
+            kind.shape.draw(Zeros(), n, u, lateral, (tmp, rest))
         # the ball's direction at a zero uniform is -e1, on its surface
         assert np.array_equal(u, np.full(8, -1.0 if kind is BodyKind.BALL else 0.0))
         assert np.array_equal(lateral, np.zeros(8))
