@@ -801,6 +801,54 @@ class TestMonteCarloDraws:
                   for node in ast.walk(tree) if isinstance(node, ast.Call)}
         assert not called & banned
 
+    class Recorder:
+        """A generator that logs a copy of every row of uniforms it fills."""
+
+        def __init__(self, rng, log):
+            self.rng, self.log = rng, log
+
+        def random(self, out):
+            self.rng.random(out=out)
+            self.log.append(out.copy())
+
+    @pytest.mark.parametrize("kind", list(BodyKind))
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    def test_a_draw_reads_its_rows_in_stream_order(self, kind, n):
+        # a draw reads whole rows, one after another, from the generator it
+        # is given: a row more or less would move every later chunk's points
+        seed, count = 7, 64
+        log = []
+        u, lateral, tmp, rest = np.empty((4, count))
+        kind.shape.draw(self.Recorder(np.random.Generator(np.random.PCG64DXSM(seed)), log),
+                        n, u, lateral, (tmp, rest))
+        assert len(log) == (3 if kind is BodyKind.BALL and n > 2 else 2)
+        assert all(row.shape == (count,) for row in log)
+        expected = np.random.Generator(np.random.PCG64DXSM(seed)).random(len(log) * count)
+        assert np.array_equal(np.concatenate(log), expected)
+        if kind is BodyKind.CUBE:
+            assert np.array_equal(u, log[0]) and np.array_equal(lateral, log[1])
+
+    @pytest.mark.parametrize("samples", [65536, 10007])
+    @pytest.mark.parametrize("seed", [0, 2**128 - 3])
+    def test_chunks_read_one_seeded_stream_in_order(self, seed, samples, monkeypatch):
+        # mc_centroid builds one generator and reads it a chunk at a time:
+        # the rows of uniforms its draws fill, taken in order, are the
+        # opening stretch of the one PCG64DXSM stream seeded with ``seed``
+        shape = BodyKind.BALL.shape
+        generators, log = set(), []
+
+        def draw(rng, n, u, lateral, scratch):
+            generators.add(id(rng))
+            shape.draw(self.Recorder(rng, log), n, u, lateral, scratch)
+
+        monkeypatch.setattr(BodyKind.BALL, "shape", shape._replace(draw=draw))
+        mc_centroid(DilationScene(ball(3, 1.0, center=0.0), 0.2, 1.6), seed, samples)
+        chunks = [min(_MC_CHUNK, samples - done) for done in range(0, samples, _MC_CHUNK)]
+        assert len(generators) == 1
+        assert [row.size for row in log] == [size for size in chunks for _ in range(3)]
+        expected = np.random.Generator(np.random.PCG64DXSM(seed)).random(3 * samples)
+        assert np.array_equal(np.concatenate(log), expected)
+
     @pytest.mark.parametrize("lam", [0.5, 1.7])
     @pytest.mark.parametrize("n", [1, 2, 5, 16])
     def test_cone_and_pyramid_share_their_points(self, n, lam):
