@@ -103,10 +103,12 @@ def pyramid(n: int, height: float = 1.0, apex: float = 0.0,
     return ConvexBody(BodyKind.PYRAMID, n, height, base_side, apex)
 
 
-# The draws fill caller-given views of one workspace, a chunk at a time,
-# from the one generator ``rng``, each row in turn; every step is
-# elementwise and in place, so no array is allocated.  ``scratch`` holds two
-# more views the draw may overwrite.
+# A draw is two steps, each filling caller-given views of one workspace, a
+# chunk at a time, from the one generator ``rng``, a row at a time: the
+# axial step fills u, and the lateral step the lateral value of the points
+# it is given, from one uniform per point.  Every step is elementwise and in
+# place, so no array is allocated; ``tmp`` is a view either step may
+# overwrite.
 
 
 def _power(out: np.ndarray, a: float) -> None:
@@ -140,8 +142,8 @@ def _section_fraction(rng: np.random.Generator, n: int, out: np.ndarray, power: 
     _power(out, power / max(n - 1, 1))
 
 
-def _ball_draw(rng, n: int, u: np.ndarray, lateral: np.ndarray, scratch) -> None:
-    """u and squared lateral norm of uniform points in the unit n-ball.
+def _ball_axial(rng, n: int, u: np.ndarray, keep: np.ndarray, tmp: np.ndarray) -> tuple:
+    """u of uniform points in the unit n-ball, with 1 - q kept in ``keep``.
 
     The first two coordinates lie at squared radius 1 - q, with q = U^(2/n),
     in a uniform direction (Ulrich 1984), and the other n - 2 fill an
@@ -153,10 +155,9 @@ def _ball_draw(rng, n: int, u: np.ndarray, lateral: np.ndarray, scratch) -> None
     """
     import numpy as np
 
-    tmp, rest = scratch
-    rng.random(out=lateral)
-    _power(lateral, 2.0 / n)
-    np.subtract(1.0, lateral, out=lateral)  # 1 - q
+    rng.random(out=keep)
+    _power(keep, 2.0 / n)
+    np.subtract(1.0, keep, out=keep)  # 1 - q
     rng.random(out=u)
     u -= 0.5
     u *= 0.5 * math.pi
@@ -165,34 +166,53 @@ def _ball_draw(rng, n: int, u: np.ndarray, lateral: np.ndarray, scratch) -> None
     tmp *= u
     tmp += 0.5
     u /= tmp  # 2t/(1 + t^2)
-    np.sqrt(lateral, out=tmp)
+    np.sqrt(keep, out=tmp)
     u *= tmp
+    return u, keep
+
+
+def _ball_lateral(rng, n: int, out: np.ndarray, tmp: np.ndarray, u, keep) -> None:
+    """The squared lateral norm 1 - q - u^2, plus q*W^(2/(n-2)) for the
+    other n - 2 coordinates at n > 2, from one uniform W per point."""
+    import numpy as np
+
+    total = keep  # the point's squared norm, 1 - q at n <= 2
     if n > 2:
-        _section_fraction(rng, n - 1, tmp, 2)  # W^(2/(n-2))
-        np.subtract(1.0, lateral, out=rest)
-        rest *= tmp
-        lateral += rest  # q*W^(2/(n-2)) on top of 1 - q
+        _section_fraction(rng, n - 1, out, 2)  # W^(2/(n-2))
+        np.subtract(1.0, keep, out=tmp)
+        out *= tmp
+        total = np.add(out, keep, out=out)  # q*W^(2/(n-2)) on top of 1 - q
     np.multiply(u, u, out=tmp)
-    lateral -= tmp
+    np.subtract(total, tmp, out=out)
 
 
-def _cube_draw(rng, n: int, u: np.ndarray, lateral: np.ndarray, scratch) -> None:
-    """u = U and the lateral value V: the l-inf norm of a uniform point of
-    the (n-1)-cube section, to the power n - 1, is itself uniform, so it
-    is tested against r^(n-1) with no power per point."""
+def _cube_axial(rng, n: int, u: np.ndarray, keep: np.ndarray, tmp: np.ndarray) -> tuple:
+    """u = U; the lateral step reads no row of the axial step."""
     rng.random(out=u)
-    rng.random(out=lateral)
+    return ()
 
 
-def _apex_draw(rng, n: int, u: np.ndarray, lateral: np.ndarray, scratch) -> None:
-    """The draw of a cone or pyramid: the axial density n*u^(n-1) is drawn as
-    U^(1/n), and the section at u has bound u.  The norm of a uniform point
-    of an (n-1)-ball or (n-1)-cube section over its bound has the one law
-    V^(1/(n-1)), so both kinds take the same points at the plain norm."""
+def _cube_lateral(rng, n: int, out: np.ndarray, tmp: np.ndarray) -> None:
+    """The lateral value V: the l-inf norm of a uniform point of the
+    (n-1)-cube section, to the power n - 1, is itself uniform, so it is
+    tested against r^(n-1) with no power per point."""
+    rng.random(out=out)
+
+
+def _apex_axial(rng, n: int, u: np.ndarray, keep: np.ndarray, tmp: np.ndarray) -> tuple:
+    """u of a cone or pyramid: the axial density n*u^(n-1) is drawn as U^(1/n)."""
     rng.random(out=u)
     _power(u, 1.0 / n)
-    _section_fraction(rng, n, lateral, 1)
-    lateral *= u
+    return (u,)
+
+
+def _apex_lateral(rng, n: int, out: np.ndarray, tmp: np.ndarray, u) -> None:
+    """The plain lateral norm u*V^(1/(n-1)): the section at u has bound u,
+    and the norm of a uniform point of an (n-1)-ball or (n-1)-cube section
+    over its bound has the one law V^(1/(n-1)), so both kinds take the same
+    points."""
+    _section_fraction(rng, n, out, 1)
+    out *= u
 
 
 def _ball_bound(r, d, n):
@@ -215,9 +235,14 @@ class _Shape(NamedTuple):
     points with d = u - c0 in [axis_start*r, r] whose lateral value is at
     most ``section_bound(r, d, n)``: r^2 - d^2 for the ball, which
     overwrites the array d, r^(n-1) for the cube, and d itself for the
-    cone and pyramid.  ``draw(rng, n, u, lateral, scratch)`` fills u and
-    the lateral value for uniform points of the unit body from the
-    generator ``rng``, one row of uniforms after another.
+    cone and pyramid.  Uniform points of the unit body are drawn from the
+    generator ``rng`` in two steps.  ``axial(rng, n, u, keep, tmp)`` fills
+    u and returns the rows the lateral step reads: (u, keep) for the ball,
+    which keeps 1 - q in ``keep``, (u,) for the cone and pyramid and () for
+    the cube.  ``lateral(rng, n, out, tmp, *rows)`` fills ``out`` with the
+    lateral values of the points those rows hold, from one uniform per
+    point (none for a ball at n <= 2), so it may be given all of a chunk's
+    points or any subset of them.
     ``placement(m, n)`` gives the axis offset of the unit body and the
     homothetic center O that make the dilation factor phi(m, n) (see
     representation).
@@ -228,7 +253,8 @@ class _Shape(NamedTuple):
     # (k, L, d): the volume is V_k * L**(n-1) * s / d, with L the size or base
     volume_terms: Callable[[ConvexBody], tuple[int, float, int]]
     section_bound: Callable  # (r, d, n) -> bound on the lateral value at offset d
-    draw: Callable  # (rng, n, u, lateral, scratch): u and lateral value
+    axial: Callable  # (rng, n, u, keep, tmp) -> rows the lateral step reads
+    lateral: Callable  # (rng, n, out, tmp, *rows): the lateral values into out
     placement: Callable[[int, int], tuple[float, float]]  # (m, n) -> (c, O)
 
 
@@ -238,11 +264,12 @@ def _apex_placement(m: int, n: int) -> tuple[float, float]:
 
 
 BodyKind.BALL.shape = _Shape(-1.0, lambda n: 0.0, lambda b: (b.n, b.size, 1), _ball_bound,
-                             _ball_draw, lambda m, n: (1.0, 0.0))
+                             _ball_axial, _ball_lateral, lambda m, n: (1.0, 0.0))
 BodyKind.CUBE.shape = _Shape(0.0, lambda n: 0.5, lambda b: (0, b.size, 1),
-                             lambda r, d, n: r ** (n - 1), _cube_draw, lambda m, n: (0.0, 0.0))
+                             lambda r, d, n: r ** (n - 1), _cube_axial, _cube_lateral,
+                             lambda m, n: (0.0, 0.0))
 BodyKind.CONE.shape = _Shape(0.0, lambda n: n / (n + 1), lambda b: (b.n - 1, b.base, b.n),
-                             lambda r, d, n: d, _apex_draw, _apex_placement)
+                             lambda r, d, n: d, _apex_axial, _apex_lateral, _apex_placement)
 # the pyramid's l-inf section has the cone's law, so only its volume differs
 BodyKind.PYRAMID.shape = BodyKind.CONE.shape._replace(volume_terms=lambda b: (0, b.base, b.n))
 
@@ -535,10 +562,14 @@ def representation(kind: BodyKind, m: int, n: int) -> Representation:
 # ---------------------------------------------------------------------------
 # Monte Carlo shell-centroid oracle
 
-# points per pass over the workspace: its four float rows stay in cache.
-# The draws fill the workspace a row at a time, so the chunk size also fixes
+# points per pass over the workspace: its five float rows stay in cache.
+# The steps fill the workspace a row at a time, so the chunk size also fixes
 # which uniforms each point reads
 _MC_CHUNK = 1 << 14
+# the largest share of a chunk left undecided by the axial test for which the
+# lateral step draws those points alone; above it, the whole chunk.  The
+# gathered rows must fit the two spare rows: at most five of them for the ball
+_MC_GATHER_SHARE = 0.25
 
 
 def mc_centroid(scene: DilationScene, seed: int, samples: int) -> tuple[float, float]:
@@ -546,10 +577,20 @@ def mc_centroid(scene: DilationScene, seed: int, samples: int) -> tuple[float, f
 
     Uniform points are drawn inside the larger body from one PCG64DXSM
     generator seeded with ``seed``, read in order a chunk of 2^14 points at
-    a time: each chunk's draw reads its rows of uniforms one after another.
+    a time: axial rows first, then one lateral uniform per undecided point,
+    or a whole row.  The axial rows fill u for every point of the chunk, and
+    the test d < axis_start*r or d > r alone puts a point in the shell.
+    Where at most a quarter of the chunk is left undecided, their rows are
+    gathered into views of the workspace, their lateral values are drawn
+    from the next uniforms of the stream, and the verdicts are scattered
+    back (Marsaglia's squeeze: the cheap test first).  Otherwise the lateral
+    step reads one uniform for every point of the chunk.  A quarter is
+    where the cube's one uniform a point costs as much as the gather.  With
+    O at the body's low end and lam in {0.5, 1.2, 2}, cones and pyramids at
+    n >= 8 leave 0-23% of a chunk undecided and take the first path; balls
+    and cubes leave 50-100% and take the second.
     Results are bit-reproducible for a fixed seed; since the rows interleave
-    by chunk, the points depend on the chunk size, and a run of at most
-    2^14 samples reads each row as one stretch of the stream.
+    by chunk, the points depend on the chunk size.
     Membership reads only a point's axial coordinate and the norm
     of its lateral part, so only those two are drawn, in the larger body's
     unit frame (see _Shape): u = (x1 - c)/s from the body's axial law (U
@@ -597,7 +638,8 @@ def mc_centroid(scene: DilationScene, seed: int, samples: int) -> tuple[float, f
     shape = big.kind.shape
     c0 = (small.axis_offset - big.axis_offset) / big.size
     r = small.size / big.size
-    work = np.empty((4, _MC_CHUNK))  # u, lateral value and two scratch rows
+    work = np.empty((5, _MC_CHUNK))  # u, the ball's 1 - q, d and two spare rows
+    spare = work[3:].reshape(-1)
     flags = np.empty((2, _MC_CHUNK), dtype=bool)
 
     rng = np.random.Generator(np.random.PCG64DXSM(seed))
@@ -607,14 +649,29 @@ def mc_centroid(scene: DilationScene, seed: int, samples: int) -> tuple[float, f
     start = shape.axis_start * r
     for done in range(0, samples, _MC_CHUNK):
         size = min(_MC_CHUNK, samples - done)
-        u, lateral, scratch, rest = work[:, :size]
+        u, keep, scratch, lateral, tmp = work[:, :size]
         shell, flag = flags[:, :size]
-        shape.draw(rng, body.n, u, lateral, (scratch, rest))
+        rows = shape.axial(rng, body.n, u, keep, tmp)
         d = np.subtract(u, c0, out=scratch)
         np.less(d, start, out=shell)
         shell |= np.greater(d, r, out=flag)
+        undecided = size - int(np.count_nonzero(shell))
+        if undecided > _MC_GATHER_SHARE * size:
+            index = None
+        else:  # gather the undecided points' rows into the spare rows
+            index = np.flatnonzero(np.logical_not(shell, out=flag))
+            count = 3 + len(rows)
+            lateral, tmp, *views = spare[:count * undecided].reshape(count, undecided)
+            # "clip": under the default "raise", take fills a copy of out first
+            d, *rows = (np.take(row, index, out=view, mode="clip")
+                        for row, view in zip((d, *rows), views))
+        shape.lateral(rng, body.n, lateral, tmp, *rows)
         if body.n > 1:
-            shell |= np.greater(lateral, shape.section_bound(r, d, body.n), out=flag)
+            beyond = np.greater(lateral, shape.section_bound(r, d, body.n), out=flag[:d.size])
+            if index is None:
+                shell |= beyond
+            else:
+                shell[index] = beyond
         k = int(np.count_nonzero(shell))
         if not k:
             continue

@@ -98,9 +98,18 @@ def q_value(lam: float, p: float, q: float) -> float:
     ``(lam-1)*lam^q - p*(lam^q - 1)`` with expm1/log1p, so the sign is
     reliable arbitrarily close to the double zero at lam = 1.  When lam^q
     overflows, the sign is decided by the scaled identity
-    ``Q/lam^q = lam - (p+1) + p*lam^(-q)`` and +-inf is returned.
+    ``Q/lam^q = lam - (p+1) + p*lam^(-q)`` and +-inf is returned.  Where
+    lam^q does not overflow but both products of that arrangement do, Q is
+    formed as ``(lam - p - 1)*lam^q + p``, which is +-inf, signed as the
+    scaled identity, once it leaves the doubles.
     """
-    return _q_dq(_real(lam, "lam"), _real(p, "p"), _real(q, "q"))[0]
+    lam, p, q = _real(lam, "lam"), _real(p, "p"), _real(q, "q")
+    value = _q_dq(lam, p, q)[0]
+    # inf - inf: both products overflowed.  Tested here, off the common
+    # return of _q_dq, which every solver step takes
+    if value != value:
+        value = ((lam - p) - 1.0) * math.exp(q * _ln(lam)) + p
+    return value
 
 
 def dq_value(lam: float, p: float, q: float) -> float:

@@ -48,6 +48,7 @@ from anacci.geometry import (
     unit_ball_volume,
     volume,
     _MC_CHUNK,
+    _MC_GATHER_SHARE,
 )
 from anacci.lattice import anacci
 from anacci.solver import solve_lambda
@@ -677,9 +678,12 @@ class TestMonteCarlo:
 
 
 # (kind, n, lam, seed, samples, estimate, stderr).  A run of 10**4 samples
-# is one chunk, whose draw reads each row of uniforms as one stretch of the
-# seeded stream: those rows were recorded with whole-array draws and hold
-# unchanged.  The rows at 65536 and 201234 samples span several chunks.
+# is one chunk.  A chunk that leaves more than a quarter of its points
+# undecided by the axial test reads each row of uniforms whole, so those
+# rows were recorded with whole-array draws and hold unchanged; the cone and
+# pyramid at n = 8 and lam = 0.7 leave fewer, draw lateral values for those
+# alone, and were recorded after that change.  The rows at 65536 and 201234
+# samples span several chunks.
 # Only the summation order of the moments may move the last digits; one point
 # moved at 2e5 samples shifts an estimate by about 2e-3 stderr.
 MC_GOLDEN = [
@@ -694,35 +698,44 @@ MC_GOLDEN = [
     ("cone", 1, 1.6, 50, 201234, 0.9786690139979566, 0.0019498790403299536),
     ("cone", 2, 0.7, 51, 10000, 0.7993010054378484, 0.002978689775980084),
     ("cone", 3, 1.6, 52, 65536, 1.1858624017994617, 0.001183921413124886),
-    ("cone", 8, 0.7, 53, 201234, 0.9011533371412623, 0.00019768840974212313),
+    ("cone", 8, 0.7, 53, 201234, 0.9013158315369785, 0.00019742432438058608),
     ("pyramid", 1, 1.6, 54, 10000, 0.9804003474269176, 0.008681070772278135),
     ("pyramid", 2, 0.7, 55, 65536, 0.8014938755175143, 0.0011687688720812953),
     ("pyramid", 3, 1.6, 56, 201234, 1.1869731152264358, 0.0006692300856894083),
-    ("pyramid", 8, 0.7, 57, 10000, 0.9024053603098225, 0.000886344751787853),
+    ("pyramid", 8, 0.7, 57, 10000, 0.902472496653597, 0.0008863922155591993),
 ]
 
 # (kind, lam, estimate, stderr) for ConvexBody(kind, 5, 2.5, 0.4, -3.0), O at
 # 0.3 of its axis extent, seed 11 and 10**5 samples: the size, base and
 # offset differ from one another and from a unit body's, so a point put in
-# the wrong frame, or a size read for a base, moves the estimate
+# the wrong frame, or a size read for a base, moves the estimate.  The rows at
+# lam = 0.001 and 40, and every cone and pyramid row, leave at most a
+# quarter of each chunk undecided by the axial test, and were recorded after
+# the lateral step came to draw for those points alone
 MC_GOLDEN_OFF_UNIT = [
-    ("ball", 0.001, -3.0000108501074143, 0.0029848390729402007),
+    ("ball", 0.001, -3.000672282993105, 0.0029891283988349284),
     ("ball", 0.6, -2.9659079438055747, 0.003167081521813141),
     ("ball", 1.7, -2.24704018666729, 0.005354434830544502),
-    ("ball", 40.0, 35.999565995703435, 0.11939356291760803),
-    ("cube", 0.001, -1.7486608203037575, 0.0022763442479794404),
+    ("ball", 40.0, 35.9046032535093, 0.11955021395292476),
+    ("cube", 0.001, -1.7480105556904157, 0.00228124966598141),
     ("cube", 0.6, -1.7321535151165093, 0.002426952881538779),
     ("cube", 1.7, -1.372022532562938, 0.0041007253450585195),
-    ("cube", 40.0, 17.8035671878497, 0.09105376991917762),
-    ("cone", 0.001, -0.9154108257859574, 0.00110826123712785),
-    ("cone", 0.6, -0.8705117907233437, 0.0010593234927055801),
-    ("cone", 1.7, 0.08947649556229065, 0.0018009180031537397),
-    ("cone", 40.0, 51.133566968561695, 0.044330449485114005),
-    ("pyramid", 0.001, -0.9154108257859574, 0.00110826123712785),
-    ("pyramid", 0.6, -0.8705117907233437, 0.0010593234927055801),
-    ("pyramid", 1.7, 0.08947649556229065, 0.0018009180031537397),
-    ("pyramid", 40.0, 51.133566968561695, 0.044330449485114005),
+    ("cube", 40.0, 17.82403753525719, 0.09127839333373645),
+    ("cone", 0.001, -0.9156452162931696, 0.0011120504214863379),
+    ("cone", 0.6, -0.8711336259549327, 0.0010650631912947238),
+    ("cone", 1.7, 0.08880635362269906, 0.001807276852204546),
+    ("cone", 40.0, 51.1192699551131, 0.0444971816987049),
+    ("pyramid", 0.001, -0.9156452162931696, 0.0011120504214863379),
+    ("pyramid", 0.6, -0.8711336259549327, 0.0010650631912947238),
+    ("pyramid", 1.7, 0.08880635362269906, 0.001807276852204546),
+    ("pyramid", 40.0, 51.1192699551131, 0.0444971816987049),
 ]
+
+
+def off_unit_scene(kind, lam):
+    body = ConvexBody(BodyKind(kind), 5, 2.5, 0.4, -3.0)
+    lo, hi = axis_interval(body)
+    return DilationScene(body, lo + 0.3 * (hi - lo), lam)
 
 
 class TestMonteCarloDraws:
@@ -730,18 +743,28 @@ class TestMonteCarloDraws:
     def test_same_points_as_whole_block_draws(self, kind, n, lam, seed, samples,
                                               estimate, stderr):
         maker = dict(zip(("ball", "cube", "cone", "pyramid"), KIND_MAKERS))[kind]
-        got, got_stderr = mc_centroid(make_scene(maker, n, lam), seed, samples)
+        scene = make_scene(maker, n, lam)
+        got, got_stderr = mc_centroid(scene, seed, samples)
         assert abs(got - estimate) <= 1e-9 * stderr
         assert abs(got_stderr - stderr) <= 1e-9 * stderr
+        assert abs(estimate - shell_centroid(scene)) <= 4.0 * stderr
 
     @pytest.mark.parametrize("kind, lam, estimate, stderr", MC_GOLDEN_OFF_UNIT)
     def test_same_points_on_an_off_unit_body(self, kind, lam, estimate, stderr):
-        body = ConvexBody(BodyKind(kind), 5, 2.5, 0.4, -3.0)
-        lo, hi = axis_interval(body)
-        scene = DilationScene(body, lo + 0.3 * (hi - lo), lam)
+        scene = off_unit_scene(kind, lam)
         got, got_stderr = mc_centroid(scene, 11, 10**5)
         assert abs(got - estimate) <= 1e-9 * stderr
         assert abs(got_stderr - stderr) <= 1e-9 * stderr
+        assert abs(estimate - shell_centroid(scene)) <= 4.0 * stderr
+
+    @staticmethod
+    def unit_frame(scene):
+        """The larger body's shape, and the smaller body's offset c0 and
+        scale r in the larger body's unit frame, as mc_centroid forms them."""
+        image = dilate(scene.body, scene.O, scene.lam)
+        big, small = (image, scene.body) if scene.lam > 1.0 else (scene.body, image)
+        c0 = (small.axis_offset - big.axis_offset) / big.size
+        return big, big.kind.shape, c0, small.size / big.size
 
     @pytest.mark.parametrize("scene, seed", [
         pytest.param(DilationScene(cone(2, 1.0, apex=0.0), 0.0, 1.0 + 1e-4), 5, id="cone2-up"),
@@ -765,21 +788,24 @@ class TestMonteCarloDraws:
         # A running mean rounded once per chunk drifted 2-3 ulp from them on
         # the thin 2-cone at seeds 6 and 8, and plain running totals of the
         # chunk sums 3 ulp on the 2-ball at seed 2
-        samples = 10**6
-        body = scene.body
-        image = dilate(body, scene.O, scene.lam)
-        big, small = (image, body) if scene.lam > 1.0 else (body, image)
-        shape = big.kind.shape
-        c0 = (small.axis_offset - big.axis_offset) / big.size
-        r = small.size / big.size
+        samples, n = 10**6, scene.body.n
+        big, shape, c0, r = self.unit_frame(scene)
         rng = np.random.Generator(np.random.PCG64DXSM(seed))
         accepted = []
         for done in range(0, samples, _MC_CHUNK):
-            u, lateral, d, rest = np.empty((4, min(_MC_CHUNK, samples - done)))
-            shape.draw(rng, body.n, u, lateral, (d, rest))
-            np.subtract(u, c0, out=d)
-            shell = (d < shape.axis_start * r) | (d > r)
-            shell |= lateral > shape.section_bound(r, d, body.n)
+            size = min(_MC_CHUNK, samples - done)
+            u, keep, tmp = np.empty((3, size))
+            rows = shape.axial(rng, n, u, keep, tmp)
+            d = u - c0
+            undecided = (d >= shape.axis_start * r) & (d <= r)
+            if np.count_nonzero(undecided) <= _MC_GATHER_SHARE * size:
+                rows, d = [row[undecided] for row in rows], d[undecided]
+            else:
+                undecided[:] = True
+            lateral, tmp = np.empty((2, d.size))
+            shape.lateral(rng, n, lateral, tmp, *rows)
+            shell = (u - c0 < shape.axis_start * r) | (u - c0 > r)
+            shell[undecided] |= lateral > shape.section_bound(r, d, n)
             accepted.extend(u[shell].tolist())
         mean = math.fsum(accepted) / len(accepted)
         m2 = math.fsum((x - mean) ** 2 for x in accepted)
@@ -814,40 +840,141 @@ class TestMonteCarloDraws:
     @pytest.mark.parametrize("kind", list(BodyKind))
     @pytest.mark.parametrize("n", [1, 2, 3, 8])
     def test_a_draw_reads_its_rows_in_stream_order(self, kind, n):
-        # a draw reads whole rows, one after another, from the generator it
-        # is given: a row more or less would move every later chunk's points
-        seed, count = 7, 64
+        # the axial step reads whole rows of the chunk, the ball its q row
+        # and its direction; the lateral step then reads one row of as many
+        # uniforms as it is given points, none for a ball at n <= 2.  A row
+        # more or less would move every later chunk's points
+        seed, count, given = 7, 64, 23
         log = []
-        u, lateral, tmp, rest = np.empty((4, count))
-        kind.shape.draw(self.Recorder(np.random.Generator(np.random.PCG64DXSM(seed)), log),
-                        n, u, lateral, (tmp, rest))
-        assert len(log) == (3 if kind is BodyKind.BALL and n > 2 else 2)
-        assert all(row.shape == (count,) for row in log)
-        expected = np.random.Generator(np.random.PCG64DXSM(seed)).random(len(log) * count)
+        rng = self.Recorder(np.random.Generator(np.random.PCG64DXSM(seed)), log)
+        u, keep, tmp, lateral = np.empty((4, count))
+        rows = kind.shape.axial(rng, n, u, keep, tmp)
+        assert [row.size for row in log] == [count] * (2 if kind is BodyKind.BALL else 1)
+        kind.shape.lateral(rng, n, lateral[:given], tmp[:given], *(row[:given] for row in rows))
+        reads_lateral = kind is not BodyKind.BALL or n > 2
+        assert [row.size for row in log[len(log) - reads_lateral:]] == [given] * reads_lateral
+        expected = np.random.Generator(np.random.PCG64DXSM(seed)).random(sum(r.size for r in log))
         assert np.array_equal(np.concatenate(log), expected)
         if kind is BodyKind.CUBE:
-            assert np.array_equal(u, log[0]) and np.array_equal(lateral, log[1])
+            assert np.array_equal(u, log[0]) and np.array_equal(lateral[:given], log[1])
+
+    @staticmethod
+    def record_steps(monkeypatch, kind, log, generators):
+        """Patch ``kind``'s two steps to log, in read order, ("axial", row) and
+        ("lateral", row) for each row of uniforms they fill, and ("u", u)
+        once a chunk's axial step is done; each generator read goes into
+        ``generators`` by id."""
+        shape = kind.shape
+
+        def recorded(name, step):
+            def run(rng, n, *args):
+                generators.add(id(rng))
+                rows = []
+                result = step(TestMonteCarloDraws.Recorder(rng, rows), n, *args)
+                log.extend((name, row) for row in rows)
+                if name == "axial":
+                    log.append(("u", args[0].copy()))
+                return result
+            return run
+
+        monkeypatch.setattr(kind, "shape", shape._replace(axial=recorded("axial", shape.axial),
+                                                          lateral=recorded("lateral", shape.lateral)))
 
     @pytest.mark.parametrize("samples", [65536, 10007])
     @pytest.mark.parametrize("seed", [0, 2**128 - 3])
     def test_chunks_read_one_seeded_stream_in_order(self, seed, samples, monkeypatch):
         # mc_centroid builds one generator and reads it a chunk at a time:
-        # the rows of uniforms its draws fill, taken in order, are the
-        # opening stretch of the one PCG64DXSM stream seeded with ``seed``
-        shape = BodyKind.BALL.shape
-        generators, log = set(), []
-
-        def draw(rng, n, u, lateral, scratch):
-            generators.add(id(rng))
-            shape.draw(self.Recorder(rng, log), n, u, lateral, scratch)
-
-        monkeypatch.setattr(BodyKind.BALL, "shape", shape._replace(draw=draw))
-        mc_centroid(DilationScene(ball(3, 1.0, center=0.0), 0.2, 1.6), seed, samples)
+        # the rows of uniforms its steps fill, taken in order, are the
+        # opening stretch of the one PCG64DXSM stream seeded with ``seed``.
+        # The 3-ball draws its W row for every point of a chunk, the 8-cone
+        # its lateral row for the few points its axial slab leaves undecided
         chunks = [min(_MC_CHUNK, samples - done) for done in range(0, samples, _MC_CHUNK)]
-        assert len(generators) == 1
-        assert [row.size for row in log] == [size for size in chunks for _ in range(3)]
-        expected = np.random.Generator(np.random.PCG64DXSM(seed)).random(3 * samples)
-        assert np.array_equal(np.concatenate(log), expected)
+        for scene, axial in ((DilationScene(ball(3, 1.0, center=0.0), 0.2, 1.6), 2),
+                             (DilationScene(cone(8, 1.0, apex=0.0), 0.0, 2.0), 1)):
+            generators, log = set(), []
+            self.record_steps(monkeypatch, scene.body.kind, log, generators)
+            mc_centroid(scene, seed, samples)
+            assert len(generators) == 1
+            read = [(step, row.size) for step, row in log if step != "u"]
+            lateral = [size for step, size in read if step == "lateral"]
+            assert read == [pair for size, count in zip(chunks, lateral)
+                            for pair in [("axial", size)] * axial + [("lateral", count)]]
+            if axial == 2:  # the ball's slab leaves about half of each chunk undecided
+                assert lateral == chunks
+            else:  # the cone's about 0.4%
+                assert all(0 < count < size // 16 for size, count in zip(chunks, lateral))
+            rows = [row for step, row in log if step != "u"]
+            expected = np.random.Generator(np.random.PCG64DXSM(seed)).random(
+                sum(row.size for row in rows))
+            assert np.array_equal(np.concatenate(rows), expected)
+
+    @pytest.mark.parametrize("scene", [
+        pytest.param(make_scene(maker, n, lam), id=f"{maker.__name__}{n}-{lam}")
+        for maker in KIND_MAKERS for n in (2, 3, 8) for lam in (0.5, 1.2, 2.0)
+    ] + [pytest.param(off_unit_scene(kind, lam), id=f"{kind}5-off-unit-{lam}")
+         for kind in ("ball", "cube", "cone") for lam in (0.001, 0.6, 40.0)])
+    def test_lateral_row_holds_the_undecided_points_or_the_whole_chunk(self, scene,
+                                                                         monkeypatch):
+        # a chunk that leaves at most _MC_GATHER_SHARE of its points undecided
+        # by the axial test d in [axis_start*r, r] draws a lateral uniform for
+        # exactly those points; any other chunk draws one for every point.
+        # A ball at n <= 2 draws none
+        log = []
+        self.record_steps(monkeypatch, scene.body.kind, log, set())
+        try:
+            mc_centroid(scene, 5, 3 * _MC_CHUNK + 5000)
+        except DegenerateShell:
+            pass
+        _, shape, c0, r = self.unit_frame(scene)
+        reads_lateral = scene.body.kind is not BodyKind.BALL or scene.body.n > 2
+        chunks = [i for i, (step, _) in enumerate(log) if step == "u"]
+        assert len(chunks) == 4
+        for i in chunks:
+            u = log[i][1]
+            d = u - c0
+            undecided = int(np.count_nonzero((d >= shape.axis_start * r) & (d <= r)))
+            expected = undecided if undecided <= _MC_GATHER_SHARE * u.size else u.size
+            lateral = [row.size for step, row in log[i + 1:i + 2] if step == "lateral"]
+            assert lateral == [expected] * reads_lateral
+
+    @pytest.mark.parametrize("expand", [False, True], ids=["contract", "expand"])
+    @pytest.mark.parametrize("kind, n, r", [
+        *((BodyKind.BALL, n, 0.3 if n == 8 else 0.2) for n in (1, 2, 3, 8)),
+        *((BodyKind.CUBE, n, 0.2) for n in (1, 2, 3, 8)),
+        *((kind, n, 0.2 ** (1.0 / n)) for kind in (BodyKind.CONE, BodyKind.PYRAMID)
+          for n in (1, 2, 3, 8)),
+    ])
+    def test_undecided_only_and_whole_chunk_paths_accept_the_same_points(self, kind, n, r,
+                                                                         expand, monkeypatch):
+        # the whole-chunk path reads a lateral row of one uniform per point;
+        # fed that row's uniforms at the undecided points, in order, the
+        # undecided-only path accepts the same points, and so gives the same
+        # moments to the last bit.  O sits at the body's low end, and the
+        # smaller body at scale r holds 10-28% of the points' axial slab
+        body = ConvexBody(kind, n, 1.0)
+        scene = DilationScene(body, axis_interval(body)[0], 1.0 / r if expand else r)
+        seed, samples = 9, 10**4
+        log = []
+        monkeypatch.setattr(geometry_module, "_MC_GATHER_SHARE", -1.0)
+        with monkeypatch.context() as patch:
+            self.record_steps(patch, kind, log, set())
+            whole = mc_centroid(scene, seed, samples)
+        (u,) = [row for step, row in log if step == "u"]
+        _, shape, c0, r = self.unit_frame(scene)
+        d = u - c0
+        undecided = (d >= shape.axis_start * r) & (d <= r)
+        assert 0.0 < np.count_nonzero(undecided) / samples <= 0.3
+        # the lateral row, if any, at the undecided points
+        rows = [row[undecided] if step == "lateral" else row for step, row in log if step != "u"]
+
+        class Replay:
+            def random(self, out):
+                out[:] = rows.pop(0)
+
+        monkeypatch.setattr(geometry_module, "_MC_GATHER_SHARE", 0.3)
+        monkeypatch.setattr(np.random, "Generator", lambda bits: Replay())
+        assert mc_centroid(scene, seed, samples) == whole
+        assert not rows
 
     @pytest.mark.parametrize("lam", [0.5, 1.7])
     @pytest.mark.parametrize("n", [1, 2, 5, 16])
@@ -859,7 +986,8 @@ class TestMonteCarloDraws:
         cone_mc, pyramid_mc = (mc_centroid(DilationScene(body, -2.2, lam), 3, 30_011)
                                for body in bodies)
         assert cone_mc == pyramid_mc
-        assert BodyKind.CONE.shape.draw is BodyKind.PYRAMID.shape.draw
+        assert BodyKind.CONE.shape.axial is BodyKind.PYRAMID.shape.axial
+        assert BodyKind.CONE.shape.lateral is BodyKind.PYRAMID.shape.lateral
 
     @pytest.mark.parametrize("kind", list(BodyKind))
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
@@ -870,10 +998,11 @@ class TestMonteCarloDraws:
             def random(self, out):
                 out[:] = 0.0
 
-        u, lateral, tmp, rest = np.full((4, 8), np.nan)
+        u, keep, tmp, lateral = np.full((4, 8), np.nan)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            kind.shape.draw(Zeros(), n, u, lateral, (tmp, rest))
+            rows = kind.shape.axial(Zeros(), n, u, keep, tmp)
+            kind.shape.lateral(Zeros(), n, lateral, tmp, *rows)
         # the ball's direction at a zero uniform is -e1, on its surface
         assert np.array_equal(u, np.full(8, -1.0 if kind is BodyKind.BALL else 0.0))
         assert np.array_equal(lateral, np.zeros(8))

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -169,6 +170,22 @@ class TestOverflowGuard:
 
     def test_exact_cancellation_at_p_plus_one(self):
         assert q_value(2.0, 1.0, 5000.0) == 1.0
+
+    @pytest.mark.parametrize("lam, p, q", [(3.86e227, 9.38e269, 0.384), (5e300, 1e305, 0.3)])
+    def test_infinite_where_both_products_overflow_below_t_700(self, lam, p, q):
+        # lam^q = e^201 and e^208 are finite, but (lam-1)*lam^q and
+        # p*(lam^q - 1) both overflow, and inf - inf was a silent nan;
+        # Q is -2.32e357 and -1.62e395
+        assert q * math.log(lam) < 700.0
+        exact = mp_q_dq(lam, p, q)[0]
+        assert abs(exact) > sys.float_info.max
+        assert q_value(lam, p, q) == math.copysign(math.inf, exact)
+
+    def test_finite_where_both_products_overflow_but_q_does_not(self):
+        # (lam-1)*lam^q and p*(lam^q - 1) are both about 1e390, yet Q = p - lam^q
+        lam = p = 1e300
+        exact = mp_q_dq(lam, p, 0.3)[0]
+        assert q_value(lam, p, 0.3) == pytest.approx(float(exact), rel=1e-13)
 
 
 class TestFusedKernel:
