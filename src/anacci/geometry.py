@@ -176,14 +176,16 @@ def _ball_lateral(rng, n: int, out: np.ndarray, tmp: np.ndarray, u, keep) -> Non
     other n - 2 coordinates at n > 2, from one uniform W per point."""
     import numpy as np
 
-    total = keep  # the point's squared norm, 1 - q at n <= 2
     if n > 2:
         _section_fraction(rng, n - 1, out, 2)  # W^(2/(n-2))
         np.subtract(1.0, keep, out=tmp)
         out *= tmp
-        total = np.add(out, keep, out=out)  # q*W^(2/(n-2)) on top of 1 - q
-    np.multiply(u, u, out=tmp)
-    np.subtract(total, tmp, out=out)
+        out += keep  # q*W^(2/(n-2)) on top of 1 - q
+        np.multiply(u, u, out=tmp)
+        out -= tmp
+    else:  # each step reads one row and writes another, as an in-place step does
+        np.multiply(u, u, out=out)
+        np.subtract(keep, out, out=out)
 
 
 def _cube_axial(rng, n: int, u: np.ndarray, keep: np.ndarray, tmp: np.ndarray) -> tuple:
