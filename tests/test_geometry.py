@@ -877,8 +877,9 @@ class TestMonteCarloDraws:
                 return result
             return run
 
-        monkeypatch.setattr(kind, "shape", shape._replace(axial=recorded("axial", shape.axial),
-                                                          lateral=recorded("lateral", shape.lateral)))
+        steps = {"axial": recorded("axial", shape.axial),
+                 "lateral": recorded("lateral", shape.lateral)}
+        monkeypatch.setattr(kind, "shape", shape._replace(**steps))
 
     @pytest.mark.parametrize("samples", [65536, 10007])
     @pytest.mark.parametrize("seed", [0, 2**128 - 3])
