@@ -679,11 +679,10 @@ class TestMonteCarlo:
 
 # (kind, n, lam, seed, samples, estimate, stderr).  A run of 10**4 samples
 # is one chunk.  A chunk that leaves more than a quarter of its points
-# undecided by the axial test reads each row of uniforms whole, so those
-# rows were recorded with whole-array draws and hold unchanged; the cone and
-# pyramid at n = 8 and lam = 0.7 leave fewer, draw lateral values for those
-# alone, and were recorded after that change.  The rows at 65536 and 201234
-# samples span several chunks.
+# undecided by the axial test reads each row of uniforms whole, as a
+# whole-array draw does; the cone and pyramid at n = 8 and lam = 0.7 leave
+# fewer and draw lateral values for those points alone.  The rows at 65536
+# and 201234 samples span several chunks.
 # Only the summation order of the moments may move the last digits; one point
 # moved at 2e5 samples shifts an estimate by about 2e-3 stderr.
 MC_GOLDEN = [
@@ -710,8 +709,8 @@ MC_GOLDEN = [
 # offset differ from one another and from a unit body's, so a point put in
 # the wrong frame, or a size read for a base, moves the estimate.  The rows at
 # lam = 0.001 and 40, and every cone and pyramid row, leave at most a
-# quarter of each chunk undecided by the axial test, and were recorded after
-# the lateral step came to draw for those points alone
+# quarter of each chunk undecided by the axial test and draw lateral values
+# for those points alone
 MC_GOLDEN_OFF_UNIT = [
     ("ball", 0.001, -3.000672282993105, 0.0029891283988349284),
     ("ball", 0.6, -2.9659079438055747, 0.003167081521813141),
