@@ -118,6 +118,8 @@ def _cmd_solve(args) -> int:
     result = solve_lambda(args.p, args.q)
     payload = result._asdict()
     payload["regime"] = result.regime.value
+    if math.isinf(result.residual):  # -Infinity is not JSON; CSV prints the same -inf
+        payload["residual"] = str(result.residual)
     _emit(args, payload)
     return 0
 

@@ -22,7 +22,7 @@ from enum import Enum
 from fractions import Fraction
 from numbers import Rational
 
-from .errors import _check_positive_int, _real, _to_double
+from .errors import InputOutOfRange, _check_positive_int, _real
 
 # exp() overflows a double just above 709.78
 _EXP_OVERFLOW = 700.0
@@ -202,39 +202,38 @@ def classify(p, q) -> RegionClass:
     Exact for the numbers read: an int/Fraction pair compares its own
     product with 1, any other pair the exact product of its doubles, so
     CRITICAL means p*q = 1 exactly and a product that merely rounds onto 1
-    is SUPER or SUB.
+    is SUPER or SUB.  The regime is _read_pair's, the solver's own; only
+    where an int or Fraction side has no double, as 10**400, is p*q - 1
+    taken exactly from the values as given.
     """
-    p = _real(p, "p", exact=_EXACT)
-    q = _real(q, "q", exact=_EXACT)
-    return _classify(p, q)
+    try:
+        return _read_pair(p, q)[2]
+    except InputOutOfRange:
+        p = _real(p, "p", exact=_EXACT)
+        q = _real(q, "q", exact=_EXACT)
+    excess = Fraction(p) * Fraction(q) - 1
+    return _SUPER if excess > 0 else _SUB if excess < 0 else _CRITICAL
 
 
-def _classify(p, q) -> RegionClass:
-    """classify without its input checks.
+def _read_pair(p, q):
+    """(pf, qf, regime, excess) for a pair (p, q): the doubles of p and q,
+    checked, the sign regime of p*q - 1, and pf*qf - 1 as a double.
 
-    An int/Fraction pair compares num(p)*num(q) with den(p)*den(q) in
-    integers, with no Fraction built.  A pair of doubles takes the sign of
-    dp*dq - 1.0, which rounding cannot flip, as it is monotone; only where
-    the product rounds onto 1 is p*q - 1 taken exactly, from Fractions.
+    A positive finite float is read inline, anything else by _real, p
+    before q.  An int pair compares p*q with 1 in integers, an int/Fraction
+    pair num(p)*num(q) with den(p)*den(q), with no Fraction built; any
+    other pair takes the sign of pf*qf - 1.0, which rounding cannot flip,
+    as it is monotone.  Only where that product rounds onto 1 is p*q - 1
+    taken exactly, from the doubles as Fractions, and rounded once.
     """
-    if _exact_pair(p, q):
-        num = p.numerator * q.numerator
-        den = p.denominator * q.denominator
-        if num > den:
-            return _SUPER
-        if num < den:
-            return _SUB
-        return _CRITICAL
-    dp, dq = _to_double(p), _to_double(q)
-    if dp in (0.0, math.inf) or dq in (0.0, math.inf):
-        # an exact side past the doubles saturated: take p*q - 1 exactly
-        excess = Fraction(p) * Fraction(q) - 1
-    else:
-        excess = dp * dq - 1.0
-        if excess == 0.0:  # the product rounded onto 1
-            excess = Fraction(dp) * Fraction(dq) - 1
-    if excess > 0:
-        return _SUPER
-    if excess < 0:
-        return _SUB
-    return _CRITICAL
+    pf = p if type(p) is float and 0.0 < p < math.inf else _real(p, "p")
+    qf = q if type(q) is float and 0.0 < q < math.inf else _real(q, "q")
+    excess = pf * qf - 1.0
+    if excess == 0.0:  # the product rounded onto 1: take p*q - 1 exactly
+        excess = float(Fraction(pf) * Fraction(qf) - 1)
+    if type(p) is int and type(q) is int:  # p, q >= 1: never sub-critical
+        return pf, qf, _SUPER if p * q > 1 else _CRITICAL, excess
+    if type(p) is not float and _exact_pair(p, q):
+        num, den = p.numerator * q.numerator, p.denominator * q.denominator
+        return pf, qf, _SUPER if num > den else _SUB if num < den else _CRITICAL, excess
+    return pf, qf, _SUPER if excess > 0.0 else _SUB if excess < 0.0 else _CRITICAL, excess

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from .errors import CriticalRegime, InputOutOfRange, NoConvergence, NonPositiveInput, ZeroUnderflow
 from .errors import _check_positive_int, _real, _weight
-from .qkernel import RegionClass, _classify, _exact_pair, _ln, _power_sum, _q_dq
+from .qkernel import RegionClass, _ln, _power_sum, _q_dq, _read_pair
 from .qkernel import lambda_min
 from .qkernel import _CRITICAL, _EXP_OVERFLOW, _SUB, _SUPER
 from .qkernel import q_value  # noqa: F401  # perfbench's tracer self-test reads solver.q_value
@@ -124,29 +124,15 @@ def solve_lambda(p, q) -> AnacciConstant:
     and a p that is a double is returned as the zero, with a collapsed
     bracket and no evaluation.
 
-    p and q are read as doubles.  The regime is the sign of p*q - 1, exact
-    for the doubles, or for an int/Fraction pair as given, so it is
-    classify(p, q).  Raises NonPositiveInput unless p and q are finite and
-    > 0, InputOutOfRange for one that rounds to 0 or past the largest double,
-    ZeroUnderflow when a sub-critical zero lies below the positive double
-    range, and NoConvergence (never seen) after 200 evaluations.
+    p and q are read as doubles by qkernel._read_pair, the reader classify
+    calls too, so the regime, the sign of p*q - 1 exact for the doubles or
+    for an int/Fraction pair as given, is classify(p, q).  Raises
+    NonPositiveInput unless p and q are finite and > 0, InputOutOfRange for
+    one that rounds to 0 or past the largest double, ZeroUnderflow when a
+    sub-critical zero lies below the positive double range, and
+    NoConvergence (never seen) after 200 evaluations.
     """
-    pf = _real(p, "p")
-    qf = _real(q, "q")
-    excess = pf * qf - 1.0
-    if excess == 0.0:  # the product rounded onto 1: take p*q - 1 exactly
-        excess = float(Fraction(pf) * Fraction(qf) - 1)
-    if type(p) is int and type(q) is int:  # p, q >= 1: never sub-critical
-        regime = _SUPER if p * q > 1 else _CRITICAL
-    elif type(p) is not float and _exact_pair(p, q):
-        regime = _classify(p, q)
-    # _classify's float rule, written out: its call costs every solve
-    elif excess > 0.0:
-        regime = _SUPER
-    elif excess < 0.0:
-        regime = _SUB
-    else:
-        regime = _CRITICAL
+    pf, qf, regime, excess = _read_pair(p, q)
     if regime is _CRITICAL:
         return _new(AnacciConstant, (pf, qf, 1.0, 1.0, 1.0, 0.0, 0, regime))
     if qf == 1.0 and q == 1 and p == pf:
@@ -272,10 +258,11 @@ def _derivative_parts(p: float, q: float) -> tuple[float, float, float, float]:
     p the double the solve read.
 
     gap is p+1-lam through the identity p+1-lam = p*lam^(-q) at the zero,
-    which stays positive after lam saturates onto p+1 in doubles; where
-    lam^q underflows, the benign subtraction.  D = lam - q*gap equals
-    lam(q+1) - (p+1)q without its cancellation; D > 0 above the hyperbola
-    and D < 0 below.  Raises CriticalRegime on the hyperbola, and where the
+    which stays positive after lam saturates onto p+1 in doubles, and is
+    formed as exp(log(p) - t), t = q*ln(lam), where lam^(-q) leaves the
+    normal range; where lam^q underflows, the benign subtraction.
+    D = lam - q*gap equals lam(q+1) - (p+1)q without its cancellation;
+    D > 0 above the hyperbola and D < 0 below.  Raises CriticalRegime on the hyperbola, and where the
     zero is within rounding of 1: lam - 1 then keeps only the few digits of
     it that the double lam holds, and D no more, so their quotient can be
     wrong in its leading digit.  That is taken to be |lam - 1| < 2^-42, or
@@ -288,7 +275,10 @@ def _derivative_parts(p: float, q: float) -> tuple[float, float, float, float]:
         raise CriticalRegime(f"derivatives undefined on p*q = 1 (p={p!r}, q={q!r})")
     lam, p, q = result.value, result.p, result.q
     t = q * _ln(lam)
-    gap = p + 1.0 - lam if -t > _EXP_OVERFLOW else p * math.exp(-t)
+    if -t > _EXP_OVERFLOW:
+        gap = p + 1.0 - lam
+    else:  # past t = 708 exp(-t) leaves the normal range, where p*lam^(-q) need not
+        gap = p * math.exp(-t) if t < _EXP_OVERFLOW else math.exp(math.log(p) - t)
     denom = lam - q * gap
     if (abs(lam - 1.0) < 2.0**-42 and q != 1.0
             or not (denom > 0.0 if result.regime is _SUPER else denom < 0.0)):

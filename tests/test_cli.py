@@ -61,6 +61,20 @@ class TestSolveCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "below the representable range" in err
 
+    def test_overflowing_residual_is_strict_json(self, capsys):
+        # Q at the zero overflows to -inf; it printed as -Infinity, which is not JSON
+        code, out, err = run_cli(capsys, "solve", "--p", "1e300", "--q", "2")
+        assert (code, err) == (0, "")
+
+        def reject(constant):
+            raise ValueError(f"non-finite {constant} in JSON output")
+
+        payload = json.loads(out, parse_constant=reject)
+        assert payload["residual"] == "-inf"
+        assert payload["bracket_lo"] <= payload["value"] <= payload["bracket_hi"] == 1e300
+        code, out, _ = run_cli(capsys, "solve", "--p", "1e300", "--q", "2", "--format", "csv")
+        assert code == 0 and out.splitlines()[1].split(",")[5] == "-inf"
+
     def test_usage_error_exits_two(self, capsys):
         assert run_cli(capsys, "solve", "--p", "1")[0] == 2
         assert run_cli(capsys, "nonsense")[0] == 2

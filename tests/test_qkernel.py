@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from anacci.errors import InputOutOfRange, NonPositiveInput
 from anacci.qkernel import (
     RegionClass,
-    _classify,
     _ln,
     _q_dq,
     classify,
@@ -412,20 +411,20 @@ class TestClassify:
 
     def test_exact_within_one_part_in_ten_to_the_thirty(self):
         eps = Fraction(1, 10**30)
-        assert _classify(1 + eps, 1) is RegionClass.SUPER
-        assert _classify(1 - eps, 1) is RegionClass.SUB
-        assert _classify(Fraction(7, 3) * (1 + eps), Fraction(3, 7)) is RegionClass.SUPER
-        assert _classify(Fraction(3, 7), Fraction(7, 3) * (1 - eps)) is RegionClass.SUB
-        assert _classify(Fraction(10**30, 3), Fraction(3, 10**30)) is RegionClass.CRITICAL
-        assert _classify(True, 1) is RegionClass.CRITICAL
+        assert classify(1 + eps, 1) is RegionClass.SUPER
+        assert classify(1 - eps, 1) is RegionClass.SUB
+        assert classify(Fraction(7, 3) * (1 + eps), Fraction(3, 7)) is RegionClass.SUPER
+        assert classify(Fraction(3, 7), Fraction(7, 3) * (1 - eps)) is RegionClass.SUB
+        assert classify(Fraction(10**30, 3), Fraction(3, 10**30)) is RegionClass.CRITICAL
+        assert classify(True, 1) is RegionClass.CRITICAL
 
     def test_exact_beyond_the_double_range(self):
         huge, tiny = 10**400, Fraction(1, 10**400)
-        assert _classify(huge, tiny) is RegionClass.CRITICAL
-        assert _classify(huge + 1, tiny) is RegionClass.SUPER
-        assert _classify(tiny, huge - 1) is RegionClass.SUB
-        assert _classify(huge, 1) is RegionClass.SUPER
-        assert _classify(tiny, 3) is RegionClass.SUB
+        assert classify(huge, tiny) is RegionClass.CRITICAL
+        assert classify(huge + 1, tiny) is RegionClass.SUPER
+        assert classify(tiny, huge - 1) is RegionClass.SUB
+        assert classify(huge, 1) is RegionClass.SUPER
+        assert classify(tiny, 3) is RegionClass.SUB
 
     def test_exact_side_of_a_float_pair_beyond_the_double_range(self):
         # the exact side saturates to inf or 0 on the tolerance path; float(10**400)
@@ -443,19 +442,19 @@ class TestClassify:
     def test_numpy_integers_do_not_wrap(self):
         # 2**32 * 2**32 wraps to 0 in int64 arithmetic
         big = np.int64(2**32)
-        assert _classify(big, big) is RegionClass.SUPER
+        assert classify(big, big) is RegionClass.SUPER
         assert solve_lambda(big, big) == solve_lambda(2**32, 2**32)
 
     def test_a_float_in_the_pair_takes_the_tolerance_path(self):
         # the float path, no longer a tolerance, reads the exact side as its
         # double: p*q - 1 = 1e-15, and the double of p is above 1 too
         p = Fraction(10**15 + 1, 10**15)
-        assert _classify(p, 1) is RegionClass.SUPER
-        assert _classify(p, 1.0) is RegionClass.SUPER
-        assert _classify(1.0, p) is RegionClass.SUPER
+        assert classify(p, 1) is RegionClass.SUPER
+        assert classify(p, 1.0) is RegionClass.SUPER
+        assert classify(1.0, p) is RegionClass.SUPER
         # the exact pair is on the hyperbola, its doubles are below it
-        assert _classify(Fraction(1, 3), 3) is RegionClass.CRITICAL
-        assert _classify(Fraction(1, 3), 3.0) is RegionClass.SUB
+        assert classify(Fraction(1, 3), 3) is RegionClass.CRITICAL
+        assert classify(Fraction(1, 3), 3.0) is RegionClass.SUB
 
     @given(p=positive, q=positive)
     @settings(max_examples=300, deadline=None)

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anacci import qkernel, solver
 from anacci.errors import (
@@ -316,11 +318,17 @@ class TestSolverWork:
     """Deterministic counts of the work one solve does."""
 
     def test_inputs_checked_once_and_no_public_kernel_calls(self, monkeypatch):
-        calls = {"check": 0, "public": 0}
-        read = qkernel._real
+        # one read of the pair: a float side inline, any other side by one
+        # _real call, p before q
+        calls = {"pair": 0, "real": [], "public": 0}
+        read_pair, read = qkernel._read_pair, qkernel._real
+
+        def counted_pair(p, q):
+            calls["pair"] += 1
+            return read_pair(p, q)
 
         def counted_read(value, name, *args, **kwargs):
-            calls["check"] += 1
+            calls["real"].append(name)
             return read(value, name, *args, **kwargs)
 
         def public(func):
@@ -330,31 +338,36 @@ class TestSolverWork:
 
             return counted
 
+        monkeypatch.setattr(solver, "_read_pair", counted_pair)
         monkeypatch.setattr(solver, "_real", counted_read)
         monkeypatch.setattr(qkernel, "_real", counted_read)
         for module in (qkernel, solver):
             for name in ("q_value", "dq_value"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, public(getattr(module, name)))
-        points = [(1, 2), (0.25, 2.0), (1, 1), (5, 40), (1.7, 3.1), (1, 1e6)]
-        points.append((Fraction(10**15 + 1, 10**15), 1))
-        for p, q in points:
-            calls.update(check=0, public=0)
+        points = {(1, 2): ["p", "q"], (0.25, 2.0): [], (1, 1): ["p", "q"],
+                  (5, 40): ["p", "q"], (1.7, 3.1): [], (1, 1e6): ["p"], (2.0, 3): ["q"],
+                  (Fraction(10**15 + 1, 10**15), 1): ["p", "q"]}
+        for (p, q), names in points.items():
+            calls.update(pair=0, real=[], public=0)
             solve_lambda(p, q)
-            assert calls == {"check": 2, "public": 0}, (p, q)  # p and q once each
+            assert calls == {"pair": 1, "real": names, "public": 0}, (p, q)
 
     def test_out_of_range_input_checked_once(self, monkeypatch):
         # p raises as it is read, before q is
         calls = []
-        read = qkernel._real
+        read_pair, read = qkernel._read_pair, qkernel._real
         monkeypatch.setattr(
-            solver, "_real", lambda value, name: calls.append(name) or read(value, name)
+            solver, "_read_pair", lambda p, q: calls.append("pair") or read_pair(p, q)
         )
-        for p, q in ((10**400, 1), (Fraction(1, 10**400), 1)):
+        monkeypatch.setattr(
+            qkernel, "_real", lambda value, name: calls.append(name) or read(value, name)
+        )
+        for p, q in ((10**400, 1), (Fraction(1, 10**400), 1), (10**400, 1.0)):
             calls.clear()
             with pytest.raises(InputOutOfRange):
                 solve_lambda(p, q)
-            assert calls == ["p"], (p, q)
+            assert calls == ["pair", "p"], (p, q)
 
     def test_no_fraction_built_for_an_integer_pair(self, monkeypatch):
         built = []
@@ -366,9 +379,15 @@ class TestSolverWork:
 
         monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
         assert Fraction(1, 2) == 0.5 and built  # the hook sees construction
+        # none for an int pair, a float pair or a float product off 1 by 9e-13
+        for p, q in ((5, 40), (1.7, 3.1), (1e6, 1.0000000000009e-06)):
+            built.clear()
+            assert solve_lambda(p, q).regime is RegionClass.SUPER
+            assert built == [], (p, q)
+        # 0.1 * 10.0 rounds onto 1: the one exact fallback, from the doubles
         built.clear()
-        assert solve_lambda(5, 40).regime is RegionClass.SUPER
-        assert built == []
+        assert solve_lambda(0.1, 10.0).regime is RegionClass.SUPER
+        assert built[:2] == [(0.1,), (10.0,)]
 
     def test_iteration_total_is_pinned(self):
         # every draw solves; a change to the solver loop or to the kernel's
@@ -550,10 +569,85 @@ def _steps(x, count):
     return below[:0:-1] + above
 
 
+# the number types a side may take, and exact factors that move a Fraction
+# off the doubles or past them
+_SIDE_KINDS = ("float", "int", "Fraction", "int64", "float32", "Decimal")
+_FRACTION_FACTORS = (Fraction(1), Fraction(1, 3), Fraction(7, 5), Fraction(1, 10**100),
+                     Fraction(10**100))
+
+
+def _double(x):
+    """The positive finite double of x, or None where it has none."""
+    try:
+        d = float(x)
+    except OverflowError:
+        return None
+    return d if 0.0 < d < math.inf else None
+
+
+@st.composite
+def _side(draw, x):
+    """The double x as one of _SIDE_KINDS, some of them without a double."""
+    kind = draw(st.sampled_from(_SIDE_KINDS))
+    if kind == "float":
+        return x
+    if kind == "int":
+        return (int(x) or 1) * draw(st.sampled_from((1, 10**100)))
+    if kind == "Fraction":
+        return Fraction(x) * draw(st.sampled_from(_FRACTION_FACTORS))
+    if kind == "int64":
+        return np.int64(min(int(x), 2**63 - 1) or 1)
+    if kind == "float32":
+        return np.float32(min(max(x, 1.5e-45), 3.4e38))
+    return Decimal(x).scaleb(draw(st.sampled_from((0, 0, 400, -400))))
+
+
+@st.composite
+def _pairs(draw):
+    """(p, q) over 5e-324..1.7e308, with p often within one ulp of 1/q,
+    where the double product rounds onto 1."""
+    # doubles whose inverses are inexact, so that a product next to 1 can
+    # round onto it, beside the whole range
+    magnitudes = st.one_of(st.floats(min_value=5e-324, max_value=1.7e308),
+                           st.sampled_from((0.1, 3.0, 7.0, 10.0, 1e-3, 1e6)))
+    q = draw(_side(draw(magnitudes)))
+    x = draw(magnitudes)
+    inverse = 1.0 / (_double(q) or math.inf)
+    if 0.0 < inverse < math.inf and draw(st.booleans()):
+        x = math.nextafter(inverse, draw(st.sampled_from((inverse, 0.0, math.inf))))
+    return draw(_side(x)), q
+
+
 class TestFloatRegimeRule:
-    """solve_lambda decides a float pair's regime itself, with no classify
-    call; it must agree with classify everywhere, and both must give the
-    sign of p*q - 1 for the exact doubles."""
+    """solve_lambda and classify take the regime from one reader,
+    qkernel._read_pair: they must agree everywhere, and both give the sign
+    of p*q - 1 for the numbers read, the exact doubles of a float pair."""
+
+    @given(pair=_pairs())
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    def test_regime_is_the_exact_sign_for_the_numbers_read(self, pair):
+        # an int/Fraction pair is read as given, any other as its doubles,
+        # and a side with no double as its value
+        p, q = pair
+        exact = isinstance(p, (int, Fraction)) and isinstance(q, (int, Fraction))
+        read = []
+        for x in (p, q):
+            d = _double(x)
+            if d is None and not isinstance(x, (int, Fraction)):
+                with pytest.raises(InputOutOfRange):
+                    classify(p, q)
+                return
+            read.append(Fraction(x) if exact or d is None else Fraction(d))
+        excess = read[0] * read[1] - 1
+        expected = RegionClass.SUPER if excess > 0 else (
+            RegionClass.SUB if excess < 0 else RegionClass.CRITICAL)
+        regime = classify(p, q)
+        assert regime is expected, (p, q)
+        try:
+            result = solve_lambda(p, q)
+        except AnacciError:
+            return
+        assert result.regime is regime, (p, q)
 
     def test_float_pairs_at_the_band_edges(self):
         # the edges are where p*q rounds onto 1; no tolerance widens them
@@ -923,6 +1017,14 @@ class TestDerivatives:
         # lam^(-q) underflows, so the gap is 0 and dp = (lam-1)/p
         assert dlambda_dp(1.58e92, 3.45e237) == pytest.approx(1.0, rel=1e-15)
         assert dlambda_dq(1.58e92, 3.45e237) == 0.0
+
+    @pytest.mark.parametrize("p,q", [(1e250, 1.3), (1e300, 1.5), (1e300, 2.0), (1e300, 1.0712)])
+    def test_dq_where_lam_to_the_minus_q_leaves_the_normal_range(self, p, q):
+        # exp(-t) underflowed or went subnormal while p*lam^(-q) did not: the
+        # first three read 0.0 for 5.8e-73, 6.9e-148 and 6.9e-298, the last
+        # was 0.4% off
+        want = float(mp_dlambda(p, q)[1])
+        assert dlambda_dq(p, q) == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_dq_above_the_largest_double(self):
         # mpmath puts dlam/dq at 7.5e309

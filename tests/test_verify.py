@@ -139,20 +139,27 @@ class TestNoRestatedFamily:
 
 class TestBoundsWork:
     def test_each_random_point_checked_once(self, monkeypatch):
-        calls = {"float": 0, "exact": 0}
-        read = qkernel._real
+        calls = {"pair": 0, "float": 0, "exact": 0}
+        read_pair, read = qkernel._read_pair, qkernel._real
+
+        def counted_pair(p, q):
+            calls["pair"] += 1
+            return read_pair(p, q)
 
         def counted_read(value, name, *args, **kwargs):
             calls["exact" if isinstance(value, Fraction) else "float"] += 1
             return read(value, name, *args, **kwargs)
 
+        monkeypatch.setattr(solver, "_read_pair", counted_pair)
         monkeypatch.setattr(solver, "_real", counted_read)
         monkeypatch.setattr(qkernel, "_real", counted_read)
-        # sizes 0 leave only the random points and the exact crossover grid
+        # sizes 0 leave only the random points and the exact crossover grid;
+        # a random pair is read once, its floats inline, and the grid's
+        # Fractions by _real, p and q once each
         results = {r.name: r for r in suite_bounds(m_max=0, n_max=0, seed=42)}
         assert results["bounds.random_regimes"].passed
         assert results["bounds.refined"].passed
-        assert calls == {"float": 2 * 10_000, "exact": 2 * 20 * 64}  # p and q once each
+        assert calls == {"pair": 10_000, "float": 0, "exact": 2 * 20 * 64}
 
     def test_crossover_grid_calls_the_library_at_every_point(self, monkeypatch):
         calls = []
