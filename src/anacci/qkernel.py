@@ -216,8 +216,9 @@ def classify(p, q) -> RegionClass:
 
 
 def _read_pair(p, q):
-    """(pf, qf, regime, excess) for a pair (p, q): the doubles of p and q,
-    checked, the sign regime of p*q - 1, and pf*qf - 1 as a double.
+    """(pf, qf, regime, excess) for a pair (p, q): the checked doubles of p
+    and q, the regime, which is the sign of p*q - 1, and pf*qf - 1 as a
+    double.
 
     A positive finite float is read inline, anything else by _real, p
     before q.  An int pair compares p*q with 1 in integers, an int/Fraction

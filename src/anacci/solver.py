@@ -262,13 +262,13 @@ def _derivative_parts(p: float, q: float) -> tuple[float, float, float, float]:
     formed as exp(log(p) - t), t = q*ln(lam), where lam^(-q) leaves the
     normal range; where lam^q underflows, the benign subtraction.
     D = lam - q*gap equals lam(q+1) - (p+1)q without its cancellation;
-    D > 0 above the hyperbola and D < 0 below.  Raises CriticalRegime on the hyperbola, and where the
-    zero is within rounding of 1: lam - 1 then keeps only the few digits of
-    it that the double lam holds, and D no more, so their quotient can be
-    wrong in its leading digit.  That is taken to be |lam - 1| < 2^-42, or
-    1024 ulp of 1, and wherever the sign of D contradicts the regime.  At
-    q = 1 the zero p is exact, and so are both formulas, so only the sign
-    test applies there.
+    D > 0 above the hyperbola and D < 0 below.  Raises CriticalRegime on
+    the hyperbola, and where the zero is within rounding of 1: lam - 1 then
+    keeps only the few digits of it that the double lam holds, and D no
+    more, so their quotient can be wrong in its leading digit.  That is
+    taken to be |lam - 1| < 2^-42, or 1024 ulp of 1, and wherever the sign
+    of D contradicts the regime.  At q = 1 the zero p is exact, and so are
+    both formulas, so only the sign test applies there.
     """
     result = solve_lambda(p, q)
     if result.regime is _CRITICAL:
@@ -277,7 +277,7 @@ def _derivative_parts(p: float, q: float) -> tuple[float, float, float, float]:
     t = q * _ln(lam)
     if -t > _EXP_OVERFLOW:
         gap = p + 1.0 - lam
-    else:  # past t = 708 exp(-t) leaves the normal range, where p*lam^(-q) need not
+    else:  # past t = 708 exp(-t) is subnormal or 0, where p*lam^(-q) need not be
         gap = p * math.exp(-t) if t < _EXP_OVERFLOW else math.exp(math.log(p) - t)
     denom = lam - q * gap
     if (abs(lam - 1.0) < 2.0**-42 and q != 1.0

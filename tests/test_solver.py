@@ -574,6 +574,7 @@ def _steps(x, count):
 _SIDE_KINDS = ("float", "int", "Fraction", "int64", "float32", "Decimal")
 _FRACTION_FACTORS = (Fraction(1), Fraction(1, 3), Fraction(7, 5), Fraction(1, 10**100),
                      Fraction(10**100))
+_NEAR_ONE = (Fraction(1), 1 + Fraction(1, 10**30), 1 - Fraction(1, 10**30))
 
 
 def _double(x):
@@ -605,12 +606,16 @@ def _side(draw, x):
 @st.composite
 def _pairs(draw):
     """(p, q) over 5e-324..1.7e308, with p often within one ulp of 1/q,
-    where the double product rounds onto 1."""
+    where the double product rounds onto 1, or, for an exact q, the exact
+    1/q or a hair off it."""
     # doubles whose inverses are inexact, so that a product next to 1 can
     # round onto it, beside the whole range
     magnitudes = st.one_of(st.floats(min_value=5e-324, max_value=1.7e308),
                            st.sampled_from((0.1, 3.0, 7.0, 10.0, 1e-3, 1e6)))
     q = draw(_side(draw(magnitudes)))
+    if isinstance(q, (int, Fraction)) and draw(st.booleans()):
+        # on the hyperbola, or off it by less than the doubles resolve
+        return 1 / Fraction(q) * draw(st.sampled_from(_NEAR_ONE)), q
     x = draw(magnitudes)
     inverse = 1.0 / (_double(q) or math.inf)
     if 0.0 < inverse < math.inf and draw(st.booleans()):
