@@ -225,12 +225,15 @@ def _read_pair(p, q):
     pair num(p)*num(q) with den(p)*den(q), with no Fraction built; any
     other pair takes the sign of pf*qf - 1.0, which rounding cannot flip,
     as it is monotone.  Only where that product rounds onto 1 is p*q - 1
-    taken exactly, from the doubles as Fractions, and rounded once.
+    taken exactly, from the doubles as Fractions, and rounded once; an
+    int/Fraction pair with p*q = 1 exactly keeps 0.0.
     """
     pf = p if type(p) is float and 0.0 < p < math.inf else _real(p, "p")
     qf = q if type(q) is float and 0.0 < q < math.inf else _real(q, "q")
     excess = pf * qf - 1.0
-    if excess == 0.0:  # the product rounded onto 1: take p*q - 1 exactly
+    # the product rounded onto 1: take p*q - 1 exactly, but not for an exact
+    # pair on the hyperbola, whose excess no caller reads
+    if excess == 0.0 and not (_exact_pair(p, q) and p * q == 1):
         excess = float(Fraction(pf) * Fraction(qf) - 1)
     if type(p) is int and type(q) is int:  # p, q >= 1: never sub-critical
         return pf, qf, _SUPER if p * q > 1 else _CRITICAL, excess

@@ -388,6 +388,13 @@ class TestSolverWork:
         built.clear()
         assert solve_lambda(0.1, 10.0).regime is RegionClass.SUPER
         assert built[:2] == [(0.1,), (10.0,)]
+        # an exact pair on the hyperbola takes no Fraction of a double, though
+        # its doubles' product rounds onto 1
+        third = Fraction(1, 3)
+        for p, q in ((1, 1), (third, 3)):
+            built.clear()
+            assert solve_lambda(p, q).regime is classify(p, q) is RegionClass.CRITICAL
+            assert not [args for args in built if type(args[0]) is float], (p, q)
 
     def test_iteration_total_is_pinned(self):
         # every draw solves; a change to the solver loop or to the kernel's
