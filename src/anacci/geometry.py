@@ -580,17 +580,24 @@ def mc_centroid(scene: DilationScene, seed: int, samples: int) -> tuple[float, f
     Uniform points are drawn inside the larger body from one PCG64DXSM
     generator seeded with ``seed``, read in order a chunk of 2^14 points at
     a time: axial rows first, then one lateral uniform per undecided point,
-    or a whole row.  The axial rows fill u for every point of the chunk, and
-    the test d < axis_start*r or d > r alone puts a point in the shell.
-    Where at most a quarter of the chunk is left undecided, their rows are
-    gathered into views of the workspace, their lateral values are drawn
-    from the next uniforms of the stream, and the verdicts are scattered
-    back (Marsaglia's squeeze: the cheap test first).  Otherwise the lateral
-    step reads one uniform for every point of the chunk.  A quarter is
-    where the cube's one uniform a point costs as much as the gather.  With
-    O at the body's low end and lam in {0.5, 1.2, 2}, cones and pyramids at
-    n >= 8 leave 0-23% of a chunk undecided and take the first path; balls
-    and cubes leave 50-100% and take the second.
+    a whole row, or none.  The axial rows fill u for every point of the
+    chunk, and the test d < axis_start*r or d > r alone puts a point in the
+    shell (Marsaglia's squeeze: the cheap test first).  Whether the lateral
+    step can change a verdict is decided once per scene.  It cannot at
+    n = 1, where there is no section, nor where the smaller body's section
+    bound is at least the larger one's at both ends of the undecided slab
+    u in [c0 + axis_start*r, c0 + r]: each kind's difference of the two
+    bounds is affine in u, so the smaller section then contains the larger
+    one across the slab.  A cone or pyramid dilated about its apex is such a
+    scene, and draws no lateral value.  Otherwise, where at most a quarter
+    of the chunk is left undecided, their rows are gathered into views of
+    the workspace, their lateral values are drawn from the next uniforms of
+    the stream, and the verdicts are scattered back; above a quarter the
+    lateral step reads one uniform for every point of the chunk.  A quarter
+    is where the cube's one uniform a point costs as much as the gather.
+    With O at the body's low end and lam in {0.5, 1.2, 2}, balls and cubes
+    leave 50-100% of a chunk undecided and take the whole row; an 8-cone
+    about O = 0.2 at lam = 2 leaves 1.7% and gathers.
     Results are bit-reproducible for a fixed seed; since the rows interleave
     by chunk, the points depend on the chunk size.
     Membership reads only a point's axial coordinate and the norm
@@ -649,6 +656,12 @@ def mc_centroid(scene: DilationScene, seed: int, samples: int) -> tuple[float, f
     shift = 0.0  # u at the first accepted point
     sums_x, sums_x2 = array("d"), array("d")  # of x and x^2 per chunk
     start = shape.axis_start * r
+    # the squeeze decided once: the smaller bound minus the larger is affine
+    # in u, so the slab's two ends decide whether a lateral value can reject.
+    # The ball's bound overwrites d, so the smaller is read first
+    ends = np.array([c0 + start, c0 + r])
+    inner = shape.section_bound(r, ends - c0, body.n)
+    lateral_step = body.n > 1 and bool(np.any(inner < shape.section_bound(1.0, ends, body.n)))
     for done in range(0, samples, _MC_CHUNK):
         size = min(_MC_CHUNK, samples - done)
         u, keep, scratch, lateral, tmp = work[:, :size]
@@ -657,18 +670,18 @@ def mc_centroid(scene: DilationScene, seed: int, samples: int) -> tuple[float, f
         d = np.subtract(u, c0, out=scratch)
         np.less(d, start, out=shell)
         shell |= np.greater(d, r, out=flag)
-        undecided = size - int(np.count_nonzero(shell))
-        if undecided > _MC_GATHER_SHARE * size:
-            index = None
-        else:  # gather the undecided points' rows into the spare rows
-            index = np.flatnonzero(np.logical_not(shell, out=flag))
-            count = 3 + len(rows)
-            lateral, tmp, *views = spare[:count * undecided].reshape(count, undecided)
-            # "clip": under the default "raise", take fills a copy of out first
-            d, *rows = (np.take(row, index, out=view, mode="clip")
-                        for row, view in zip((d, *rows), views))
-        shape.lateral(rng, body.n, lateral, tmp, *rows)
-        if body.n > 1:
+        if lateral_step:
+            undecided = size - int(np.count_nonzero(shell))
+            if undecided > _MC_GATHER_SHARE * size:
+                index = None
+            else:  # gather the undecided points' rows into the spare rows
+                index = np.flatnonzero(np.logical_not(shell, out=flag))
+                count = 3 + len(rows)
+                lateral, tmp, *views = spare[:count * undecided].reshape(count, undecided)
+                # "clip": under the default "raise", take fills a copy of out first
+                d, *rows = (np.take(row, index, out=view, mode="clip")
+                            for row, view in zip((d, *rows), views))
+            shape.lateral(rng, body.n, lateral, tmp, *rows)
             beyond = np.greater(lateral, shape.section_bound(r, d, body.n), out=flag[:d.size])
             if index is None:
                 shell |= beyond

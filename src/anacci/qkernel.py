@@ -57,11 +57,13 @@ def _q_dq(lam: float, p: float, q: float) -> tuple[float, float]:
 
     Q' = lam^(q-1) * slope shares its power with Q and is formed as
     lam^q / lam * slope.  Where lam^q overflows, Q reports as +-inf by the
-    scaled identity ``Q/lam^q = lam - (p+1) + p*lam^(-q)``; where lam^q
-    leaves the normal range or lam^(q-1) overflows, Q' takes lam^(q-1) from
-    its own exponent t - ln(lam), and reports as +-inf by the sign of the
-    slope once that overflows too, read from lam/(p+1) - q/(q+1) where both
-    of the slope's products overflow.
+    scaled identity ``Q/lam^q = lam - (p+1) + p*lam^(-q)``; where lam^q does
+    not but both products of Q do, Q is ``(lam - p - 1)*lam^q + p``, +-inf
+    once that leaves the doubles.  Where lam^q leaves the normal range or
+    lam^(q-1) overflows, Q' takes lam^(q-1) from its own exponent
+    t - ln(lam), and reports as +-inf by the sign of the slope once that
+    overflows too, read from lam/(p+1) - q/(q+1) where both of the slope's
+    products overflow.
     """
     slope = lam * (q + 1.0) - (p + 1.0) * q
     if lam == 1.0:
@@ -80,6 +82,8 @@ def _q_dq(lam: float, p: float, q: float) -> tuple[float, float]:
     else:
         e = math.exp(t)
         value = (lam - 1.0) * e - p * math.expm1(t)
+        if value != value:  # inf - inf: both products overflowed
+            value = ((lam - p) - 1.0) * e + p
         if t >= -_EXP_OVERFLOW and t - ln <= _EXP_OVERFLOW:
             return value, e / lam * slope
     t_minus = t - ln  # the exponent of lam^(q-1)
@@ -104,12 +108,7 @@ def q_value(lam: float, p: float, q: float) -> float:
     scaled identity, once it leaves the doubles.
     """
     lam, p, q = _real(lam, "lam"), _real(p, "p"), _real(q, "q")
-    value = _q_dq(lam, p, q)[0]
-    # inf - inf: both products overflowed.  Tested here, off the common
-    # return of _q_dq, which every solver step takes
-    if value != value:
-        value = ((lam - p) - 1.0) * math.exp(q * _ln(lam)) + p
-    return value
+    return _q_dq(lam, p, q)[0]
 
 
 def dq_value(lam: float, p: float, q: float) -> float:

@@ -75,6 +75,18 @@ class TestSolveCommand:
         code, out, _ = run_cli(capsys, "solve", "--p", "1e300", "--q", "2", "--format", "csv")
         assert code == 0 and out.splitlines()[1].split(",")[5] == "-inf"
 
+    def test_residual_where_both_products_of_q_overflow_is_strict_json(self, capsys):
+        # Q read inf - inf at the zero and printed its residual as NaN
+        code, out, err = run_cli(capsys, "solve", "--p", "1e100", "--q", "3")
+        assert (code, err) == (0, "")
+
+        def reject(constant):
+            raise ValueError(f"non-finite {constant} in JSON output")
+
+        payload = json.loads(out, parse_constant=reject)
+        assert payload["value"] == 1e100
+        assert payload["iterations"] == 1
+
     def test_usage_error_exits_two(self, capsys):
         assert run_cli(capsys, "solve", "--p", "1")[0] == 2
         assert run_cli(capsys, "nonsense")[0] == 2

@@ -681,8 +681,9 @@ class TestMonteCarlo:
 # is one chunk.  A chunk that leaves more than a quarter of its points
 # undecided by the axial test reads each row of uniforms whole, as a
 # whole-array draw does; the cone and pyramid at n = 8 and lam = 0.7 leave
-# fewer and draw lateral values for those points alone.  The rows at 65536
-# and 201234 samples span several chunks.
+# fewer and draw lateral values for those points alone.  At n = 1 there is
+# no section, so no lateral uniform is read.  The rows at 65536 and 201234
+# samples span several chunks.
 # Only the summation order of the moments may move the last digits; one point
 # moved at 2e5 samples shifts an estimate by about 2e-3 stderr.
 MC_GOLDEN = [
@@ -690,11 +691,11 @@ MC_GOLDEN = [
     ("ball", 2, 1.6, 43, 65536, 1.7356146105248638, 0.004102839274846228),
     ("ball", 3, 0.7, 44, 201234, 1.1187523605482017, 0.001269987047105797),
     ("ball", 8, 1.6, 45, 10000, 1.4571797626591116, 0.005093608613547746),
-    ("cube", 1, 1.6, 46, 65536, 0.9804970775962871, 0.003449950416793693),
+    ("cube", 1, 1.6, 46, 65536, 0.9833434092686886, 0.0034126240125378886),
     ("cube", 2, 0.7, 47, 201234, 0.5868340166735241, 0.0010331583771885748),
     ("cube", 3, 1.6, 48, 10000, 0.7365345622560628, 0.005629348232131678),
     ("cube", 8, 0.7, 49, 65536, 0.5055881579762446, 0.0011794081389720635),
-    ("cone", 1, 1.6, 50, 201234, 0.9786690139979566, 0.0019498790403299536),
+    ("cone", 1, 1.6, 50, 201234, 0.9780489467085707, 0.0019510875507107066),
     ("cone", 2, 0.7, 51, 10000, 0.7993010054378484, 0.002978689775980084),
     ("cone", 3, 1.6, 52, 65536, 1.1858624017994617, 0.001183921413124886),
     ("cone", 8, 0.7, 53, 201234, 0.9013158315369785, 0.00019742432438058608),
@@ -765,6 +766,18 @@ class TestMonteCarloDraws:
         c0 = (small.axis_offset - big.axis_offset) / big.size
         return big, big.kind.shape, c0, small.size / big.size
 
+    @classmethod
+    def lateral_cannot_reject(cls, scene):
+        """Whether mc_centroid skips the lateral step: at n = 1, or where the
+        smaller body's section bound is at least the larger one's at both
+        ends of the slab d in [axis_start*r, r] that the axial test leaves
+        undecided."""
+        _, shape, c0, r = cls.unit_frame(scene)
+        n = scene.body.n
+        u = np.array([c0 + shape.axis_start * r, c0 + r])
+        smaller = shape.section_bound(r, u - c0, n)
+        return n == 1 or bool(np.all(smaller >= shape.section_bound(1.0, u, n)))
+
     @pytest.mark.parametrize("scene, seed", [
         pytest.param(DilationScene(cone(2, 1.0, apex=0.0), 0.0, 1.0 + 1e-4), 5, id="cone2-up"),
         pytest.param(DilationScene(cone(2, 1.0, apex=0.0), 0.0, 1.0 - 1e-4), 5, id="cone2-down"),
@@ -786,9 +799,12 @@ class TestMonteCarloDraws:
         # chunk moments must keep the digits of two-pass sums of the points.
         # A running mean rounded once per chunk drifted 2-3 ulp from them on
         # the thin 2-cone at seeds 6 and 8, and plain running totals of the
-        # chunk sums 3 ulp on the 2-ball at seed 2
+        # chunk sums 3 ulp on the 2-ball at seed 2.  About the apex no
+        # lateral value can reject a point, and the cones draw none
         samples, n = 10**6, scene.body.n
         big, shape, c0, r = self.unit_frame(scene)
+        lateral_step = not self.lateral_cannot_reject(scene)
+        assert lateral_step == (shape is not BodyKind.CONE.shape)
         rng = np.random.Generator(np.random.PCG64DXSM(seed))
         accepted = []
         for done in range(0, samples, _MC_CHUNK):
@@ -797,14 +813,15 @@ class TestMonteCarloDraws:
             rows = shape.axial(rng, n, u, keep, tmp)
             d = u - c0
             undecided = (d >= shape.axis_start * r) & (d <= r)
-            if np.count_nonzero(undecided) <= _MC_GATHER_SHARE * size:
-                rows, d = [row[undecided] for row in rows], d[undecided]
-            else:
-                undecided[:] = True
-            lateral, tmp = np.empty((2, d.size))
-            shape.lateral(rng, n, lateral, tmp, *rows)
-            shell = (u - c0 < shape.axis_start * r) | (u - c0 > r)
-            shell[undecided] |= lateral > shape.section_bound(r, d, n)
+            shell = ~undecided
+            if lateral_step:
+                if np.count_nonzero(undecided) <= _MC_GATHER_SHARE * size:
+                    rows, d = [row[undecided] for row in rows], d[undecided]
+                else:
+                    undecided[:] = True
+                lateral, tmp = np.empty((2, d.size))
+                shape.lateral(rng, n, lateral, tmp, *rows)
+                shell[undecided] |= lateral > shape.section_bound(r, d, n)
             accepted.extend(u[shell].tolist())
         mean = math.fsum(accepted) / len(accepted)
         m2 = math.fsum((x - mean) ** 2 for x in accepted)
@@ -886,8 +903,9 @@ class TestMonteCarloDraws:
         # mc_centroid builds one generator and reads it a chunk at a time:
         # the rows of uniforms its steps fill, taken in order, are the
         # opening stretch of the one PCG64DXSM stream seeded with ``seed``.
-        # The 3-ball draws its W row for every point of a chunk, the 8-cone
-        # its lateral row for the few points its axial slab leaves undecided
+        # The 3-ball draws its W row for every point of a chunk; about its
+        # apex no lateral value can reject a point, so the 8-cone reads its
+        # axial rows alone
         chunks = [min(_MC_CHUNK, samples - done) for done in range(0, samples, _MC_CHUNK)]
         for scene, axial in ((DilationScene(ball(3, 1.0, center=0.0), 0.2, 1.6), 2),
                              (DilationScene(cone(8, 1.0, apex=0.0), 0.0, 2.0), 1)):
@@ -896,17 +914,71 @@ class TestMonteCarloDraws:
             mc_centroid(scene, seed, samples)
             assert len(generators) == 1
             read = [(step, row.size) for step, row in log if step != "u"]
-            lateral = [size for step, size in read if step == "lateral"]
-            assert read == [pair for size, count in zip(chunks, lateral)
-                            for pair in [("axial", size)] * axial + [("lateral", count)]]
             if axial == 2:  # the ball's slab leaves about half of each chunk undecided
-                assert lateral == chunks
-            else:  # the cone's about 0.4%
-                assert all(0 < count < size // 16 for size, count in zip(chunks, lateral))
+                assert read == [pair for size in chunks
+                                for pair in [("axial", size)] * 2 + [("lateral", size)]]
+            else:
+                assert read == [("axial", size) for size in chunks]
             rows = [row for step, row in log if step != "u"]
             expected = np.random.Generator(np.random.PCG64DXSM(seed)).random(
                 sum(row.size for row in rows))
             assert np.array_equal(np.concatenate(rows), expected)
+
+    @pytest.mark.parametrize("scene, reads_lateral", [
+        *(pytest.param(DilationScene(maker(n, 1.0, 0.0), 0.0, lam), False,
+                       id=f"{maker.__name__}{n}-apex-{lam}")
+          for maker in (cone, pyramid) for n in (2, 8, 16) for lam in (0.5, 2.0)),
+        *(pytest.param(make_scene(maker, 1, lam), False, id=f"{maker.__name__}1-{lam}")
+          for maker in KIND_MAKERS for lam in (0.5, 2.0)),
+        *(pytest.param(make_scene(cone, n, lam), True, id=f"cone{n}-{lam}")
+          for n in (2, 8, 16) for lam in (0.5, 2.0)),
+        *(pytest.param(off_unit_scene(kind, lam), True, id=f"{kind}5-off-unit-{lam}")
+          for kind in ("cone", "pyramid") for lam in (0.6, 1.7, 40.0)),
+    ])
+    def test_lateral_uniforms_are_read_only_where_they_can_reject(self, scene, reads_lateral,
+                                                                   monkeypatch):
+        # where the smaller body's section contains the larger one's across
+        # the undecided slab, as about a cone's or pyramid's apex, or at
+        # n = 1, where there is no section, the axial test decides every
+        # point: the lateral step is never called and reads no uniform.  With
+        # O off the apex it runs in every chunk
+        log, calls = [], []
+        kind = scene.body.kind
+        self.record_steps(monkeypatch, kind, log, set())
+        shape = kind.shape
+        monkeypatch.setattr(kind, "shape", shape._replace(
+            lateral=lambda *args: calls.append(shape.lateral(*args))))
+        mc_centroid(scene, 5, 2 * _MC_CHUNK + 5000)
+        chunks = sum(step == "u" for step, _ in log)
+        lateral = [row.size for step, row in log if step == "lateral"]
+        assert chunks == 3
+        assert self.lateral_cannot_reject(scene) is not reads_lateral
+        if reads_lateral:
+            assert len(calls) == len(lateral) == chunks and sum(lateral) > 0
+        else:
+            assert calls == lateral == []
+
+    @pytest.mark.parametrize("lam", [0.5, 1.2, 2.0])
+    @pytest.mark.parametrize("n", [2, 3, 8, 16])
+    @pytest.mark.parametrize("maker", [cone, pyramid], ids=lambda maker: maker.__name__)
+    def test_about_the_apex_no_lateral_value_rejects_a_point(self, maker, n, lam):
+        # the skip changes no verdict: lateral values drawn for 10**5 points
+        # spread over the undecided slab, from the stream and at the largest
+        # uniform below 1, never exceed the smaller body's section bound
+        scene = DilationScene(maker(n, 1.0, 0.0), 0.0, lam)
+        _, shape, c0, r = self.unit_frame(scene)
+        assert c0 == 0.0 and self.lateral_cannot_reject(scene)
+        u = np.linspace(c0 + shape.axis_start * r, c0 + r, 10**5)
+        d = np.subtract(u, c0)
+
+        class Top:
+            def random(self, out):
+                out[:] = 1.0 - 2.0**-53
+
+        for rng in (np.random.Generator(np.random.PCG64DXSM(3)), Top()):
+            lateral, tmp = np.empty((2, u.size))
+            shape.lateral(rng, n, lateral, tmp, u)
+            assert not np.any(lateral > shape.section_bound(r, d.copy(), n))
 
     @pytest.mark.parametrize("scene", [
         pytest.param(make_scene(maker, n, lam), id=f"{maker.__name__}{n}-{lam}")

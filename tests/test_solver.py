@@ -230,6 +230,24 @@ class TestSolveLambda:
         assert ulp_distance(r.value, root) <= 0.5
         assert r.bracket_lo <= root <= r.bracket_hi
 
+    @pytest.mark.parametrize("p,q", [(1e100, 3.0), (1e100, 2.5), (1e20, 15.0)])
+    def test_zero_where_both_products_of_q_overflow(self, p, q):
+        # lam^q stays finite near lam = p + 1, but (lam-1)*lam^q and
+        # p*(lam^q - 1) both overflow: Q read inf - inf = nan, and the solver
+        # returned 7.500000000000002e99 for (1e100, 3) after 52 evaluations.
+        # The residual's sign at fl(p+1) is not certified, so the bracket is
+        # not checked against the zero, which lies about 1 above p
+        r = solve_lambda(p, q)
+        assert r.value == float(mp_root(p, q))
+        assert r.residual == r.residual
+
+    def test_no_nan_residual_on_large_weights(self):
+        # 307 of these 3000 draws returned a nan residual
+        rng = random.Random(3)
+        draws = [(_log_uniform(rng, 1e4, 1e300), _log_uniform(rng, 0.01, 100.0))
+                 for _ in range(3000)]
+        assert not [(p, q) for p, q in draws if math.isnan(solve_lambda(p, q).residual)]
+
     def test_saturated_points_reach_weight_plus_one(self):
         assert solve_lambda(1, 1e16).value == 2.0
         assert ulp_distance(solve_lambda(1, 1e6).value, mp_root(1, 1e6)) <= 1.0

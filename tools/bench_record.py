@@ -1,14 +1,17 @@
 """Record one point of the benchmark trajectory as BENCH_<short-sha>.json.
 
-Runs ``perfbench/run.py --workload all --seed 1 --seconds 25`` of a git
+Runs ``perfbench/run.py --workload all --seed N --seconds 25`` of a git
 checkout twice: with ``--trace 0`` for the end-to-end metrics and with
 ``--trace 1`` for the per-layer ones.  Each run's first JSON line (the
 environment) and last (the metrics) are kept, together with the Python and
 numpy versions, nproc, the git revision and whether the tree was dirty.
 The file is written at the root of the repository that holds this script.
+``--seed N`` (default 1) is passed to every run and stored in the file, and
+a seed other than 1 adds ``_seed<N>`` to the file name.
 
     python3 tools/bench_record.py                   # measures this checkout
     python3 tools/bench_record.py --checkout DIR    # measures the clone in DIR
+    python3 tools/bench_record.py --seed 2          # BENCH_<short-sha>_seed2.json
 
 With ``--against DIR`` it measures a change instead: ``--pairs N``
 alternating pairs of end-to-end runs of ``--workload NAME`` (default
@@ -35,7 +38,6 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-SEED = 1
 SECONDS = 25
 
 
@@ -45,9 +47,9 @@ def _git(checkout: Path, *args: str) -> str:
     return done.stdout.strip()
 
 
-def _run(checkout: Path, trace: int, workload: str = "all") -> dict:
+def _run(checkout: Path, trace: int, seed: int, workload: str = "all") -> dict:
     """The environment line and the metrics line of one benchmark run."""
-    command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
+    command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
                "--seconds", str(SECONDS), "--trace", str(trace)]
     done = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
     if done.returncode != 0:
@@ -75,14 +77,19 @@ def _directions() -> dict:
     return {metric["name"]: metric["better"] for metric in declared["end_to_end"]}
 
 
-def record_point(checkout: Path) -> Path:
+def _path(name: str, seed: int) -> Path:
+    """BENCH_<name>.json at the root, with _seed<N> before .json for a seed other than 1."""
+    return ROOT / f"BENCH_{name}{'' if seed == 1 else f'_seed{seed}'}.json"
+
+
+def record_point(checkout: Path, seed: int) -> Path:
     source = _source(checkout)
-    end_to_end = _run(checkout, 0)
-    per_layer = _run(checkout, 1)
+    end_to_end = _run(checkout, 0, seed)
+    per_layer = _run(checkout, 1, seed)
     env = end_to_end["environment"]["environment"]
     record = {
         **source,
-        "seed": SEED,
+        "seed": seed,
         "seconds": SECONDS,
         "python": env["python"],
         "numpy": env["numpy"],
@@ -90,18 +97,18 @@ def record_point(checkout: Path) -> Path:
         "end_to_end": end_to_end,
         "per_layer": per_layer,
     }
-    path = ROOT / f"BENCH_{source['revision'][:7]}.json"
+    path = _path(source["revision"][:7], seed)
     path.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     return path
 
 
-def record_pairs(checkout: Path, against: Path, pairs: int, workload: str) -> Path:
+def record_pairs(checkout: Path, against: Path, pairs: int, workload: str, seed: int) -> Path:
     sides = {"before": against, "after": checkout}
     runs = {side: [] for side in sides}
     for pair in range(pairs):
         order = ("before", "after") if pair % 2 == 0 else ("after", "before")
         for side in order:
-            runs[side].append(_run(sides[side], 0, workload))
+            runs[side].append(_run(sides[side], 0, seed, workload))
             print(f"pair {pair + 1}/{pairs}: {side} done", file=sys.stderr, flush=True)
     directions = _directions()
     metrics = {}
@@ -122,7 +129,7 @@ def record_pairs(checkout: Path, against: Path, pairs: int, workload: str) -> Pa
     record = {
         "workload": workload,
         "pairs": pairs,
-        "seed": SEED,
+        "seed": seed,
         "seconds": SECONDS,
         "python": env["python"],
         "numpy": env["numpy"],
@@ -133,8 +140,8 @@ def record_pairs(checkout: Path, against: Path, pairs: int, workload: str) -> Pa
                   "correct": [run["result"]["correct"] for run in runs["after"]]},
         "metrics": metrics,
     }
-    name = f"BENCH_{record['after']['revision'][:7]}_vs_{record['before']['revision'][:7]}"
-    path = ROOT / f"{name}_{workload}.json"
+    name = f"{record['after']['revision'][:7]}_vs_{record['before']['revision'][:7]}"
+    path = _path(f"{name}_{workload}", seed)
     path.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     return path
 
@@ -149,17 +156,19 @@ def main(argv=None) -> int:
                         help="pairs of runs with --against (default: 10)")
     parser.add_argument("--workload",
                         help="workload the pairs run (default: all)")
+    parser.add_argument("--seed", type=int, default=1,
+                        help="seed of every benchmark run (default: 1)")
     args = parser.parse_args(argv)
     if args.against is None:
         if args.pairs is not None or args.workload is not None:
             parser.error("--pairs and --workload need --against")
-        path = record_point(args.checkout.resolve())
+        path = record_point(args.checkout.resolve(), args.seed)
     else:
         pairs = 10 if args.pairs is None else args.pairs
         if pairs < 1:
             parser.error("--pairs must be at least 1")
         path = record_pairs(args.checkout.resolve(), args.against.resolve(), pairs,
-                            args.workload or "all")
+                            args.workload or "all", args.seed)
     print(path)
     return 0
 
